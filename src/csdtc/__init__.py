@@ -16,6 +16,7 @@ from .circuit import (
     reference_device,
     validate_params,
 )
+from .design import closed_form_design, search_design
 from .hamiltonian import ChargeBasisConfig, FluxPoint, assemble_hamiltonian, uncoupled_hamiltonian
 from .perturbative import (
     PerturbativeResult,
@@ -49,12 +50,14 @@ __all__ = [
     "assemble_hamiltonian",
     "build_capacitance_matrix",
     "charging_matrix",
+    "closed_form_design",
     "convergence_study",
     "derive_junction_energies",
     "fit_decay",
     "full_budget",
     "load_params",
     "reference_device",
+    "search_design",
     "spectrum_at",
     "sweep_c34",
     "sweep_flux",

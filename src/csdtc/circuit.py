@@ -146,13 +146,9 @@ def _assemble_capacitance(params: CircuitParams) -> np.ndarray:
 
 
 def build_capacitance_matrix(params: CircuitParams) -> CapacitanceMatrix:
+    """Validate the parameter set (positive definiteness included) and assemble its matrix."""
     require_valid(params)
-    mat = _assemble_capacitance(params)
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError("assembled capacitance matrix is not positive definite") from exc
-    return CapacitanceMatrix(mat)
+    return CapacitanceMatrix(_assemble_capacitance(params))
 
 
 def charging_matrix(cmat: CapacitanceMatrix) -> ChargingMatrix:
@@ -205,9 +201,15 @@ def params_from_dict(doc: dict) -> CircuitParams:
     missing = set(_JSON_MUTUAL_KEYS) - set(mutual)
     if missing:
         raise ParameterError(f"missing keys in mutual_caps_fF: {sorted(missing)}")
-    kwargs = dict(zip(_NODE_FIELDS, (float(v) for v in node)))
-    kwargs.update({field: float(mutual[key]) for key, field in _JSON_MUTUAL_KEYS.items()})
-    kwargs.update(dict(zip(_CURRENT_FIELDS, (float(v) for v in currents))))
+    entries = [(f"node_caps_fF[{i}]", field, node[i]) for i, field in enumerate(_NODE_FIELDS)]
+    entries += [(f"mutual_caps_fF.{key}", field, mutual[key]) for key, field in _JSON_MUTUAL_KEYS.items()]
+    entries += [(f"critical_currents_nA[{i}]", field, currents[i]) for i, field in enumerate(_CURRENT_FIELDS)]
+    kwargs = {}
+    for key, field, value in entries:
+        try:
+            kwargs[field] = float(value)
+        except (TypeError, ValueError):
+            raise ParameterError(f"{key} must be a number, got {value!r}") from None
     return CircuitParams(**kwargs)
 
 
@@ -223,10 +225,9 @@ def params_to_dict(params: CircuitParams) -> dict:
 def load_params(path: str | Path) -> CircuitParams:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"cannot parse parameter file {path}: {exc}") from exc
-    return params_from_dict(doc)
+            return params_from_dict(json.load(handle))
+        except (json.JSONDecodeError, ParameterError) as exc:
+            raise ParameterError(f"parameter file {path}: {exc}") from exc
 
 
 def save_params(params: CircuitParams, path: str | Path) -> None:

@@ -8,16 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import perturbative, rb, spectrum
-from .circuit import derive_junction_energies, load_params
-from .constants import FF, NH
+from . import design, rb, spectrum
+from .circuit import load_params
 from .errors import (
-    BracketError,
     ConfigError,
     FitError,
     LabelingError,
@@ -30,8 +27,6 @@ from .hamiltonian import ChargeBasisConfig
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -62,38 +57,6 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def golden_section_min(func, lo: float, hi: float, *, tol: float = 0.05, max_iter: int = 200):
-    """Golden-section minimum of a unimodal function on [lo, hi].
-
-    Raises BracketError when the minimizer lands on an endpoint, which means
-    the bracket does not contain the interior minimum.
-    """
-    if not lo < hi:
-        raise ConfigError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = func(x1), func(x2)
-    iterations = 0
-    while (b - a) > tol and iterations < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = func(x2)
-        iterations += 1
-    x_min, f_min = (x1, f1) if f1 <= f2 else (x2, f2)
-    edge = tol + (hi - lo) * 1e-3
-    if x_min - lo < edge or hi - x_min < edge:
-        raise BracketError(
-            f"minimum sits at the bracket edge ({x_min:.3f} in [{lo}, {hi}]); widen the bracket"
-        )
-    return x_min, f_min
-
-
 def _basis_config(args) -> ChargeBasisConfig:
     return ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k)
 
@@ -106,14 +69,24 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _report_failures(points, label):
+def _report_sweep(points, label: str, attr: str) -> int:
+    """Print the zeta range and each failed point; numerical exit above 10% failures."""
+    zetas = [p.zeta_khz for p in points if p.zeta_khz is not None]
+    if zetas:
+        print(f"zeta/2pi range: min {min(zetas):.3f} kHz, max {max(zetas):.3f} kHz")
     failed = [p for p in points if p.error is not None]
     for point in failed:
-        where = getattr(point, "phi_ex", None)
-        if where is None:
-            where = point.c34_ff
-        print(f"failed at {label}={where}: {point.error}", file=sys.stderr)
-    return len(failed)
+        print(f"failed at {label}={getattr(point, attr)}: {point.error}", file=sys.stderr)
+    return EXIT_NUMERICAL if len(failed) > 0.1 * len(points) else EXIT_OK
+
+
+def _write_json(doc: dict, out) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_spectrum(args) -> int:
@@ -123,11 +96,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("--out is required for spectrum output")
     points = spectrum.sweep_flux(params, grid, _basis_config(args), seed=args.seed)
     spectrum.write_spectrum_csv(points, args.out)
-    zetas = [p.zeta_khz for p in points if p.zeta_khz is not None]
-    if zetas:
-        print(f"zeta/2pi range: min {min(zetas):.3f} kHz, max {max(zetas):.3f} kHz")
-    failed = _report_failures(points, "phi_ex")
-    return EXIT_NUMERICAL if failed > 0.1 * len(points) else EXIT_OK
+    return _report_sweep(points, "phi_ex", "phi_ex")
 
 
 def cmd_zz(args) -> int:
@@ -140,106 +109,46 @@ def cmd_zz(args) -> int:
     if args.flux_grid is not None:
         points = spectrum.sweep_flux(params, parse_grid(args.flux_grid), cfg, seed=args.seed)
         spectrum.write_flux_zz_csv(points, args.out)
-        label = "phi_ex"
-    else:
-        points = spectrum.sweep_c34(
-            params,
-            parse_grid(args.c34_grid),
-            args.flux,
-            cfg,
-            zero_parasitics=args.zero_parasitics,
-            seed=args.seed,
-        )
-        spectrum.write_c34_zz_csv(points, args.out)
-        label = "C34_fF"
-    zetas = [p.zeta_khz for p in points if p.zeta_khz is not None]
-    if zetas:
-        print(f"zeta/2pi range: min {min(zetas):.3f} kHz, max {max(zetas):.3f} kHz")
-    failed = _report_failures(points, label)
-    return EXIT_NUMERICAL if failed > 0.1 * len(points) else EXIT_OK
+        return _report_sweep(points, "phi_ex", "phi_ex")
+    points = spectrum.sweep_c34(
+        params,
+        parse_grid(args.c34_grid),
+        args.flux,
+        cfg,
+        zero_parasitics=args.zero_parasitics,
+        seed=args.seed,
+    )
+    spectrum.write_c34_zz_csv(points, args.out)
+    return _report_sweep(points, "C34_fF", "c34_ff")
 
 
 def cmd_design(args) -> int:
-    params = load_params(args.params).without_parasitics()
-    lj5_h = derive_junction_energies(params).lj5_nh * NH
-
+    params = load_params(args.params)
     if args.formula_only:
-        # single closed-form evaluation at the configured C34, no iteration
-        result = perturbative.two_mode_reduction(params)
-        c34_star = perturbative.shunt_capacitance_for(lj5_h, result.omega1, result.omega2) / FF
-        doc = {
-            "c34_star_fF": c34_star,
-            "g12_residual": None,
-            "zeta_at_star_kHz": None,
-            "argmin_c34_exact_fF": None,
-        }
+        doc = design.closed_form_design(params)
     else:
-        fixed_point = perturbative.zero_coupling_c34(params)
-        cfg = _basis_config(args)
-
-        def abs_zeta(c34_ff: float) -> float:
-            trial = params.with_c34(c34_ff)
-            return abs(spectrum.zz_interaction(trial, 0.0, cfg, seed=args.seed).zeta_khz)
-
-        lo, hi = _parse_bracket(args.bracket)
-        argmin, _ = golden_section_min(abs_zeta, lo, hi, tol=args.bracket_tol)
-        zeta_at_star = spectrum.zz_interaction(
-            params.with_c34(fixed_point.c34_star_ff), 0.0, cfg, seed=args.seed
-        ).zeta_khz
-        doc = {
-            "c34_star_fF": fixed_point.c34_star_ff,
-            "g12_residual": fixed_point.g12_residual,
-            "zeta_at_star_kHz": zeta_at_star,
-            "argmin_c34_exact_fF": argmin,
-        }
-
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        bracket = _parse_bracket(args.bracket)
+        doc = design.search_design(params, bracket, _basis_config(args), tol=args.bracket_tol, seed=args.seed)
+    _write_json(doc, args.out)
     return EXIT_OK
 
 
-_TRACE_SLOTS = ("x1_srb", "x1_irb", "purity_srb", "purity_irb", "p0000_srb", "p0000_irb")
-
-
 def cmd_rb_budget(args) -> int:
+    paths = {slot: getattr(args, slot) for slot in rb.SLOT_EXPECTATIONS if getattr(args, slot) is not None}
+    if not paths:
+        raise ConfigError("no trace files given")
     traces = {}
-    paths = {}
-    for slot in _TRACE_SLOTS:
-        path = getattr(args, slot)
-        if path is None:
-            continue
+    for slot, path in paths.items():
         try:
-            trace = rb.read_trace_csv(path)
+            traces[slot] = rb.read_trace_csv(path)
         except (ValueError, OSError) as exc:
             raise ConfigError(f"trace file {path} for slot {slot}: {exc}") from exc
-        kind, variant = rb.SLOT_EXPECTATIONS[slot]
-        if trace.kind != kind or trace.variant != variant:
-            raise ConfigError(
-                f"trace file {path}: slot {slot} requires kind={kind} variant={variant}, "
-                f"got kind={trace.kind} variant={trace.variant}"
-            )
-        traces[slot] = trace
-        paths[slot] = path
-    if not traces:
-        raise ConfigError("no trace files given")
-    missing = set(_TRACE_SLOTS) - set(traces)
-    if missing and not args.partial:
-        raise ConfigError(f"missing traces for {sorted(missing)}; pass --partial for a partial budget")
     try:
         budget = rb.full_budget(traces, d=args.d, allow_partial=args.partial)
     except ValueError as exc:
         listing = ", ".join(f"{slot}={path}" for slot, path in sorted(paths.items()))
         raise ConfigError(f"{exc} (files: {listing})") from exc
-    text = json.dumps(rb.budget_to_dict(budget), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(rb.budget_to_dict(budget), args.out)
     return EXIT_OK
 
 
@@ -272,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.set_defaults(func=cmd_design)
 
     p_rb = sub.add_parser("rb-budget", help="CZ error budget from decay-trace CSVs")
-    for slot in _TRACE_SLOTS:
+    for slot in rb.SLOT_EXPECTATIONS:
         p_rb.add_argument(f"--{slot.replace('_', '-')}", dest=slot, default=None)
     p_rb.add_argument("--d", type=int, default=4)
     p_rb.add_argument("--partial", action="store_true")

@@ -24,7 +24,6 @@ from .circuit import (
     build_capacitance_matrix,
     charging_matrix,
     derive_junction_energies,
-    require_valid,
 )
 from .errors import ConfigError
 
@@ -124,12 +123,11 @@ def _charge_grid(n_max: int) -> np.ndarray:
 
 def assemble_hamiltonian(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SparseHamiltonian:
     """Assemble the circuit Hamiltonian at the given reduced flux."""
-    require_valid(params)
     phi = float(as_flux(flux))
     n_max = int(cfg.n_max)
     size = cfg.states_per_node
+    ec = charging_matrix(build_capacitance_matrix(params)).entries  # validates params first
     ej = derive_junction_energies(params)
-    ec = charging_matrix(build_capacitance_matrix(params)).entries
 
     grid = _charge_grid(n_max)
     diag = np.einsum("ia,ab,ib->i", grid, ec, grid)
@@ -162,11 +160,10 @@ def uncoupled_hamiltonian(params: CircuitParams, cfg: ChargeBasisConfig):
     the local quadratic share of JJ5 at zero flux, ej5 * phi^2 / 2, expanded
     as ej5 (1 - cos(phi)) so the reference stays strictly single-mode.
     """
-    require_valid(params)
     n_max = int(cfg.n_max)
     size = cfg.states_per_node
+    ec = charging_matrix(build_capacitance_matrix(params)).entries  # validates params first
     ej = derive_junction_energies(params)
-    ec = charging_matrix(build_capacitance_matrix(params)).entries
 
     _, cosine, _ = single_mode_operators(n_max)
     nsq = np.diag(np.arange(-n_max, n_max + 1, dtype=float) ** 2)

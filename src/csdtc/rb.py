@@ -10,7 +10,6 @@ budget closes exactly: r = r_incoh + r_coh + (3/4) L1, F = 1 - r - L1/4.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -252,7 +251,12 @@ def leakage_budget(fit_srb: DecayFit, fit_irb: DecayFit) -> LeakageBudget:
     return LeakageBudget(l1_srb, l1_irb, l1_cz, math.sqrt(max(var_cz, 0.0)))
 
 
-def _ratio_error(fit_srb: DecayFit, fit_irb: DecayFit, d: int) -> RatioBudget:
+def ratio_error_budget(fit_srb: DecayFit, fit_irb: DecayFit, d: int = 4) -> RatioBudget:
+    """CZ error (d-1)/d (1 - lam_IRB/lam_SRB) from an SRB/IRB pair of decay fits.
+
+    On purity fits this is the incoherent error; on fits of the subtracted
+    P_0000 - P_X1/d series it is the total gate error.
+    """
     if int(d) != d or d < 2:
         raise ValueError(f"dimension d must be an integer >= 2, got {d}")
     lam_s, lam_i = fit_srb.lam, fit_irb.lam
@@ -264,16 +268,6 @@ def _ratio_error(fit_srb: DecayFit, fit_irb: DecayFit, d: int) -> RatioBudget:
     d_s = prefactor * lam_i / lam_s**2
     variance = d_i**2 * fit_irb.lam_variance + d_s**2 * fit_srb.lam_variance
     return RatioBudget(value, math.sqrt(max(variance, 0.0)), int(d))
-
-
-def incoherent_budget(fit_srb: DecayFit, fit_irb: DecayFit, d: int = 4) -> RatioBudget:
-    """Incoherent CZ error (d-1)/d (1 - lam_IRB/lam_SRB) from purity fits."""
-    return _ratio_error(fit_srb, fit_irb, d)
-
-
-def gate_error_budget(fit_srb: DecayFit, fit_irb: DecayFit, d: int = 4) -> RatioBudget:
-    """Total CZ gate error from fits of the subtracted P_0000 - P_X1/d series."""
-    return _ratio_error(fit_srb, fit_irb, d)
 
 
 def subtracted_population_trace(p0000: RBTrace, px1: RBTrace, d: int = 4) -> RBTrace:
@@ -379,7 +373,7 @@ def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> Err
             )
     missing = set(expected) - set(traces)
     if missing and not allow_partial:
-        raise ValueError(f"missing trace slots: {sorted(missing)} (pass allow_partial to accept)")
+        raise ValueError(f"missing trace slots: {sorted(missing)}; a partial budget needs allow_partial (--partial)")
 
     l1 = l1_std = None
     if {"x1_srb", "x1_irb"} <= set(traces):
@@ -391,7 +385,7 @@ def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> Err
 
     r_incoh = r_incoh_std = None
     if {"purity_srb", "purity_irb"} <= set(traces):
-        ratio = incoherent_budget(
+        ratio = ratio_error_budget(
             fit_decay(traces["purity_srb"], 2),
             fit_decay(traces["purity_irb"], 2),
             d,
@@ -400,7 +394,7 @@ def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> Err
 
     r_cz = r_cz_std = None
     if {"p0000_srb", "p0000_irb", "x1_srb", "x1_irb"} <= set(traces):
-        ratio = gate_error_budget(
+        ratio = ratio_error_budget(
             fit_decay(subtracted_population_trace(traces["p0000_srb"], traces["x1_srb"], d), 1),
             fit_decay(subtracted_population_trace(traces["p0000_irb"], traces["x1_irb"], d), 1),
             d,
@@ -442,12 +436,6 @@ def budget_to_dict(budget: ErrorBudget) -> dict:
     }
 
 
-def write_budget_json(budget: ErrorBudget, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(budget_to_dict(budget), handle, indent=2)
-        handle.write("\n")
-
-
 # --- trace CSV I/O -------------------------------------------------------------
 
 
@@ -477,14 +465,17 @@ def read_trace_csv(path) -> RBTrace:
         if "kind" not in fields or "variant" not in fields:
             raise ValueError(f"{path}: header must define kind and variant")
         reader = csv.reader(handle)
-        columns = next(reader)
+        columns = next(reader, [])
         if columns[:2] != ["m", "value"]:
-            raise ValueError(f"{path}: expected columns m, value[, std_err]")
+            raise ValueError(f"{path}: line 2: expected columns m, value[, std_err]")
         has_std = len(columns) > 2 and columns[2] == "std_err"
+        width = 3 if has_std else 2
         lengths, values, stds = [], [], []
         for row in reader:
             if not row:
                 continue
+            if len(row) < width:
+                raise ValueError(f"{path}: line {reader.line_num + 1}: expected {width} fields, got {len(row)}")
             lengths.append(int(row[0]))
             values.append(float(row[1]))
             if has_std:

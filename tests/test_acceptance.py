@@ -22,7 +22,7 @@ from csdtc import (
     zz_interaction,
 )
 from csdtc.circuit import derive_junction_energies
-from csdtc.cli import golden_section_min
+from csdtc.design import golden_section_min
 from csdtc.errors import LabelingError
 from csdtc.perturbative import block_normal_modes, two_mode_reduction, zero_coupling_c34
 from csdtc.rb import (

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ class TestJsonDocument:
         doc = params_to_dict(device)
         doc["node_caps_fF"] = [1.0, 2.0]
         with pytest.raises(ParameterError):
+            params_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, index, key",
+        [("node_caps_fF", 1, "node_caps_fF[1]"), ("mutual_caps_fF", "C34", "mutual_caps_fF.C34")],
+    )
+    def test_null_value(self, device, section, index, key):
+        doc = params_to_dict(device)
+        doc[section][index] = None
+        with pytest.raises(ParameterError, match=re.escape(key)):
             params_from_dict(doc)
 
     def test_malformed_file(self, tmp_path):

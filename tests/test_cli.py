@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csdtc.circuit import reference_device, save_params
-from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, golden_section_min, main, parse_grid
+from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_grid
+from csdtc.design import golden_section_min
 from csdtc.errors import BracketError, ConfigError
 from csdtc.rb import (
     KIND_POPULATION_0000,
@@ -82,6 +84,17 @@ class TestSpectrumCommand:
         bad.write_text(json.dumps({"node_caps_fF": [1, 2, 3, 4], "oops": 1}))
         code = main(["spectrum", "--params", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
+
+    def test_null_params_value_names_file_and_key(self, tmp_path, capsys, params_file):
+        doc = json.loads(Path(params_file).read_text())
+        doc["node_caps_fF"][0] = None
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["spectrum", "--params", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(bad) in err and "node_caps_fF[0]" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestZZCommand:
@@ -218,6 +231,24 @@ class TestRBBudgetCommand:
 
     def test_no_traces(self):
         assert main(["rb-budget"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("m,value,std_err\n1,0.9,0.01\n5,0.8\n", "line 4"),
+            ("", "line 2"),
+        ],
+        ids=["short_row", "header_only"],
+    )
+    def test_malformed_trace_names_file_and_line(self, tmp_path, capsys, body, line):
+        paths = _write_bundle(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# kind=population_X1 variant=SRB\n" + body)
+        code = main(["rb-budget", "--partial", "--x1-srb", str(bad), "--x1-irb", paths["x1_irb"]])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(bad) in err and line in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_command_is_usage_error():

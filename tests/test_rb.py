@@ -15,10 +15,9 @@ from csdtc.rb import (
     budget_to_dict,
     fit_decay,
     full_budget,
-    gate_error_budget,
-    incoherent_budget,
     leakage_budget,
     normalized_purity_from_density,
+    ratio_error_budget,
     read_trace_csv,
     subtracted_population_trace,
     synth_trace,
@@ -159,29 +158,29 @@ class TestLeakage:
 
 class TestRatioBudgets:
     def test_incoherent_arithmetic(self):
-        value = incoherent_budget(_fit(lam=0.99), _fit(lam=0.98), 4).value
+        value = ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98), 4).value
         assert value == pytest.approx(0.75 * (1 - 0.98 / 0.99), rel=1e-12)
         assert value == pytest.approx(7.576e-3, abs=1e-5)
 
     def test_equal_lambdas_give_zero(self):
-        assert incoherent_budget(_fit(lam=0.97), _fit(lam=0.97), 4).value == 0.0
+        assert ratio_error_budget(_fit(lam=0.97), _fit(lam=0.97), 4).value == 0.0
 
     def test_d_two_prefactor(self):
-        value = incoherent_budget(_fit(lam=0.99), _fit(lam=0.98), 2).value
+        value = ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98), 2).value
         assert value == pytest.approx(0.5 * (1 - 0.98 / 0.99), rel=1e-12)
 
     def test_gate_error_arithmetic(self):
-        value = gate_error_budget(_fit(lam=0.995), _fit(lam=0.990), 4).value
+        value = ratio_error_budget(_fit(lam=0.995), _fit(lam=0.990), 4).value
         assert value == pytest.approx(0.75 * (1 - 0.990 / 0.995), rel=1e-12)
         assert value == pytest.approx(3.769e-3, abs=1e-5)
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            gate_error_budget(_fit(lam=0.99), _fit(lam=0.98), 1)
+            ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98), 1)
 
     def test_zero_srb_lambda(self):
         with pytest.raises(FitError):
-            incoherent_budget(_fit(lam=0.0), _fit(lam=0.5), 4)
+            ratio_error_budget(_fit(lam=0.0), _fit(lam=0.5), 4)
 
 
 class TestSubtractedTrace:
