@@ -17,7 +17,7 @@ from .circuit import (
     validate_params,
 )
 from .design import closed_form_design, search_design
-from .hamiltonian import ChargeBasisConfig, FluxPoint, assemble_hamiltonian, uncoupled_hamiltonian
+from .hamiltonian import ChargeBasisConfig, assemble_hamiltonian, uncoupled_hamiltonian
 from .perturbative import (
     PerturbativeResult,
     two_mode_reduction,
@@ -40,7 +40,6 @@ __all__ = [
     "CircuitParams",
     "JunctionEnergies",
     "ChargeBasisConfig",
-    "FluxPoint",
     "SpectrumResult",
     "ZZResult",
     "PerturbativeResult",

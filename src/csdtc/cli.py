@@ -142,7 +142,7 @@ def cmd_rb_budget(args) -> int:
         try:
             traces[slot] = rb.read_trace_csv(path)
         except (ValueError, OSError) as exc:
-            raise ConfigError(f"trace file {path} for slot {slot}: {exc}") from exc
+            raise ConfigError(f"slot {slot}: {exc}") from exc
     try:
         budget = rb.full_budget(traces, d=args.d, allow_partial=args.partial)
     except ValueError as exc:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 from . import perturbative, spectrum
-from .circuit import CircuitParams, derive_junction_energies
-from .constants import FF, NH
+from .circuit import CircuitParams
 from .errors import BracketError, ConfigError
 from .hamiltonian import ChargeBasisConfig
 
@@ -53,11 +52,8 @@ def golden_section_min(func, lo: float, hi: float, *, tol: float = 0.05, max_ite
 
 def closed_form_design(params: CircuitParams) -> dict:
     """Single closed-form 1/(L_J5 w1 w2) at the configured C34, no iteration."""
-    bare = params.without_parasitics()
-    lj5_h = derive_junction_energies(bare).lj5_nh * NH
-    result = perturbative.two_mode_reduction(bare)
     return {
-        "c34_star_fF": perturbative.shunt_capacitance_for(lj5_h, result.omega1, result.omega2) / FF,
+        "c34_star_fF": perturbative.two_mode_reduction(params.without_parasitics()).c34_closed_ff,
         "g12_residual": None,
         "zeta_at_star_kHz": None,
         "argmin_c34_exact_fF": None,

@@ -32,28 +32,6 @@ _REAL_PHASE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
-class FluxPoint:
-    """Reduced external flux through the coupler loop, in units of Phi0."""
-
-    phi_ex: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.phi_ex):
-            raise ConfigError(f"flux must be finite, got {self.phi_ex}")
-
-    def canonical(self) -> "FluxPoint":
-        """Periodic reduction into [-0.5, 0.5]."""
-        return FluxPoint(float(self.phi_ex - np.round(self.phi_ex)))
-
-    def __float__(self) -> float:
-        return float(self.phi_ex)
-
-
-def as_flux(value) -> FluxPoint:
-    return value if isinstance(value, FluxPoint) else FluxPoint(float(value))
-
-
-@dataclass(frozen=True)
 class ChargeBasisConfig:
     """Charge-basis truncation (per-node -n_max..n_max) and eigenstate count."""
 
@@ -121,9 +99,11 @@ def _charge_grid(n_max: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def assemble_hamiltonian(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SparseHamiltonian:
+def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
     """Assemble the circuit Hamiltonian at the given reduced flux."""
-    phi = float(as_flux(flux))
+    phi = float(flux)
+    if not np.isfinite(phi):
+        raise ConfigError(f"flux must be finite, got {phi}")
     n_max = int(cfg.n_max)
     size = cfg.states_per_node
     ec = charging_matrix(build_capacitance_matrix(params)).entries  # validates params first

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .circuit import CircuitParams, derive_junction_energies, require_valid
+from .circuit import CircuitParams, JunctionEnergies, derive_junction_energies, require_valid
 from .constants import E_CHARGE, FF, GHZ, HBAR, NH
 from .errors import ModelError
 
@@ -34,7 +34,6 @@ class BlockModes:
     node-1/node-2 component, positive diagonal); eigen-capacitances in F.
     """
 
-    block: int
     c_qubit: float
     c_coupler: float
     u: np.ndarray
@@ -66,20 +65,17 @@ class ModeSystem:
 
 @dataclass(frozen=True)
 class PerturbativeResult:
-    """Everything the two-mode reduction produces for one parameter set."""
+    """Everything the two-mode reduction produces for one parameter set.
 
-    k_ur: float
-    c34_eff: float
-    ej5_eff: float
-    ej5_kerr: float
-    ej1_kerr: float
-    ej2_kerr: float
-    w: np.ndarray
-    omega1: float
-    omega2: float
-    g12: float
+    ``c34_closed_ff`` is the closed-form decoupling shunt 1/(L_J5 w1 w2) at
+    this set's mode frequencies, in fF.
+    """
+
+    eff: EffectiveParams
+    system: ModeSystem
     u12: np.ndarray
     zeta_pert_khz: float
+    c34_closed_ff: float
 
 
 @dataclass(frozen=True)
@@ -93,61 +89,56 @@ class ZeroCouplingResult:
     iterations: int
 
 
-def block_normal_modes(params: CircuitParams, block: int, e_norm_ghz: float | None = None) -> BlockModes:
-    """Diagonalize one block of the junction-normalized capacitance matrix.
+def block_normal_modes(
+    params: CircuitParams, ej: JunctionEnergies, e_norm_ghz: float
+) -> tuple[BlockModes, BlockModes]:
+    """Diagonalize both blocks (13, 24) of the junction-normalized capacitance matrix.
 
-    The block matrix is [[Cqq + Cm, -Cm], [-Cm, Ccc + Cm + C34]] scaled by
+    Each block matrix is [[Cqq + Cm, -Cm], [-Cm, Ccc + Cm + C34]] scaled by
     1/(r_i r_j) with r_qubit = sqrt(EJq/EJ) and r_coupler =
-    sqrt((EJc + EJ5)/EJ); EJ is an arbitrary normalization energy
-    (default EJ1) that cancels in every observable.
+    sqrt((EJc + EJ5)/EJ); EJ is an arbitrary normalization energy that
+    cancels in every observable.
     """
-    require_valid(params)
-    ej = derive_junction_energies(params)
-    if block == 13:
-        c_node_q, c_node_c, c_m = params.c11, params.c33, params.c13
-        ej_q, ej_c = ej.ej1, ej.ej3
-    elif block == 24:
-        c_node_q, c_node_c, c_m = params.c22, params.c44, params.c24
-        ej_q, ej_c = ej.ej2, ej.ej4
-    else:
-        raise ValueError(f"block must be 13 or 24, got {block}")
-    e_norm = ej.ej1 if e_norm_ghz is None else float(e_norm_ghz)
-    if e_norm <= 0:
-        raise ModelError(f"normalization energy must be positive, got {e_norm}")
+    if e_norm_ghz <= 0:
+        raise ModelError(f"normalization energy must be positive, got {e_norm_ghz}")
+    blocks = []
+    for block, c_node_q, c_node_c, c_m, ej_q, ej_c in (
+        (13, params.c11, params.c33, params.c13, ej.ej1, ej.ej3),
+        (24, params.c22, params.c44, params.c24, ej.ej2, ej.ej4),
+    ):
+        r_q = math.sqrt(ej_q / e_norm_ghz)
+        r_c = math.sqrt((ej_c + ej.ej5) / e_norm_ghz)
+        mat = np.array(
+            [
+                [(c_node_q + c_m) * FF, -c_m * FF],
+                [-c_m * FF, (c_node_c + c_m + params.c34) * FF],
+            ]
+        )
+        scale = np.array([r_q, r_c])
+        normalized = mat / np.outer(scale, scale)
 
-    r_q = math.sqrt(ej_q / e_norm)
-    r_c = math.sqrt((ej_c + ej.ej5) / e_norm)
-    mat = np.array(
-        [
-            [(c_node_q + c_m) * FF, -c_m * FF],
-            [-c_m * FF, (c_node_c + c_m + params.c34) * FF],
-        ]
-    )
-    scale = np.array([r_q, r_c])
-    normalized = mat / np.outer(scale, scale)
-
-    vals, vecs = np.linalg.eigh(normalized)
-    qubit_col = int(np.argmax(np.abs(vecs[0, :])))
-    coupler_col = 1 - qubit_col
-    u = np.column_stack([vecs[:, qubit_col], vecs[:, coupler_col]])
-    if u[0, 0] < 0:
-        u[:, 0] = -u[:, 0]
-    if u[1, 1] < 0:
-        u[:, 1] = -u[:, 1]
-    c_qubit = float(vals[qubit_col])
-    c_coupler = float(vals[coupler_col])
-    if c_qubit <= 0 or c_coupler <= 0:
-        raise ModelError(f"block {block} produced a non-positive eigen-capacitance")
-    return BlockModes(block, c_qubit, c_coupler, u, r_q, r_c)
+        vals, vecs = np.linalg.eigh(normalized)
+        qubit_col = int(np.argmax(np.abs(vecs[0, :])))
+        coupler_col = 1 - qubit_col
+        u = np.column_stack([vecs[:, qubit_col], vecs[:, coupler_col]])
+        if u[0, 0] < 0:
+            u[:, 0] = -u[:, 0]
+        if u[1, 1] < 0:
+            u[:, 1] = -u[:, 1]
+        c_qubit = float(vals[qubit_col])
+        c_coupler = float(vals[coupler_col])
+        if c_qubit <= 0 or c_coupler <= 0:
+            raise ModelError(f"block {block} produced a non-positive eigen-capacitance")
+        blocks.append(BlockModes(c_qubit, c_coupler, u, r_q, r_c))
+    return blocks[0], blocks[1]
 
 
-def effective_parameters(b13: BlockModes, b24: BlockModes, params: CircuitParams) -> EffectiveParams:
+def effective_parameters(b13: BlockModes, b24: BlockModes, c34_ff: float, ej: JunctionEnergies) -> EffectiveParams:
     """k_Ur-weighted effective couplings and quartic (Kerr) energies."""
-    ej = derive_junction_energies(params)
     k_ur = b13.u[1, 0] * b24.u[1, 0] / (b13.r_coupler * b24.r_coupler)
     return EffectiveParams(
         k_ur=k_ur,
-        c34_eff=k_ur * params.c34 * FF,
+        c34_eff=k_ur * c34_ff * FF,
         ej5_eff=k_ur * ej.ej5,
         ej5_kerr=k_ur**2 * ej.ej5,
         ej1_kerr=ej.ej1 * (b13.u[0, 0] / b13.r_qubit) ** 4,
@@ -224,28 +215,16 @@ def zz_perturbative(system: ModeSystem, eff: EffectiveParams) -> tuple[float, np
 
 
 def two_mode_reduction(params: CircuitParams, e_norm_ghz: float | None = None) -> PerturbativeResult:
-    """Run the whole block-transform pipeline for one parameter set."""
+    """Run the whole block-transform pipeline for one parameter set, validating it once."""
+    require_valid(params)
     ej = derive_junction_energies(params)
     e_norm = ej.ej1 if e_norm_ghz is None else float(e_norm_ghz)
-    b13 = block_normal_modes(params, 13, e_norm)
-    b24 = block_normal_modes(params, 24, e_norm)
-    eff = effective_parameters(b13, b24, params)
+    b13, b24 = block_normal_modes(params, ej, e_norm)
+    eff = effective_parameters(b13, b24, params.c34, ej)
     system = mode_frequencies_and_g12(b13, b24, eff, e_norm)
     zeta_khz, u12 = zz_perturbative(system, eff)
-    return PerturbativeResult(
-        k_ur=eff.k_ur,
-        c34_eff=eff.c34_eff,
-        ej5_eff=eff.ej5_eff,
-        ej5_kerr=eff.ej5_kerr,
-        ej1_kerr=eff.ej1_kerr,
-        ej2_kerr=eff.ej2_kerr,
-        w=system.w,
-        omega1=system.omega1,
-        omega2=system.omega2,
-        g12=system.g12,
-        u12=u12,
-        zeta_pert_khz=zeta_khz,
-    )
+    c34_closed = shunt_capacitance_for(ej.lj5_nh * NH, system.omega1, system.omega2) / FF
+    return PerturbativeResult(eff, system, u12, zeta_khz, c34_closed)
 
 
 def shunt_capacitance_for(lj5_h: float, omega1: float, omega2: float) -> float:
@@ -268,13 +247,16 @@ def zero_coupling_c34(
     weak-coupling shorthand, so for strongly coupled circuits the result is
     polished against the exact g12 zero before the check.
     """
-    require_valid(params)
-    lj5_h = derive_junction_energies(params).lj5_nh * NH
+    require_valid(params)  # the parasitics the bare set drops must be admissible too
+    bare = params.without_parasitics()
+
+    def reduce(c34_ff: float) -> PerturbativeResult:
+        return two_mode_reduction(bare.with_c34(c34_ff))
+
     c34 = float(params.c34)
     trace = []
     for iteration in range(1, max_iter + 1):
-        result = two_mode_reduction(params.without_parasitics().with_c34(c34))
-        c34_new = shunt_capacitance_for(lj5_h, result.omega1, result.omega2) / FF
+        c34_new = reduce(c34).c34_closed_ff
         delta = abs(c34_new - c34)
         trace.append((iteration, c34_new, delta))
         c34 = c34_new
@@ -287,9 +269,9 @@ def zero_coupling_c34(
         )
 
     def g12_at(c34_ff: float) -> float:
-        return two_mode_reduction(params.without_parasitics().with_c34(c34_ff)).g12
+        return reduce(c34_ff).system.g12
 
-    final = two_mode_reduction(params.without_parasitics().with_c34(c34))
+    final = reduce(c34).system
     residual_tol = _G12_RESIDUAL_FACTOR * math.sqrt(final.omega1 * final.omega2)
     if abs(final.g12) >= residual_tol:
         lo, hi = 0.5 * c34, 2.0 * c34
@@ -304,7 +286,7 @@ def zero_coupling_c34(
                 f"cannot bracket the g12 zero around the fixed point {c34:.3f} fF"
             )
         c34 = float(brentq(g12_at, lo, hi, xtol=1e-6))
-        final = two_mode_reduction(params.without_parasitics().with_c34(c34))
+        final = reduce(c34).system
         residual_tol = _G12_RESIDUAL_FACTOR * math.sqrt(final.omega1 * final.omega2)
         if abs(final.g12) >= residual_tol:
             raise ModelError(

@@ -302,30 +302,33 @@ def normalized_purity_from_density(rho, d: int = 4) -> float:
 
 
 def assemble_budget(
-    r_cz: float,
-    r_incoh_cz: float,
-    l1_cz: float,
+    r_cz: float | None,
+    r_incoh_cz: float | None,
+    l1_cz: float | None,
     *,
     d: int = 4,
-    r_cz_std: float = 0.0,
-    r_incoh_std: float = 0.0,
-    l1_std: float = 0.0,
+    r_cz_std: float | None = 0.0,
+    r_incoh_std: float | None = 0.0,
+    l1_std: float | None = 0.0,
 ) -> ErrorBudget:
     """Close the budget: r_coh = r - r_incoh - (3/4) L1, F = 1 - r - L1/4.
 
-    A negative coherent error is reported as-is with a statistical
-    consistency warning.
+    A piece given as None leaves every entry that needs it None. A negative
+    coherent error is reported as-is with a statistical consistency warning.
     """
-    r_coh = r_cz - r_incoh_cz - 0.75 * l1_cz
-    if r_coh < 0:
-        warnings.warn(
-            f"coherent error came out negative ({r_coh:.3e}); "
-            "the SRB/IRB fits are statistically inconsistent",
-            stacklevel=2,
-        )
-    fidelity = 1.0 - r_cz - l1_cz / 4.0
-    r_coh_std = math.sqrt(r_cz_std**2 + r_incoh_std**2 + 0.5625 * l1_std**2)
-    fidelity_std = math.sqrt(r_cz_std**2 + l1_std**2 / 16.0)
+    r_coh = r_coh_std = fidelity = fidelity_std = None
+    if r_cz is not None and l1_cz is not None:
+        fidelity = 1.0 - r_cz - l1_cz / 4.0
+        fidelity_std = math.sqrt(r_cz_std**2 + l1_std**2 / 16.0)
+        if r_incoh_cz is not None:
+            r_coh = r_cz - r_incoh_cz - 0.75 * l1_cz
+            if r_coh < 0:
+                warnings.warn(
+                    f"coherent error came out negative ({r_coh:.3e}); "
+                    "the SRB/IRB fits are statistically inconsistent",
+                    stacklevel=2,
+                )
+            r_coh_std = math.sqrt(r_cz_std**2 + r_incoh_std**2 + 0.5625 * l1_std**2)
     return ErrorBudget(
         l1_cz=l1_cz,
         r_incoh_cz=r_incoh_cz,
@@ -360,6 +363,8 @@ def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> Err
     ``allow_partial``). The gate-error fit needs both the p0000 and x1 pairs
     because of the leakage-reference subtraction.
     """
+    if int(d) != d or d < 2:
+        raise ValueError(f"dimension d must be an integer >= 2, got {d}")
     expected = SLOT_EXPECTATIONS
     unknown = set(traces) - set(expected)
     if unknown:
@@ -401,26 +406,9 @@ def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> Err
         )
         r_cz, r_cz_std = ratio.value, ratio.std
 
-    if None not in (r_cz, r_incoh, l1):
-        return assemble_budget(
-            r_cz, r_incoh, l1, d=d,
-            r_cz_std=r_cz_std, r_incoh_std=r_incoh_std, l1_std=l1_std,
-        )
-
-    fidelity = fidelity_std = None
-    if r_cz is not None and l1 is not None:
-        fidelity = 1.0 - r_cz - l1 / 4.0
-        fidelity_std = math.sqrt(r_cz_std**2 + l1_std**2 / 16.0)
-    uncertainties = {
-        "l1_cz": l1_std,
-        "r_incoh_cz": r_incoh_std,
-        "r_coh_cz": None,
-        "r_cz": r_cz_std,
-        "fidelity": fidelity_std,
-    }
-    return ErrorBudget(
-        l1_cz=l1, r_incoh_cz=r_incoh, r_coh_cz=None, r_cz=r_cz,
-        fidelity=fidelity, d=int(d), uncertainties=uncertainties,
+    return assemble_budget(
+        r_cz, r_incoh, l1, d=d,
+        r_cz_std=r_cz_std, r_incoh_std=r_incoh_std, l1_std=l1_std,
     )
 
 
@@ -476,14 +464,20 @@ def read_trace_csv(path) -> RBTrace:
                 continue
             if len(row) < width:
                 raise ValueError(f"{path}: line {reader.line_num + 1}: expected {width} fields, got {len(row)}")
-            lengths.append(int(row[0]))
-            values.append(float(row[1]))
-            if has_std:
-                stds.append(float(row[2]))
-    return RBTrace(
-        lengths=tuple(lengths),
-        values=tuple(values),
-        std_errs=tuple(stds) if has_std else None,
-        kind=fields["kind"],
-        variant=fields["variant"],
-    )
+            try:
+                lengths.append(int(row[0]))
+                values.append(float(row[1]))
+                if has_std:
+                    stds.append(float(row[2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+    try:
+        return RBTrace(
+            lengths=tuple(lengths),
+            values=tuple(values),
+            std_errs=tuple(stds) if has_std else None,
+            kind=fields["kind"],
+            variant=fields["variant"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -15,13 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import perturbative
 from .circuit import CircuitParams
 from .errors import LabelingError, SolverError
 from .hamiltonian import (
     ChargeBasisConfig,
-    FluxPoint,
     SparseHamiltonian,
-    as_flux,
     assemble_hamiltonian,
     uncoupled_hamiltonian,
 )
@@ -47,7 +46,7 @@ class DressedLabel:
 class SpectrumResult:
     """Labeled eigenfrequencies (GHz, relative to the ground state) at one flux."""
 
-    flux: FluxPoint
+    flux: float
     n_max: int
     eigenfrequencies_ghz: np.ndarray
     labels: tuple[DressedLabel, ...]
@@ -66,7 +65,7 @@ class ZZResult:
     """zeta/2pi in kHz at one flux point."""
 
     zeta_khz: float
-    flux: FluxPoint
+    flux: float
     convergence_delta_khz: float | None = None
 
 
@@ -184,7 +183,7 @@ def greedy_assign(overlaps: np.ndarray):
     return assignment
 
 
-def label_states(eigvals, eigvecs, params: CircuitParams, cfg: ChargeBasisConfig):
+def label_states(eigvecs, params: CircuitParams, cfg: ChargeBasisConfig):
     """Label eigenstates by dominant overlap with uncoupled product states."""
     overlaps = _product_overlaps(eigvecs, _mode_bases(params, cfg))
     k = overlaps.shape[0]
@@ -222,10 +221,10 @@ def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: in
     """Solve, reference-label and ground-reference the spectrum at one flux."""
     ham = assemble_hamiltonian(params, flux, cfg)
     vals, vecs = solve_lowest(ham, cfg.num_eigenstates, seed=seed)
-    labels = label_states(vals, vecs, params, cfg)
+    labels = label_states(vecs, params, cfg)
     rel = vals - vals[0]
     return SpectrumResult(
-        flux=as_flux(flux),
+        flux=float(flux),
         n_max=int(cfg.n_max),
         eigenfrequencies_ghz=rel,
         labels=labels,
@@ -271,7 +270,7 @@ def zz_interaction(
         bigger = replace(cfg, n_max=cfg.n_max + 2)
         zeta_big = _zeta_from_spectrum(spectrum_at(params, flux, bigger, seed=seed))
         delta = abs(zeta_big - zeta)
-    return ZZResult(zeta_khz=zeta, flux=as_flux(flux), convergence_delta_khz=delta)
+    return ZZResult(zeta_khz=zeta, flux=float(flux), convergence_delta_khz=delta)
 
 
 def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int = 0):
@@ -305,8 +304,6 @@ def sweep_c34(
     seed: int = 0,
 ):
     """zeta versus the shunt capacitance, with the two-mode prediction alongside."""
-    from . import perturbative
-
     grid = np.asarray(c34_grid_ff, dtype=float)
     if grid.size == 0:
         raise ValueError("C34 grid must be non-empty")
@@ -319,9 +316,9 @@ def sweep_c34(
         pert = perturbative.two_mode_reduction(trial)
         try:
             zeta = _zeta_from_spectrum(spectrum_at(trial, flux, cfg, seed=seed))
-            points.append(C34SweepPoint(float(c34), zeta, pert.zeta_pert_khz, pert.g12, None))
+            points.append(C34SweepPoint(float(c34), zeta, pert.zeta_pert_khz, pert.system.g12, None))
         except (LabelingError, SolverError) as exc:
-            points.append(C34SweepPoint(float(c34), None, pert.zeta_pert_khz, pert.g12, str(exc)))
+            points.append(C34SweepPoint(float(c34), None, pert.zeta_pert_khz, pert.system.g12, str(exc)))
     return points
 
 

@@ -237,8 +237,9 @@ class TestRBBudgetCommand:
         [
             ("m,value,std_err\n1,0.9,0.01\n5,0.8\n", "line 4"),
             ("", "line 2"),
+            ("m,value\n1,0.9\n2,abc\n", "line 4"),
         ],
-        ids=["short_row", "header_only"],
+        ids=["short_row", "header_only", "bad_cell"],
     )
     def test_malformed_trace_names_file_and_line(self, tmp_path, capsys, body, line):
         paths = _write_bundle(tmp_path)
@@ -247,7 +248,18 @@ class TestRBBudgetCommand:
         code = main(["rb-budget", "--partial", "--x1-srb", str(bad), "--x1-irb", paths["x1_irb"]])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert str(bad) in err and line in err
+        assert err.count(str(bad)) == 1 and line in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("d, slots", [(0, ("x1", "p0000")), (1, ("x1",))], ids=["d0", "d1"])
+    def test_invalid_dimension_is_usage_error(self, tmp_path, capsys, d, slots):
+        paths = _write_bundle(tmp_path)
+        args = ["rb-budget", "--partial", "--d", str(d)]
+        for name in slots:
+            args += [f"--{name}-srb", paths[f"{name}_srb"], f"--{name}-irb", paths[f"{name}_irb"]]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "dimension d must be an integer >= 2" in err
         assert len(err.strip().splitlines()) == 1
 
 

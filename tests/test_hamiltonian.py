@@ -9,8 +9,6 @@ from csdtc.circuit import build_capacitance_matrix, charging_matrix, derive_junc
 from csdtc.errors import ConfigError
 from csdtc.hamiltonian import (
     ChargeBasisConfig,
-    FluxPoint,
-    as_flux,
     assemble_hamiltonian,
     dump_operator,
     single_mode_operators,
@@ -22,21 +20,9 @@ CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=8)
 
 
 class TestFluxPoint:
-    @pytest.mark.parametrize(
-        "raw,canonical",
-        [(0.75, -0.25), (0.5, 0.5), (-0.5, -0.5), (1.5, -0.5), (0.0, 0.0), (2.25, 0.25)],
-    )
-    def test_canonical_reduction(self, raw, canonical):
-        assert FluxPoint(raw).canonical().phi_ex == pytest.approx(canonical, abs=1e-15)
-        assert abs(FluxPoint(raw).canonical().phi_ex) <= 0.5
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ConfigError):
-            FluxPoint(float("nan"))
-
-    def test_coercion(self):
-        assert float(as_flux(0.3)) == 0.3
-        assert float(as_flux(FluxPoint(0.3))) == 0.3
+    def test_nonfinite_rejected(self, device):
+        with pytest.raises(ConfigError, match="flux must be finite"):
+            assemble_hamiltonian(device, float("nan"), CFG3)
 
 
 class TestConfig:

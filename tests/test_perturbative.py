@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csdtc.circuit import derive_junction_energies
-from csdtc.constants import E_CHARGE, FF, GHZ, HBAR, PLANCK_H
+from csdtc.constants import E_CHARGE, FF, GHZ, HBAR, NH, PLANCK_H
 from csdtc.errors import ModelError
 from csdtc.perturbative import (
     BlockModes,
@@ -21,26 +21,28 @@ from csdtc.perturbative import (
 )
 
 
+def _blocks(params):
+    """Both blocks at the default normalization EJ1, with the junction energies."""
+    ej = derive_junction_energies(params)
+    b13, b24 = block_normal_modes(params, ej, ej.ej1)
+    return b13, b24, ej
+
+
 class TestBlockModes:
     def test_uncoupled_block_is_identity(self, device):
         bare = replace(device, c13=0.0)
-        block = block_normal_modes(bare, 13)
+        block, _, _ = _blocks(bare)
         assert np.allclose(block.u, np.eye(2), atol=1e-14)
         assert block.c_qubit == pytest.approx(device.c11 * FF, rel=1e-12)
 
     def test_uncoupled_block_scaling_with_norm(self, device):
         bare = replace(device, c13=0.0)
         ej = derive_junction_energies(device)
-        block = block_normal_modes(bare, 13, e_norm_ghz=ej.ej2)
+        block, _ = block_normal_modes(bare, ej, e_norm_ghz=ej.ej2)
         assert block.c_qubit == pytest.approx(device.c11 * FF * ej.ej2 / ej.ej1, rel=1e-12)
 
-    def test_invalid_block_id(self, device):
-        with pytest.raises(ValueError):
-            block_normal_modes(device, 12)
-
     def test_device_blocks(self, device):
-        for block_id in (13, 24):
-            block = block_normal_modes(device, block_id)
+        for block in _blocks(device)[:2]:
             assert block.c_qubit > 0 and block.c_coupler > 0
             assert block.u[1, 0] != 0.0
             assert np.linalg.norm(block.u.T @ block.u - np.eye(2)) < 1e-12
@@ -49,10 +51,8 @@ class TestBlockModes:
 
 class TestEffectiveParams:
     def test_formula_identities(self, device):
-        b13 = block_normal_modes(device, 13)
-        b24 = block_normal_modes(device, 24)
-        eff = effective_parameters(b13, b24, device)
-        ej = derive_junction_energies(device)
+        b13, b24, ej = _blocks(device)
+        eff = effective_parameters(b13, b24, device.c34, ej)
         assert eff.k_ur == b13.u[1, 0] * b24.u[1, 0] / (b13.r_coupler * b24.r_coupler)
         assert eff.ej5_kerr == pytest.approx(eff.k_ur**2 * ej.ej5, rel=1e-15)
         assert eff.c34_eff == pytest.approx(eff.k_ur * device.c34 * FF, rel=1e-15)
@@ -60,9 +60,8 @@ class TestEffectiveParams:
 
     def test_decoupled_blocks_give_zero_k_ur(self, device):
         bare = replace(device, c13=0.0, c24=0.0)
-        b13 = block_normal_modes(bare, 13)
-        b24 = block_normal_modes(bare, 24)
-        eff = effective_parameters(b13, b24, bare)
+        b13, b24, ej = _blocks(bare)
+        eff = effective_parameters(b13, b24, bare.c34, ej)
         assert eff.k_ur == 0.0
         assert eff.c34_eff == 0.0
         assert eff.ej5_eff == 0.0
@@ -71,10 +70,8 @@ class TestEffectiveParams:
 class TestModeFrequencies:
     def test_single_transmon_limit(self, device):
         bare = replace(device, c13=0.0, c24=0.0)
-        ej = derive_junction_energies(device)
-        b13 = block_normal_modes(bare, 13)
-        b24 = block_normal_modes(bare, 24)
-        eff = effective_parameters(b13, b24, bare)
+        b13, b24, ej = _blocks(bare)
+        eff = effective_parameters(b13, b24, bare.c34, ej)
         system = mode_frequencies_and_g12(b13, b24, eff, ej.ej1)
         e_c = E_CHARGE**2 / (2.0 * device.c11 * FF)
         e_j = ej.ej1 * GHZ * PLANCK_H
@@ -86,15 +83,14 @@ class TestModeFrequencies:
         # the capacitive term grows with C34 while the junction term is nearly
         # constant, so g12 crosses zero exactly once over the physical range
         grid = np.linspace(20.0, 80.0, 25)
-        g12 = [two_mode_reduction(device.with_c34(c)).g12 for c in grid]
+        g12 = [two_mode_reduction(device.with_c34(c)).system.g12 for c in grid]
         signs = np.sign(g12)
         assert np.all(np.diff(g12) > 0)
         assert np.count_nonzero(np.diff(signs)) == 1
 
     def test_non_positive_definite_rejected(self, device):
-        b13 = block_normal_modes(device, 13)
-        b24 = block_normal_modes(device, 24)
-        eff = effective_parameters(b13, b24, device)
+        b13, b24, ej = _blocks(device)
+        eff = effective_parameters(b13, b24, device.c34, ej)
         huge = EffectiveParams(
             k_ur=eff.k_ur,
             c34_eff=2.0 * math.sqrt(b13.c_qubit * b24.c_qubit),
@@ -103,7 +99,6 @@ class TestModeFrequencies:
             ej1_kerr=eff.ej1_kerr,
             ej2_kerr=eff.ej2_kerr,
         )
-        ej = derive_junction_energies(device)
         with pytest.raises(ModelError):
             mode_frequencies_and_g12(b13, b24, huge, ej.ej1)
 
@@ -159,9 +154,9 @@ class TestNormalizationInvariance:
         ej = derive_junction_energies(device)
         a = two_mode_reduction(device, e_norm_ghz=ej.ej1)
         b = two_mode_reduction(device, e_norm_ghz=ej.ej2)
-        assert b.omega1 == pytest.approx(a.omega1, rel=1e-10)
-        assert b.omega2 == pytest.approx(a.omega2, rel=1e-10)
-        assert b.g12 == pytest.approx(a.g12, rel=1e-10)
+        assert b.system.omega1 == pytest.approx(a.system.omega1, rel=1e-10)
+        assert b.system.omega2 == pytest.approx(a.system.omega2, rel=1e-10)
+        assert b.system.g12 == pytest.approx(a.system.g12, rel=1e-10)
         assert b.zeta_pert_khz == pytest.approx(a.zeta_pert_khz, rel=1e-10)
 
     def test_intermediates_scale_with_norm(self, device):
@@ -169,14 +164,20 @@ class TestNormalizationInvariance:
         ej = derive_junction_energies(device)
         a = two_mode_reduction(device, e_norm_ghz=ej.ej1)
         b = two_mode_reduction(device, e_norm_ghz=2.0 * ej.ej1)
-        assert b.k_ur == pytest.approx(2.0 * a.k_ur, rel=1e-12)
-        assert np.allclose(b.w, a.w / 2.0, rtol=1e-12)
+        assert b.eff.k_ur == pytest.approx(2.0 * a.eff.k_ur, rel=1e-12)
+        assert np.allclose(b.system.w, a.system.w / 2.0, rtol=1e-12)
 
 
 class TestZeroCoupling:
     def test_closed_form_reference_value(self):
         c34 = shunt_capacitance_for(27.66e-9, 2 * math.pi * 4e9, 2 * math.pi * 4e9)
         assert c34 / FF == pytest.approx(57.24, abs=0.1)
+
+    def test_reduction_carries_closed_form_at_its_frequencies(self, device):
+        result = two_mode_reduction(device)
+        lj5_h = derive_junction_energies(device).lj5_nh * NH
+        expected = shunt_capacitance_for(lj5_h, result.system.omega1, result.system.omega2) / FF
+        assert result.c34_closed_ff == expected
 
     def test_fixed_point_converges_with_small_residual(self, device):
         result = zero_coupling_c34(device)

@@ -1,0 +1,55 @@
+"""Properties of the two-mode reduction over random admissible parameter sets.
+
+Only the 2x2 block algebra runs here; no circuit Hamiltonian is diagonalized.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from csdtc.circuit import CircuitParams, derive_junction_energies, validate_params  # noqa: E402
+from csdtc.perturbative import block_normal_modes, two_mode_reduction  # noqa: E402
+
+_NODE_FF = st.floats(50.0, 150.0)
+_MUTUAL_FF = st.floats(0.0, 30.0)
+_CURRENT_NA = st.floats(10.0, 70.0)
+
+PARAMETER_SETS = st.builds(
+    CircuitParams,
+    c11=_NODE_FF, c22=_NODE_FF, c33=_NODE_FF, c44=_NODE_FF,
+    c12=_MUTUAL_FF, c13=_MUTUAL_FF, c14=_MUTUAL_FF, c23=_MUTUAL_FF, c24=_MUTUAL_FF, c34=_MUTUAL_FF,
+    ic1=_CURRENT_NA, ic2=_CURRENT_NA, ic3=_CURRENT_NA, ic4=_CURRENT_NA, ic5=_CURRENT_NA,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(PARAMETER_SETS)
+def test_observables_invariant_under_normalization(params):
+    assume(not validate_params(params))
+    ej = derive_junction_energies(params)
+    a = two_mode_reduction(params, e_norm_ghz=ej.ej1)
+    b = two_mode_reduction(params, e_norm_ghz=ej.ej2)
+    # g12 may pass through zero, so its tolerance is anchored to the mode frequencies
+    g12_scale = math.sqrt(a.system.omega1 * a.system.omega2)
+    assert b.system.omega1 == pytest.approx(a.system.omega1, rel=1e-10)
+    assert b.system.omega2 == pytest.approx(a.system.omega2, rel=1e-10)
+    assert b.system.g12 == pytest.approx(a.system.g12, rel=1e-10, abs=1e-10 * g12_scale)
+    assert b.zeta_pert_khz == pytest.approx(a.zeta_pert_khz, rel=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(PARAMETER_SETS)
+def test_block_transforms_orthogonal(params):
+    assume(not validate_params(params))
+    ej = derive_junction_energies(params)
+    for e_norm in (ej.ej1, ej.ej2):
+        for block in block_normal_modes(params, ej, e_norm):
+            assert np.linalg.norm(block.u.T @ block.u - np.eye(2)) < 1e-12
