@@ -17,7 +17,7 @@ from .circuit import (
     validate_params,
 )
 from .design import closed_form_design, search_design
-from .hamiltonian import ChargeBasisConfig, assemble_hamiltonian, uncoupled_hamiltonian
+from .hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from .perturbative import (
     PerturbativeResult,
     two_mode_reduction,
@@ -62,7 +62,6 @@ __all__ = [
     "sweep_flux",
     "synth_trace",
     "two_mode_reduction",
-    "uncoupled_hamiltonian",
     "validate_params",
     "zero_coupling_c34",
     "zz_interaction",

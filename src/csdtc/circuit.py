@@ -74,20 +74,6 @@ class JunctionEnergies:
     lj5_nh: float
 
 
-@dataclass(frozen=True)
-class CapacitanceMatrix:
-    """Symmetric positive-definite 4x4 node capacitance matrix in farads."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChargingMatrix:
-    """Coefficient matrix of n_i n_j in H/h, i.e. (4e^2/2) C^-1 / h, in GHz."""
-
-    entries: np.ndarray
-
-
 def _display(field: str) -> str:
     return field.capitalize() if field.startswith("c") else "Ic" + field[2:]
 
@@ -145,20 +131,23 @@ def _assemble_capacitance(params: CircuitParams) -> np.ndarray:
     return mat
 
 
-def build_capacitance_matrix(params: CircuitParams) -> CapacitanceMatrix:
-    """Validate the parameter set (positive definiteness included) and assemble its matrix."""
+def build_capacitance_matrix(params: CircuitParams) -> np.ndarray:
+    """Validate the parameter set (positive definiteness included) and assemble its matrix (F)."""
     require_valid(params)
-    return CapacitanceMatrix(_assemble_capacitance(params))
+    return _assemble_capacitance(params)
 
 
-def charging_matrix(cmat: CapacitanceMatrix) -> ChargingMatrix:
-    """Invert the capacitance matrix into the charging-energy matrix (GHz)."""
-    c = np.asarray(cmat.entries, dtype=float)
+def charging_matrix(cmat: np.ndarray) -> np.ndarray:
+    """Invert the capacitance matrix into the charging-energy matrix (GHz).
+
+    Entry (i, j) is the coefficient of n_i n_j in H/h, i.e. (4e^2/2) C^-1 / h.
+    """
+    c = np.asarray(cmat, dtype=float)
     cond = np.linalg.cond(c)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericsError(f"capacitance matrix is numerically singular (condition number {cond:.3e})")
     ec = (2.0 * E_CHARGE**2 / PLANCK_H) * np.linalg.inv(c) / GHZ
-    return ChargingMatrix((ec + ec.T) / 2.0)
+    return (ec + ec.T) / 2.0
 
 
 def reference_device() -> CircuitParams:

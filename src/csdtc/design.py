@@ -16,22 +16,25 @@ from .errors import BracketError, ConfigError
 from .hamiltonian import ChargeBasisConfig
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 200
 
 
-def golden_section_min(func, lo: float, hi: float, *, tol: float = 0.05, max_iter: int = 200):
-    """Golden-section minimum of a unimodal function on [lo, hi].
+def golden_section_min(func, lo: float, hi: float, *, tol: float = 0.05):
+    """Golden-section minimum of a unimodal function on [lo, hi], stopping below ``tol`` width.
 
     Raises BracketError when the minimizer lands on an endpoint, which means
     the bracket does not contain the interior minimum.
     """
     if not lo < hi:
         raise ConfigError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"bracket tolerance must be finite and positive, got {tol}")
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = func(x1), func(x2)
     iterations = 0
-    while (b - a) > tol and iterations < max_iter:
+    while (b - a) > tol and iterations < _MAX_ITER:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

@@ -59,11 +59,19 @@ class ChargeBasisConfig:
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """Assembled sparse Hermitian operator, H/h in GHz."""
+    """Assembled sparse Hermitian operator, H/h in GHz, with its labeling references.
+
+    ``modes`` holds one dense single-mode Hamiltonian per node, the references
+    dressed states are labeled against: mode i is Ec_ii n^2 - ej_i cos(phi);
+    the coupler modes 3 and 4 also carry the local quadratic share of JJ5 at
+    zero flux, ej5 * phi^2 / 2, expanded as ej5 (1 - cos(phi)) so the reference
+    stays strictly single-mode. They do not depend on the flux.
+    """
 
     matrix: sp.csr_matrix
     n_max: int
     phi_ex: float
+    modes: tuple[np.ndarray, ...]
 
     @property
     def dimension(self) -> int:
@@ -106,8 +114,9 @@ def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisCon
         raise ConfigError(f"flux must be finite, got {phi}")
     n_max = int(cfg.n_max)
     size = cfg.states_per_node
-    ec = charging_matrix(build_capacitance_matrix(params)).entries  # validates params first
+    ec = charging_matrix(build_capacitance_matrix(params))  # validates params first
     ej = derive_junction_energies(params)
+    node_ej = (ej.ej1, ej.ej2, ej.ej3, ej.ej4)
 
     grid = _charge_grid(n_max)
     diag = np.einsum("ia,ab,ib->i", grid, ec, grid)
@@ -115,7 +124,7 @@ def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisCon
 
     eye = sp.identity(size, format="csr")
     _, cosine, raise_op = single_mode_operators(n_max)
-    for slot, ej_i in enumerate((ej.ej1, ej.ej2, ej.ej3, ej.ej4)):
+    for slot, ej_i in enumerate(node_ej):
         ops = [eye, eye, eye, eye]
         ops[slot] = cosine
         ham = ham - ej_i * _kron4(ops)
@@ -130,33 +139,13 @@ def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisCon
 
     ham = ham.tocsr()
     ham.sum_duplicates()
-    return SparseHamiltonian(matrix=ham, n_max=n_max, phi_ex=phi)
 
-
-def uncoupled_hamiltonian(params: CircuitParams, cfg: ChargeBasisConfig):
-    """Single-mode reference Hamiltonians used for dressed-state labeling.
-
-    Mode i is Ec_ii n^2 - ej_i cos(phi); the coupler modes 3 and 4 also carry
-    the local quadratic share of JJ5 at zero flux, ej5 * phi^2 / 2, expanded
-    as ej5 (1 - cos(phi)) so the reference stays strictly single-mode.
-    """
-    n_max = int(cfg.n_max)
-    size = cfg.states_per_node
-    ec = charging_matrix(build_capacitance_matrix(params)).entries  # validates params first
-    ej = derive_junction_energies(params)
-
-    _, cosine, _ = single_mode_operators(n_max)
     nsq = np.diag(np.arange(-n_max, n_max + 1, dtype=float) ** 2)
     cos_dense = cosine.toarray()
-    modes = []
-    for slot in range(4):
-        h = ec[slot, slot] * nsq
-        ej_i = (ej.ej1, ej.ej2, ej.ej3, ej.ej4)[slot]
-        h = h - ej_i * cos_dense
-        if slot >= 2:
-            h = h + ej.ej5 * (np.eye(size) - cos_dense)
-        modes.append(h)
-    return tuple(modes)
+    modes = [ec[slot, slot] * nsq - ej_i * cos_dense for slot, ej_i in enumerate(node_ej)]
+    for slot in (2, 3):  # the coupler modes' JJ5 share
+        modes[slot] = modes[slot] + ej.ej5 * (np.eye(size) - cos_dense)
+    return SparseHamiltonian(matrix=ham, n_max=n_max, phi_ex=phi, modes=tuple(modes))
 
 
 def dump_operator(ham: SparseHamiltonian, path: str | Path) -> None:

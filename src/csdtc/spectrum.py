@@ -18,12 +18,7 @@ import scipy.sparse.linalg as spla
 from . import perturbative
 from .circuit import CircuitParams
 from .errors import LabelingError, SolverError
-from .hamiltonian import (
-    ChargeBasisConfig,
-    SparseHamiltonian,
-    assemble_hamiltonian,
-    uncoupled_hamiltonian,
-)
+from .hamiltonian import ChargeBasisConfig, SparseHamiltonian, assemble_hamiltonian
 
 AMBIGUITY_THRESHOLD = 0.5
 _LABEL_LEVELS = 3  # occupations 0..2 per mode
@@ -136,14 +131,6 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
     return vals, vecs
 
 
-def _mode_bases(params: CircuitParams, cfg: ChargeBasisConfig, levels: int = _LABEL_LEVELS):
-    bases = []
-    for h in uncoupled_hamiltonian(params, cfg):
-        _, vecs = np.linalg.eigh(h)
-        bases.append(vecs[:, :levels])
-    return bases
-
-
 def _product_overlaps(vecs: np.ndarray, bases) -> np.ndarray:
     """|<product state | eigenstate>|^2, shape (k, levels, levels, levels, levels)."""
     k = vecs.shape[1]
@@ -183,9 +170,10 @@ def greedy_assign(overlaps: np.ndarray):
     return assignment
 
 
-def label_states(eigvecs, params: CircuitParams, cfg: ChargeBasisConfig):
-    """Label eigenstates by dominant overlap with uncoupled product states."""
-    overlaps = _product_overlaps(eigvecs, _mode_bases(params, cfg))
+def label_states(eigvecs, ham: SparseHamiltonian):
+    """Label eigenstates by dominant overlap with products of ``ham.modes`` eigenstates."""
+    bases = [np.linalg.eigh(h)[1][:, :_LABEL_LEVELS] for h in ham.modes]
+    overlaps = _product_overlaps(eigvecs, bases)
     k = overlaps.shape[0]
     shape = overlaps.shape[1:]
     flat = overlaps.reshape(k, -1)
@@ -221,7 +209,7 @@ def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: in
     """Solve, reference-label and ground-reference the spectrum at one flux."""
     ham = assemble_hamiltonian(params, flux, cfg)
     vals, vecs = solve_lowest(ham, cfg.num_eigenstates, seed=seed)
-    labels = label_states(vecs, params, cfg)
+    labels = label_states(vecs, ham)
     rel = vals - vals[0]
     return SpectrumResult(
         flux=float(flux),

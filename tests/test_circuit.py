@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from csdtc.circuit import (
-    CapacitanceMatrix,
     CircuitParams,
     build_capacitance_matrix,
     charging_matrix,
@@ -55,17 +54,17 @@ class TestJunctionEnergies:
 
 class TestCapacitanceMatrix:
     def test_reference_entries(self, device):
-        mat = build_capacitance_matrix(device).entries
+        mat = build_capacitance_matrix(device)
         assert mat[0, 0] == pytest.approx((108 + 0.002 + 12.6 + 0.06) * 1e-15, rel=1e-12)
         assert mat[2, 2] == pytest.approx((90 + 12.6 + 0.06 + 30.3) * 1e-15, rel=1e-12)
         assert mat[0, 2] == pytest.approx(-12.6e-15, rel=1e-12)
 
     def test_bitwise_symmetric(self, device):
-        mat = build_capacitance_matrix(device).entries
+        mat = build_capacitance_matrix(device)
         assert np.array_equal(mat, mat.T)
 
     def test_decoupled_is_diagonal(self, decoupled):
-        mat = build_capacitance_matrix(decoupled).entries
+        mat = build_capacitance_matrix(decoupled)
         nodes = [decoupled.c11, decoupled.c22, decoupled.c33, decoupled.c44]
         expected = np.diag(np.array(nodes) * 1e-15)
         assert np.array_equal(mat, expected)
@@ -73,44 +72,44 @@ class TestCapacitanceMatrix:
 
 class TestChargingMatrix:
     def test_diagonal_closed_form(self):
-        mat = CapacitanceMatrix(np.diag([100e-15] * 4))
-        ec = charging_matrix(mat).entries
+        mat = np.diag([100e-15] * 4)
+        ec = charging_matrix(mat)
         expected = 2.0 * E_CHARGE**2 / 100e-15 / PLANCK_H / 1e9  # 4 E_C in GHz
         assert np.allclose(np.diag(ec), expected, rtol=1e-12)
         assert expected == pytest.approx(0.7748, abs=1e-4)
 
     def test_scalar_scaling_halves_entries(self, device):
-        base = build_capacitance_matrix(device).entries
-        ec1 = charging_matrix(CapacitanceMatrix(base)).entries
-        ec2 = charging_matrix(CapacitanceMatrix(2.0 * base)).entries
+        base = build_capacitance_matrix(device)
+        ec1 = charging_matrix(base)
+        ec2 = charging_matrix(2.0 * base)
         assert np.allclose(ec2, ec1 / 2.0, rtol=1e-12)
 
     @pytest.mark.parametrize("scale", [0.3, 1.7, 5.0])
     def test_scaling_property(self, device, scale):
-        base = build_capacitance_matrix(device).entries
-        ec1 = charging_matrix(CapacitanceMatrix(base)).entries
-        ecs = charging_matrix(CapacitanceMatrix(scale * base)).entries
+        base = build_capacitance_matrix(device)
+        ec1 = charging_matrix(base)
+        ecs = charging_matrix(scale * base)
         assert np.allclose(ecs, ec1 / scale, rtol=1e-12)
 
     def test_product_is_scaled_identity(self, device):
         cmat = build_capacitance_matrix(device)
-        ec = charging_matrix(cmat).entries
-        product = ec @ cmat.entries
+        ec = charging_matrix(cmat)
+        product = ec @ cmat
         target = (2.0 * E_CHARGE**2 / PLANCK_H / 1e9) * np.eye(4)
         assert np.allclose(product, target, rtol=1e-10, atol=abs(target[0, 0]) * 1e-10)
 
     def test_offdiagonal_34_positive(self, device):
         # brute-force sign check: solve C x = e4 and read component 3
-        cmat = build_capacitance_matrix(device).entries
+        cmat = build_capacitance_matrix(device)
         col = np.linalg.solve(cmat, np.eye(4)[:, 3])
         assert col[2] > 0
-        ec = charging_matrix(build_capacitance_matrix(device)).entries
+        ec = charging_matrix(build_capacitance_matrix(device))
         assert ec[2, 3] > 0
 
     def test_singular_matrix_diagnostic(self):
         singular = np.ones((4, 4)) * 1e-15
         with pytest.raises(NumericsError, match="condition number"):
-            charging_matrix(CapacitanceMatrix(singular))
+            charging_matrix(singular)
 
 
 class TestValidation:

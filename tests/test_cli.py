@@ -58,6 +58,18 @@ class TestGoldenSection:
         with pytest.raises(ConfigError):
             golden_section_min(lambda x: x, 5.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_invalid_tolerance(self, tol):
+        calls = []
+
+        def parabola(x):
+            calls.append(x)
+            return (x - 50.0) ** 2
+
+        with pytest.raises(ConfigError, match="tolerance"):
+            golden_section_min(parabola, 10.0, 90.0, tol=tol)
+        assert calls == []
+
 
 class TestSpectrumCommand:
     def test_rows_and_determinism(self, tmp_path, params_file):
@@ -156,6 +168,18 @@ class TestDesignCommand:
 
     def test_malformed_bracket(self, params_file):
         assert main(["design", "--params", params_file, "--bracket", "oops"]) == EXIT_USAGE
+
+    def test_nan_bracket_tolerance_is_usage_error(self, tmp_path, params_file, monkeypatch, capsys):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("zz_interaction called")
+
+        monkeypatch.setattr("csdtc.spectrum.zz_interaction", no_eigensolve)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--n-max", "3", "--bracket", "36:62",
+                     "--bracket-tol", "nan", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _write_bundle(tmp_path, lengths=LENGTHS):

@@ -12,7 +12,6 @@ from csdtc.hamiltonian import (
     assemble_hamiltonian,
     dump_operator,
     single_mode_operators,
-    uncoupled_hamiltonian,
 )
 from csdtc.spectrum import solve_lowest
 
@@ -105,10 +104,10 @@ class TestAssembly:
 
 class TestUncoupledReference:
     def test_mode1_transmon_transition(self, device):
-        modes = uncoupled_hamiltonian(device, ChargeBasisConfig(n_max=7))
+        modes = assemble_hamiltonian(device, 0.0, ChargeBasisConfig(n_max=7)).modes
         vals = np.linalg.eigvalsh(modes[0])
         f01 = vals[1] - vals[0]
-        ec = charging_matrix(build_capacitance_matrix(device)).entries[0, 0] / 4.0
+        ec = charging_matrix(build_capacitance_matrix(device))[0, 0] / 4.0
         ej = derive_junction_energies(device).ej1
         asymptotic = math.sqrt(8.0 * ec * ej) - ec
         assert f01 == pytest.approx(asymptotic, rel=0.05)
@@ -116,7 +115,7 @@ class TestUncoupledReference:
     def test_textbook_transmon_instance(self, decoupled):
         # 100 fF node -> 4 E_C = 775 MHz; Ic = 26.7 nA -> E_J/h = 13.26 GHz
         textbook = replace(decoupled, c11=100.0)
-        modes = uncoupled_hamiltonian(textbook, ChargeBasisConfig(n_max=7))
+        modes = assemble_hamiltonian(textbook, 0.0, ChargeBasisConfig(n_max=7)).modes
         vals = np.linalg.eigvalsh(modes[0])
         f01 = vals[1] - vals[0]
         e_c = 0.7748 / 4.0
@@ -125,9 +124,9 @@ class TestUncoupledReference:
 
     def test_mode3_carries_jj5_quadratic_share(self, device):
         cfg = ChargeBasisConfig(n_max=3)
-        modes = uncoupled_hamiltonian(device, cfg)
+        modes = assemble_hamiltonian(device, 0.0, cfg).modes
         ej = derive_junction_energies(device)
-        ec = charging_matrix(build_capacitance_matrix(device)).entries
+        ec = charging_matrix(build_capacitance_matrix(device))
         size = cfg.states_per_node
         _, cosine, _ = single_mode_operators(3)
         nsq = np.diag(np.arange(-3, 4, dtype=float) ** 2)
@@ -142,7 +141,7 @@ class TestUncoupledReference:
         _, vecs = solve_lowest(ham, 6)
         ground = vecs[:, 0]
         product = np.ones(1)
-        for mode in uncoupled_hamiltonian(decoupled, CFG3):
+        for mode in assemble_hamiltonian(decoupled, 0.0, CFG3).modes:
             _, mvecs = np.linalg.eigh(mode)
             product = np.kron(product, mvecs[:, 0])
         overlap = abs(np.vdot(product, ground)) ** 2

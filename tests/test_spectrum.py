@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csdtc.errors import LabelingError
-from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, uncoupled_hamiltonian
+from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
     C34SweepPoint,
     convergence_study,
@@ -50,7 +50,7 @@ class TestSolveLowest:
     def test_decoupled_eigenvalues_are_single_mode_sums(self, decoupled):
         ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
         vals, _ = solve_lowest(ham, 10)
-        mode_vals = [np.linalg.eigvalsh(h) for h in uncoupled_hamiltonian(decoupled, CFG3)]
+        mode_vals = [np.linalg.eigvalsh(h) for h in assemble_hamiltonian(decoupled, 0.0, CFG3).modes]
         sums = sorted(
             a + b + c + d
             for a, b, c, d in itertools.product(*(mv[:4] for mv in mode_vals))
@@ -107,7 +107,7 @@ class TestLabels:
         ham = assemble_hamiltonian(device, 0.0, cfg)
         _, vecs = solve_lowest(ham, 6)
         with pytest.raises(LabelingError, match="1, 1, 0, 0") as err:
-            label_states(vecs, device, cfg)
+            label_states(vecs, ham)
         assert err.value.candidates
 
     def test_eigenfrequencies_relative_and_sorted(self, device):
