@@ -144,7 +144,7 @@ def cmd_rb_budget(args) -> int:
         except (ValueError, OSError) as exc:
             raise ConfigError(f"slot {slot}: {exc}") from exc
     try:
-        budget = rb.full_budget(traces, d=args.d, allow_partial=args.partial)
+        budget = rb.full_budget(traces, allow_partial=args.partial)
     except ValueError as exc:
         listing = ", ".join(f"{slot}={path}" for slot, path in sorted(paths.items()))
         raise ConfigError(f"{exc} (files: {listing})") from exc
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rb = sub.add_parser("rb-budget", help="CZ error budget from decay-trace CSVs")
     for slot in rb.SLOT_EXPECTATIONS:
         p_rb.add_argument(f"--{slot.replace('_', '-')}", dest=slot, default=None)
-    p_rb.add_argument("--d", type=int, default=4)
     p_rb.add_argument("--partial", action="store_true")
     p_rb.add_argument("--out", default=None)
     p_rb.set_defaults(func=cmd_rb_budget)

@@ -24,6 +24,8 @@ from .errors import ModelError
 
 _TWO_PI = 2.0 * math.pi
 _G12_RESIDUAL_FACTOR = 1e-5
+_FIXED_POINT_TOL_FF = 0.01
+_FIXED_POINT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -232,17 +234,12 @@ def shunt_capacitance_for(lj5_h: float, omega1: float, omega2: float) -> float:
     return 1.0 / (lj5_h * omega1 * omega2)
 
 
-def zero_coupling_c34(
-    params: CircuitParams,
-    *,
-    tol_ff: float = 0.01,
-    max_iter: int = 100,
-) -> ZeroCouplingResult:
+def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     """Self-consistent decoupling shunt capacitance.
 
     The mode frequencies depend on C34 through the block matrices, so the
     closed form is iterated to a fixed point: C34 <- 1/(L_J5 w1(C34) w2(C34))
-    until the step drops below ``tol_ff``. The residual |g12| at the fixed
+    until the step drops below 0.01 fF. The residual |g12| at the fixed
     point is checked against 1e-5 sqrt(w1 w2); the closed form carries a
     weak-coupling shorthand, so for strongly coupled circuits the result is
     polished against the exact g12 zero before the check.
@@ -255,12 +252,12 @@ def zero_coupling_c34(
 
     c34 = float(params.c34)
     trace = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _FIXED_POINT_MAX_ITER + 1):
         c34_new = reduce(c34).c34_closed_ff
         delta = abs(c34_new - c34)
         trace.append((iteration, c34_new, delta))
         c34 = c34_new
-        if delta < tol_ff:
+        if delta < _FIXED_POINT_TOL_FF:
             break
     else:
         raise ModelError(

@@ -28,6 +28,9 @@ TRACE_KINDS = (KIND_POPULATION_X1, KIND_POPULATION_0000, KIND_PURITY, KIND_SUBTR
 _BOUNDED_KINDS = (KIND_POPULATION_X1, KIND_POPULATION_0000)
 VARIANTS = ("SRB", "IRB")
 
+# The budget is for the two-qubit computational subspace.
+D = 4
+
 _LAMBDA_FLOOR = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
 
@@ -58,8 +61,10 @@ class RBTrace:
         if self.std_errs is not None:
             if len(self.std_errs) != len(self.lengths):
                 raise ValueError("std_errs must match lengths")
-            if any(s < 0 for s in self.std_errs):
-                raise ValueError("std_errs must be non-negative")
+            if not all(0.0 <= s < math.inf for s in self.std_errs):
+                raise ValueError("std_errs must be finite and non-negative")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("values must be finite")
         if self.kind in _BOUNDED_KINDS and any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValueError(f"{self.kind} values must lie in [0, 1]")
 
@@ -86,30 +91,14 @@ class DecayFit:
 
 
 @dataclass(frozen=True)
-class LeakageBudget:
-    l1_srb: float
-    l1_irb: float
-    l1_cz: float
-    l1_cz_std: float
-
-
-@dataclass(frozen=True)
-class RatioBudget:
-    value: float
-    std: float
-    d: int
-
-
-@dataclass(frozen=True)
 class ErrorBudget:
-    """CZ-gate error decomposition; None marks pieces a partial run skipped."""
+    """CZ-gate error decomposition (dimension D); None marks pieces a partial run skipped."""
 
     l1_cz: float | None
     r_incoh_cz: float | None
     r_coh_cz: float | None
     r_cz: float | None
     fidelity: float | None
-    d: int
     uncertainties: dict
 
 
@@ -135,8 +124,7 @@ def synth_trace(
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
     m = np.asarray(list(lengths), dtype=float)
-    scale = 2 if kind == KIND_PURITY else 1
-    values = offset + amplitude * lam ** (scale * m)
+    values = offset + amplitude * lam ** (_exponent_scale(kind) * m)
     if noise_sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, m.size)
         std = tuple([float(noise_sigma)] * m.size)
@@ -149,6 +137,11 @@ def synth_trace(
         kind=kind,
         variant=variant,
     )
+
+
+def _exponent_scale(kind: str) -> int:
+    """Purity is quadratic in the state, so it decays as lambda^(2m)."""
+    return 2 if kind == KIND_PURITY else 1
 
 
 def _initial_guess(m, y, scale):
@@ -166,15 +159,14 @@ def _initial_guess(m, y, scale):
     return amp0, offset0, lam0
 
 
-def fit_decay(trace: RBTrace, exponent_scale: int) -> DecayFit:
+def fit_decay(trace: RBTrace) -> DecayFit:
     """Weighted nonlinear least squares of offset + amplitude * lam^(scale*m).
 
-    Weights are 1/std^2 when standard errors are present (unit weights
-    otherwise); lam is constrained to (0, 1]; the covariance comes from the
-    fit Jacobian.
+    The trace kind fixes scale (2 for purity, 1 otherwise). Weights are
+    1/std^2 when standard errors are present (unit weights otherwise); lam is
+    constrained to (0, 1]; the covariance comes from the fit Jacobian.
     """
-    if exponent_scale not in (1, 2):
-        raise ValueError(f"exponent_scale must be 1 or 2, got {exponent_scale}")
+    scale = _exponent_scale(trace.kind)
     m = np.asarray(trace.lengths, dtype=float)
     y = np.asarray(trace.values, dtype=float)
     sigma = None
@@ -193,9 +185,9 @@ def fit_decay(trace: RBTrace, exponent_scale: int) -> DecayFit:
         )
 
     def model(mm, amplitude, offset, lam):
-        return offset + amplitude * lam ** (exponent_scale * mm)
+        return offset + amplitude * lam ** (scale * mm)
 
-    p0 = _initial_guess(m, y, exponent_scale)
+    p0 = _initial_guess(m, y, scale)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -233,8 +225,8 @@ def _leakage_rate(fit: DecayFit) -> tuple[float, float]:
     return value, variance
 
 
-def leakage_budget(fit_srb: DecayFit, fit_irb: DecayFit) -> LeakageBudget:
-    """CZ leakage error from the SRB/IRB population_X1 fits.
+def leakage_budget(fit_srb: DecayFit, fit_irb: DecayFit) -> tuple[float, float]:
+    """CZ leakage error and its std from the SRB/IRB population_X1 fits.
 
     L1 = (1 - A)(1 - lambda) per variant, then
     L1_CZ = 1 - (1 - L1_IRB)/(1 - L1_SRB); uncertainty propagates to first
@@ -248,30 +240,28 @@ def leakage_budget(fit_srb: DecayFit, fit_irb: DecayFit) -> LeakageBudget:
     d_irb = 1.0 / (1.0 - l1_srb)
     d_srb = -(1.0 - l1_irb) / (1.0 - l1_srb) ** 2
     var_cz = d_irb**2 * var_irb + d_srb**2 * var_srb
-    return LeakageBudget(l1_srb, l1_irb, l1_cz, math.sqrt(max(var_cz, 0.0)))
+    return l1_cz, math.sqrt(max(var_cz, 0.0))
 
 
-def ratio_error_budget(fit_srb: DecayFit, fit_irb: DecayFit, d: int = 4) -> RatioBudget:
-    """CZ error (d-1)/d (1 - lam_IRB/lam_SRB) from an SRB/IRB pair of decay fits.
+def ratio_error_budget(fit_srb: DecayFit, fit_irb: DecayFit) -> tuple[float, float]:
+    """CZ error (D-1)/D (1 - lam_IRB/lam_SRB) and its std from an SRB/IRB pair of fits.
 
     On purity fits this is the incoherent error; on fits of the subtracted
-    P_0000 - P_X1/d series it is the total gate error.
+    P_0000 - P_X1/D series it is the total gate error.
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension d must be an integer >= 2, got {d}")
     lam_s, lam_i = fit_srb.lam, fit_irb.lam
     if lam_s == 0:
         raise FitError("SRB decay constant is zero; ratio undefined")
-    prefactor = (d - 1) / d
+    prefactor = (D - 1) / D
     value = prefactor * (1.0 - lam_i / lam_s)
     d_i = -prefactor / lam_s
     d_s = prefactor * lam_i / lam_s**2
     variance = d_i**2 * fit_irb.lam_variance + d_s**2 * fit_srb.lam_variance
-    return RatioBudget(value, math.sqrt(max(variance, 0.0)), int(d))
+    return value, math.sqrt(max(variance, 0.0))
 
 
-def subtracted_population_trace(p0000: RBTrace, px1: RBTrace, d: int = 4) -> RBTrace:
-    """Build the P_0000(m) - P_X1(m)/d series the gate-error fit runs on."""
+def subtracted_population_trace(p0000: RBTrace, px1: RBTrace) -> RBTrace:
+    """Build the P_0000(m) - P_X1(m)/D series the gate-error fit runs on."""
     if p0000.kind != KIND_POPULATION_0000:
         raise ValueError(f"first trace must be {KIND_POPULATION_0000}, got {p0000.kind}")
     if px1.kind != KIND_POPULATION_X1:
@@ -280,25 +270,25 @@ def subtracted_population_trace(p0000: RBTrace, px1: RBTrace, d: int = 4) -> RBT
         raise ValueError("traces must come from the same variant")
     if p0000.lengths != px1.lengths:
         raise ValueError("traces must share their sequence lengths")
-    values = tuple(a - b / d for a, b in zip(p0000.values, px1.values))
+    values = tuple(a - b / D for a, b in zip(p0000.values, px1.values))
     std = None
     if p0000.std_errs is not None and px1.std_errs is not None:
-        std = tuple(math.hypot(a, b / d) for a, b in zip(p0000.std_errs, px1.std_errs))
+        std = tuple(math.hypot(a, b / D) for a, b in zip(p0000.std_errs, px1.std_errs))
     return RBTrace(p0000.lengths, values, std, KIND_SUBTRACTED, p0000.variant)
 
 
-def normalized_purity_from_density(rho, d: int = 4) -> float:
-    """(d/(d-1)) (tr[rho^2] - 1/d); negative when leakage leaves trace < 1."""
+def normalized_purity_from_density(rho) -> float:
+    """(D/(D-1)) (tr[rho^2] - 1/D); negative when leakage leaves trace < 1."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"density matrix must be {d}x{d}, got {rho.shape}")
+    if rho.shape != (D, D):
+        raise ValueError(f"density matrix must be {D}x{D}, got {rho.shape}")
     if not np.allclose(rho, rho.conj().T, atol=1e-10):
         raise ValueError("density matrix must be Hermitian")
     trace = float(np.trace(rho).real)
     if trace > 1.0 + 1e-9:
         raise ValueError(f"density matrix trace {trace} exceeds 1")
     purity = float(np.trace(rho @ rho).real)
-    return (d / (d - 1.0)) * (purity - 1.0 / d)
+    return (D / (D - 1.0)) * (purity - 1.0 / D)
 
 
 def assemble_budget(
@@ -306,7 +296,6 @@ def assemble_budget(
     r_incoh_cz: float | None,
     l1_cz: float | None,
     *,
-    d: int = 4,
     r_cz_std: float | None = 0.0,
     r_incoh_std: float | None = 0.0,
     l1_std: float | None = 0.0,
@@ -335,7 +324,6 @@ def assemble_budget(
         r_coh_cz=r_coh,
         r_cz=r_cz,
         fidelity=fidelity,
-        d=int(d),
         uncertainties={
             "l1_cz": l1_std,
             "r_incoh_cz": r_incoh_std,
@@ -356,15 +344,13 @@ SLOT_EXPECTATIONS = {
 }
 
 
-def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> ErrorBudget:
+def full_budget(traces: dict, *, allow_partial: bool = False) -> ErrorBudget:
     """Budget from up to six traces keyed x1/purity/p0000 x srb/irb.
 
     Missing pairs leave their budget entries None (only with
     ``allow_partial``). The gate-error fit needs both the p0000 and x1 pairs
     because of the leakage-reference subtraction.
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension d must be an integer >= 2, got {d}")
     expected = SLOT_EXPECTATIONS
     unknown = set(traces) - set(expected)
     if unknown:
@@ -382,32 +368,23 @@ def full_budget(traces: dict, d: int = 4, *, allow_partial: bool = False) -> Err
 
     l1 = l1_std = None
     if {"x1_srb", "x1_irb"} <= set(traces):
-        leak = leakage_budget(
-            fit_decay(traces["x1_srb"], 1),
-            fit_decay(traces["x1_irb"], 1),
-        )
-        l1, l1_std = leak.l1_cz, leak.l1_cz_std
+        l1, l1_std = leakage_budget(fit_decay(traces["x1_srb"]), fit_decay(traces["x1_irb"]))
 
     r_incoh = r_incoh_std = None
     if {"purity_srb", "purity_irb"} <= set(traces):
-        ratio = ratio_error_budget(
-            fit_decay(traces["purity_srb"], 2),
-            fit_decay(traces["purity_irb"], 2),
-            d,
+        r_incoh, r_incoh_std = ratio_error_budget(
+            fit_decay(traces["purity_srb"]), fit_decay(traces["purity_irb"])
         )
-        r_incoh, r_incoh_std = ratio.value, ratio.std
 
     r_cz = r_cz_std = None
     if {"p0000_srb", "p0000_irb", "x1_srb", "x1_irb"} <= set(traces):
-        ratio = ratio_error_budget(
-            fit_decay(subtracted_population_trace(traces["p0000_srb"], traces["x1_srb"], d), 1),
-            fit_decay(subtracted_population_trace(traces["p0000_irb"], traces["x1_irb"], d), 1),
-            d,
+        r_cz, r_cz_std = ratio_error_budget(
+            fit_decay(subtracted_population_trace(traces["p0000_srb"], traces["x1_srb"])),
+            fit_decay(subtracted_population_trace(traces["p0000_irb"], traces["x1_irb"])),
         )
-        r_cz, r_cz_std = ratio.value, ratio.std
 
     return assemble_budget(
-        r_cz, r_incoh, l1, d=d,
+        r_cz, r_incoh, l1,
         r_cz_std=r_cz_std, r_incoh_std=r_incoh_std, l1_std=l1_std,
     )
 
@@ -420,7 +397,7 @@ def budget_to_dict(budget: ErrorBudget) -> dict:
         "r_cz": budget.r_cz,
         "fidelity": budget.fidelity,
         "uncertainties": dict(budget.uncertainties),
-        "d": budget.d,
+        "d": D,
     }
 
 

@@ -256,20 +256,18 @@ def test_criterion_7_rb_round_trip():
     bundle = _make_bundle()
     ok_noiseless = True
     for slot, trace in bundle.items():
-        scale = 2 if trace.kind == KIND_PURITY else 1
         lam_true = BUNDLE_SPEC[slot][4]
-        ok_noiseless = ok_noiseless and abs(fit_decay(trace, scale).lam - lam_true) <= 1e-9
+        ok_noiseless = ok_noiseless and abs(fit_decay(trace).lam - lam_true) <= 1e-9
 
     ok_noisy = True
     for slot, (kind, variant, offset, amplitude, lam_true) in BUNDLE_SPEC.items():
-        scale = 2 if kind == KIND_PURITY else 1
         fitted = []
         for seed in range(200):
             trace = synth_trace(
                 offset=offset, amplitude=amplitude, lam=lam_true, kind=kind,
                 lengths=LENGTHS, noise_sigma=0.01, seed=seed, variant=variant,
             )
-            fitted.append(fit_decay(trace, scale).lam)
+            fitted.append(fit_decay(trace).lam)
         fitted = np.asarray(fitted)
         stderr = fitted.std(ddof=1) / math.sqrt(fitted.size)
         ok_noisy = ok_noisy and abs(fitted.mean() - lam_true) <= 2.0 * stderr

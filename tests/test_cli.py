@@ -275,15 +275,17 @@ class TestRBBudgetCommand:
         assert err.count(str(bad)) == 1 and line in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("d, slots", [(0, ("x1", "p0000")), (1, ("x1",))], ids=["d0", "d1"])
-    def test_invalid_dimension_is_usage_error(self, tmp_path, capsys, d, slots):
+    def test_non_finite_purity_is_usage_error(self, tmp_path, capsys):
         paths = _write_bundle(tmp_path)
-        args = ["rb-budget", "--partial", "--d", str(d)]
-        for name in slots:
-            args += [f"--{name}-srb", paths[f"{name}_srb"], f"--{name}-irb", paths[f"{name}_irb"]]
+        purity = Path(paths["purity_srb"])
+        rows = purity.read_text().splitlines(keepends=True)
+        purity.write_text("".join("40,nan\n" if row.startswith("40,") else row for row in rows))
+        args = ["rb-budget"]
+        for slot, path in paths.items():
+            args += [f"--{slot.replace('_', '-')}", path]
         assert main(args) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "dimension d must be an integer >= 2" in err
+        assert err.count(paths["purity_srb"]) == 1 and "values must be finite" in err
         assert len(err.strip().splitlines()) == 1
 
 

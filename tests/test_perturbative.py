@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from csdtc import perturbative
 from csdtc.circuit import derive_junction_energies
 from csdtc.constants import E_CHARGE, FF, GHZ, HBAR, NH, PLANCK_H
 from csdtc.errors import ModelError
@@ -192,9 +193,11 @@ class TestZeroCoupling:
         again = shunt_capacitance_for(ej.lj5_nh * 1e-9, result.omega1, result.omega2) / FF
         assert again == pytest.approx(result.c34_star_ff, abs=0.02)
 
-    def test_non_convergence_carries_trace(self, device):
+    def test_non_convergence_carries_trace(self, device, monkeypatch):
+        monkeypatch.setattr(perturbative, "_FIXED_POINT_TOL_FF", 1e-12)
+        monkeypatch.setattr(perturbative, "_FIXED_POINT_MAX_ITER", 1)
         with pytest.raises(ModelError, match="iteration"):
-            zero_coupling_c34(device, tol_ff=1e-12, max_iter=1)
+            zero_coupling_c34(device)
 
     def test_strongly_coupled_circuit_polished_to_tolerance(self):
         # large C13/C24 mixing: the closed form alone leaves an MHz-scale

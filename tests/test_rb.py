@@ -76,6 +76,20 @@ class TestTraceValidation:
         with pytest.raises(ValueError):
             RBTrace((1, 2, 3, 4), (0.1,) * 4, (0.1, 0.1, -0.1, 0.1), KIND_POPULATION_X1, "SRB")
 
+    @pytest.mark.parametrize(
+        "values, std_errs, match",
+        [
+            ((0.9, 0.5, math.nan, 0.1), None, "values must be finite"),
+            ((0.9, 0.5, math.inf, 0.1), None, "values must be finite"),
+            ((0.9, 0.5, 0.2, 0.1), (math.nan, 0.01, 0.01, 0.01), "std_errs must be finite"),
+            ((0.9, 0.5, 0.2, 0.1), (0.01, 0.01, math.nan, 0.01), "std_errs must be finite"),
+        ],
+        ids=["nan_value", "inf_value", "nan_std_first", "nan_std_later"],
+    )
+    def test_non_finite_rejected(self, values, std_errs, match):
+        with pytest.raises(ValueError, match=match):
+            RBTrace((1, 2, 3, 4), values, std_errs, KIND_PURITY, "SRB")
+
     def test_unknown_kind_and_variant(self):
         with pytest.raises(ValueError):
             RBTrace((1, 2, 3, 4), (0.1,) * 4, None, "nope", "SRB")
@@ -86,7 +100,7 @@ class TestTraceValidation:
 class TestFitDecay:
     def test_noiseless_roundtrip(self):
         trace = synth_trace(offset=0.25, amplitude=0.72, lam=0.995, kind=KIND_POPULATION_X1, lengths=LENGTHS)
-        fit = fit_decay(trace, 1)
+        fit = fit_decay(trace)
         assert fit.offset == pytest.approx(0.25, abs=1e-9)
         assert fit.amplitude == pytest.approx(0.72, abs=1e-9)
         assert fit.lam == pytest.approx(0.995, abs=1e-9)
@@ -94,7 +108,7 @@ class TestFitDecay:
 
     def test_purity_exponent_guard(self):
         trace = synth_trace(offset=0.05, amplitude=0.9, lam=0.99, kind=KIND_PURITY, lengths=LENGTHS)
-        fit = fit_decay(trace, 2)
+        fit = fit_decay(trace)
         assert fit.lam == pytest.approx(0.99, abs=1e-9)
         assert fit.lam != pytest.approx(0.99**2, abs=1e-4)
 
@@ -102,11 +116,11 @@ class TestFitDecay:
         lam = 0.993
         pop = synth_trace(offset=0.25, amplitude=0.7, lam=lam, kind=KIND_POPULATION_X1, lengths=LENGTHS)
         pur = synth_trace(offset=0.02, amplitude=0.9, lam=lam, kind=KIND_PURITY, lengths=LENGTHS)
-        assert fit_decay(pop, 1).lam == pytest.approx(fit_decay(pur, 2).lam, abs=1e-9)
+        assert fit_decay(pop).lam == pytest.approx(fit_decay(pur).lam, abs=1e-9)
 
     def test_constant_trace_flagged(self):
         trace = RBTrace((1, 5, 10, 20), (0.25,) * 4, None, KIND_POPULATION_X1, "SRB")
-        fit = fit_decay(trace, 1)
+        fit = fit_decay(trace)
         assert fit.offset == 0.25
         assert fit.amplitude == 0.0
         assert not fit.lambda_identifiable
@@ -115,19 +129,14 @@ class TestFitDecay:
     def test_weighted_fit_uses_std(self):
         trace = synth_trace(offset=0.25, amplitude=0.7, lam=0.99, kind=KIND_POPULATION_X1,
                             lengths=LENGTHS, noise_sigma=0.01, seed=3)
-        fit = fit_decay(trace, 1)
+        fit = fit_decay(trace)
         assert fit.lam == pytest.approx(0.99, abs=5e-3)
         assert fit.lam_variance > 0
-
-    def test_invalid_scale(self):
-        trace = synth_trace(offset=0.25, amplitude=0.7, lam=0.99, kind=KIND_POPULATION_X1, lengths=LENGTHS)
-        with pytest.raises(ValueError):
-            fit_decay(trace, 3)
 
     def test_covariance_psd(self):
         trace = synth_trace(offset=0.25, amplitude=0.7, lam=0.99, kind=KIND_POPULATION_X1,
                             lengths=LENGTHS, noise_sigma=0.005, seed=11)
-        fit = fit_decay(trace, 1)
+        fit = fit_decay(trace)
         eigs = np.linalg.eigvalsh((fit.covariance + fit.covariance.T) / 2.0)
         assert eigs.min() > -1e-15
 
@@ -136,20 +145,18 @@ class TestLeakage:
     def test_arithmetic_example(self):
         srb = _fit(offset=0.9, lam=0.999)
         irb = _fit(offset=0.9, lam=0.998)
-        budget = leakage_budget(srb, irb)
-        assert budget.l1_srb == pytest.approx(1e-4, rel=1e-9)
-        assert budget.l1_irb == pytest.approx(2e-4, rel=1e-9)
+        l1_cz, _ = leakage_budget(srb, irb)
         expected = 1.0 - (1.0 - 2e-4) / (1.0 - 1e-4)
-        assert budget.l1_cz == pytest.approx(expected, rel=1e-12)
-        assert budget.l1_cz == pytest.approx(1.0001e-4, rel=1e-4)
+        assert l1_cz == pytest.approx(expected, rel=1e-12)
+        assert l1_cz == pytest.approx(1.0001e-4, rel=1e-4)
 
     def test_lambda_one_gives_zero(self):
-        budget = leakage_budget(_fit(offset=0.9, lam=1.0), _fit(offset=0.9, lam=1.0))
-        assert budget.l1_cz == 0.0
+        l1_cz, _ = leakage_budget(_fit(offset=0.9, lam=1.0), _fit(offset=0.9, lam=1.0))
+        assert l1_cz == 0.0
 
     def test_identical_fits_give_zero(self):
         fit = _fit(offset=0.8, lam=0.995)
-        assert leakage_budget(fit, fit).l1_cz == 0.0
+        assert leakage_budget(fit, fit)[0] == 0.0
 
     def test_srb_rate_above_one_rejected(self):
         with pytest.raises(FitError):
@@ -158,29 +165,21 @@ class TestLeakage:
 
 class TestRatioBudgets:
     def test_incoherent_arithmetic(self):
-        value = ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98), 4).value
+        value, _ = ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98))
         assert value == pytest.approx(0.75 * (1 - 0.98 / 0.99), rel=1e-12)
         assert value == pytest.approx(7.576e-3, abs=1e-5)
 
     def test_equal_lambdas_give_zero(self):
-        assert ratio_error_budget(_fit(lam=0.97), _fit(lam=0.97), 4).value == 0.0
-
-    def test_d_two_prefactor(self):
-        value = ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98), 2).value
-        assert value == pytest.approx(0.5 * (1 - 0.98 / 0.99), rel=1e-12)
+        assert ratio_error_budget(_fit(lam=0.97), _fit(lam=0.97))[0] == 0.0
 
     def test_gate_error_arithmetic(self):
-        value = ratio_error_budget(_fit(lam=0.995), _fit(lam=0.990), 4).value
+        value, _ = ratio_error_budget(_fit(lam=0.995), _fit(lam=0.990))
         assert value == pytest.approx(0.75 * (1 - 0.990 / 0.995), rel=1e-12)
         assert value == pytest.approx(3.769e-3, abs=1e-5)
 
-    def test_invalid_dimension(self):
-        with pytest.raises(ValueError):
-            ratio_error_budget(_fit(lam=0.99), _fit(lam=0.98), 1)
-
     def test_zero_srb_lambda(self):
         with pytest.raises(FitError):
-            ratio_error_budget(_fit(lam=0.0), _fit(lam=0.5), 4)
+            ratio_error_budget(_fit(lam=0.0), _fit(lam=0.5))
 
 
 class TestSubtractedTrace:
@@ -189,7 +188,7 @@ class TestSubtractedTrace:
                         KIND_POPULATION_0000, "SRB")
         px1 = RBTrace((1, 2, 3, 4), (1.0, 0.96, 0.92, 0.88), (0.04, 0.04, 0.04, 0.04),
                       KIND_POPULATION_X1, "SRB")
-        sub = subtracted_population_trace(p0000, px1, 4)
+        sub = subtracted_population_trace(p0000, px1)
         assert sub.kind == KIND_SUBTRACTED
         assert sub.values[0] == pytest.approx(0.9 - 1.0 / 4.0, rel=1e-15)
         assert sub.std_errs[0] == pytest.approx(math.hypot(0.03, 0.01), rel=1e-12)
@@ -198,27 +197,27 @@ class TestSubtractedTrace:
         p0000 = RBTrace((1, 2, 3, 4), (0.9, 0.8, 0.7, 0.6), None, KIND_POPULATION_0000, "SRB")
         px1 = RBTrace((1, 2, 3, 5), (1.0, 0.96, 0.92, 0.88), None, KIND_POPULATION_X1, "SRB")
         with pytest.raises(ValueError):
-            subtracted_population_trace(p0000, px1, 4)
+            subtracted_population_trace(p0000, px1)
 
     def test_kind_checks(self):
         px1 = RBTrace((1, 2, 3, 4), (1.0, 0.96, 0.92, 0.88), None, KIND_POPULATION_X1, "SRB")
         with pytest.raises(ValueError):
-            subtracted_population_trace(px1, px1, 4)
+            subtracted_population_trace(px1, px1)
 
 
 class TestPurityFromDensity:
     def test_maximally_mixed(self):
-        assert normalized_purity_from_density(np.eye(4) / 4.0, 4) == pytest.approx(0.0, abs=1e-15)
+        assert normalized_purity_from_density(np.eye(4) / 4.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_state(self):
         rho = np.zeros((4, 4))
         rho[0, 0] = 1.0
-        assert normalized_purity_from_density(rho, 4) == pytest.approx(1.0, rel=1e-15)
+        assert normalized_purity_from_density(rho) == pytest.approx(1.0, rel=1e-15)
 
     def test_leaky_projector(self):
         rho = np.zeros((4, 4))
         rho[0, 0] = 0.9
-        value = normalized_purity_from_density(rho, 4)
+        value = normalized_purity_from_density(rho)
         assert value == pytest.approx((4.0 / 3.0) * (0.81 - 0.25), rel=1e-12)
         assert value == pytest.approx(0.7467, abs=1e-4)
 
@@ -226,11 +225,11 @@ class TestPurityFromDensity:
         rho = np.eye(4) / 4.0
         rho[0, 1] = 0.3
         with pytest.raises(ValueError, match="Hermitian"):
-            normalized_purity_from_density(rho, 4)
+            normalized_purity_from_density(rho)
 
     def test_trace_above_one_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            normalized_purity_from_density(np.eye(4) / 2.0, 4)
+            normalized_purity_from_density(np.eye(4) / 2.0)
 
 
 class TestAssembleBudget:
@@ -302,6 +301,40 @@ class TestFullBudget:
         doc = budget_to_dict(budget)
         assert set(doc) == {"L1_cz", "r_incoh_cz", "r_coh_cz", "r_cz", "fidelity", "uncertainties", "d"}
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noiseless_bundle_recovers_closed_form(self, seed):
+        # purity decays as lambda^(2m), written out here rather than taken from
+        # synth_trace; P_0000 = S + P_X1/4 makes the subtracted series a single exponential S
+        rng = np.random.default_rng(seed)
+        x1_offset = rng.uniform(0.75, 0.80)
+        lam = {}
+        for name, lo, hi, drop_lo, drop_hi in (
+            ("x1", 0.994, 0.997, 0.002, 0.005),
+            ("purity", 0.994, 0.997, 0.002, 0.003),
+            ("sub", 0.993, 0.996, 0.004, 0.006),
+        ):
+            lam[name, "SRB"] = rng.uniform(lo, hi)
+            lam[name, "IRB"] = lam[name, "SRB"] - rng.uniform(drop_lo, drop_hi)
+        bundle = {}
+        for variant in ("SRB", "IRB"):
+            x1 = synth_trace(offset=x1_offset, amplitude=0.15, lam=lam["x1", variant],
+                             kind=KIND_POPULATION_X1, lengths=LENGTHS, variant=variant)
+            sub = synth_trace(offset=0.07, amplitude=0.60, lam=lam["sub", variant],
+                              kind=KIND_SUBTRACTED, lengths=LENGTHS, variant=variant)
+            purity = tuple(-0.02 + 0.95 * lam["purity", variant] ** (2 * m) for m in LENGTHS)
+            p0000 = tuple(s + x / 4.0 for s, x in zip(sub.values, x1.values))
+            slot = variant.lower()
+            bundle[f"x1_{slot}"] = x1
+            bundle[f"purity_{slot}"] = RBTrace(LENGTHS, purity, None, KIND_PURITY, variant)
+            bundle[f"p0000_{slot}"] = RBTrace(LENGTHS, p0000, None, KIND_POPULATION_0000, variant)
+        budget = full_budget(bundle)
+        l1 = {v: (1.0 - x1_offset) * (1.0 - lam["x1", v]) for v in ("SRB", "IRB")}
+        r_incoh = 0.75 * (1.0 - lam["purity", "IRB"] / lam["purity", "SRB"])
+        assert budget.l1_cz == pytest.approx(1.0 - (1.0 - l1["IRB"]) / (1.0 - l1["SRB"]), rel=1e-6)
+        assert budget.r_incoh_cz == pytest.approx(r_incoh, rel=1e-6)
+        assert budget.r_cz == pytest.approx(0.75 * (1.0 - lam["sub", "IRB"] / lam["sub", "SRB"]), rel=1e-6)
+
     def test_partial_budget_has_nulls(self):
         bundle, _ = _bundle()
         partial = {k: bundle[k] for k in ("x1_srb", "x1_irb")}
@@ -326,17 +359,17 @@ class TestFullBudget:
 
 class TestStatisticalSoundness:
     @pytest.mark.parametrize(
-        "kind,scale,params",
+        "kind,params",
         [
-            (KIND_POPULATION_X1, 1, dict(offset=0.2, amplitude=0.7, lam=0.995)),
-            (KIND_PURITY, 2, dict(offset=0.01, amplitude=0.9, lam=0.995)),
+            (KIND_POPULATION_X1, dict(offset=0.2, amplitude=0.7, lam=0.995)),
+            (KIND_PURITY, dict(offset=0.01, amplitude=0.9, lam=0.995)),
         ],
     )
-    def test_mean_lambda_within_two_standard_errors(self, kind, scale, params):
+    def test_mean_lambda_within_two_standard_errors(self, kind, params):
         fitted = []
         for seed in range(200):
             trace = synth_trace(kind=kind, lengths=LENGTHS, noise_sigma=0.01, seed=seed, **params)
-            fitted.append(fit_decay(trace, scale).lam)
+            fitted.append(fit_decay(trace).lam)
         fitted = np.asarray(fitted)
         stderr = fitted.std(ddof=1) / math.sqrt(fitted.size)
         assert abs(fitted.mean() - params["lam"]) < 2.0 * stderr
