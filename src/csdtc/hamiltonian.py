@@ -9,12 +9,14 @@ on the tensor product in fixed node order (1, 2, 3, 4). H/h in GHz:
 The external flux enters only through the phase of the JJ5 hopping term, so
 the spectrum is exactly periodic in the reduced flux, and even in it: the
 parity map n_i -> -n_i conjugates that phase.
+
+One builder assembles this operator and its three label references: node 1,
+node 2, and the coupler block of nodes 3 and 4 joined by JJ5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,11 +63,11 @@ class ChargeBasisConfig:
 class SparseHamiltonian:
     """Assembled sparse Hermitian operator, H/h in GHz, with its labeling references.
 
-    ``modes`` holds one dense single-mode Hamiltonian per node, the references
-    dressed states are labeled against: mode i is Ec_ii n^2 - ej_i cos(phi);
-    the coupler modes 3 and 4 also carry the local quadratic share of JJ5 at
-    zero flux, ej5 * phi^2 / 2, expanded as ej5 (1 - cos(phi)) so the reference
-    stays strictly single-mode. They do not depend on the flux.
+    ``modes`` holds the dense Hamiltonians of the three blocks dressed states
+    are labeled against: node 1 (Ec_11 n^2 - ej1 cos phi), node 2, and the
+    coupler block of nodes 3 and 4 with all its terms (Ec_33, Ec_44 and
+    2 Ec_34 n3 n4 charge terms, ej3, ej4 and JJ5 at the flux phase). With the
+    cross-block charge terms removed, ``matrix`` is their Kronecker sum.
     """
 
     matrix: sp.csr_matrix
@@ -93,71 +95,67 @@ def single_mode_operators(n_max: int):
     return charge, cosine, raise_op
 
 
-def _kron4(ops) -> sp.csr_matrix:
+def _kron(ops) -> sp.csr_matrix:
     out = ops[0]
     for op in ops[1:]:
         out = sp.kron(out, op, format="csr")
     return out
 
 
-def _charge_grid(n_max: int) -> np.ndarray:
-    """(dimension, 4) table of charge numbers per node, kron (C) ordering."""
+def _charge_grid(n_max: int, nodes: int) -> np.ndarray:
+    """(size**nodes, nodes) table of charge numbers per node, kron (C) ordering."""
     nvals = np.arange(-n_max, n_max + 1, dtype=float)
-    grids = np.meshgrid(nvals, nvals, nvals, nvals, indexing="ij")
+    grids = np.meshgrid(*([nvals] * nodes), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
-    """Assemble the circuit Hamiltonian at the given reduced flux."""
-    phi = float(flux)
-    if not np.isfinite(phi):
-        raise ConfigError(f"flux must be finite, got {phi}")
-    n_max = int(cfg.n_max)
-    size = cfg.states_per_node
-    ec = charging_matrix(build_capacitance_matrix(params))  # validates params first
-    ej = derive_junction_energies(params)
-    node_ej = (ej.ej1, ej.ej2, ej.ej3, ej.ej4)
+def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | None = None) -> sp.csr_matrix:
+    """Charge quadratic form and node cosines of a block of nodes, in kron order.
 
-    grid = _charge_grid(n_max)
+    ``ec`` is the block's charging sub-matrix and ``node_ej`` its node
+    Josephson energies; with ``ej5`` a JJ5 joins the block's last two nodes
+    at the flux phase.
+    """
+    nodes = len(node_ej)
+    size = 2 * n_max + 1
+    grid = _charge_grid(n_max, nodes)
     diag = np.einsum("ia,ab,ib->i", grid, ec, grid)
     ham = sp.diags(diag).tocsr()
 
     eye = sp.identity(size, format="csr")
     _, cosine, raise_op = single_mode_operators(n_max)
     for slot, ej_i in enumerate(node_ej):
-        ops = [eye, eye, eye, eye]
+        ops = [eye] * nodes
         ops[slot] = cosine
-        ham = ham - ej_i * _kron4(ops)
+        ham = ham - ej_i * _kron(ops)
 
-    # JJ5: -ej5 cos(phi4 - phi3 - 2 pi phi_ex) with S4+ S3- = I x I x S- x S+
-    hop = _kron4([eye, eye, raise_op.T.tocsr(), raise_op])
-    phase = np.exp(-2j * np.pi * phi)
-    if abs(phase.imag) < _REAL_PHASE_TOL:
-        ham = ham - (ej.ej5 * phase.real / 2.0) * (hop + hop.T)
-    else:
-        ham = ham.astype(np.complex128) - (ej.ej5 / 2.0) * (phase * hop + np.conj(phase) * hop.T)
+    if ej5 is not None:
+        # JJ5: -ej5 cos(phi_b - phi_a - 2 pi phi_ex) with S_b+ S_a- on the last two nodes (a, b)
+        hop = _kron([eye] * (nodes - 2) + [raise_op.T.tocsr(), raise_op])
+        phase = np.exp(-2j * np.pi * phi)
+        if abs(phase.imag) < _REAL_PHASE_TOL:
+            ham = ham - (ej5 * phase.real / 2.0) * (hop + hop.T)
+        else:
+            ham = ham.astype(np.complex128) - (ej5 / 2.0) * (phase * hop + np.conj(phase) * hop.T)
 
     ham = ham.tocsr()
     ham.sum_duplicates()
-
-    nsq = np.diag(np.arange(-n_max, n_max + 1, dtype=float) ** 2)
-    cos_dense = cosine.toarray()
-    modes = [ec[slot, slot] * nsq - ej_i * cos_dense for slot, ej_i in enumerate(node_ej)]
-    for slot in (2, 3):  # the coupler modes' JJ5 share
-        modes[slot] = modes[slot] + ej.ej5 * (np.eye(size) - cos_dense)
-    return SparseHamiltonian(matrix=ham, n_max=n_max, phi_ex=phi, modes=tuple(modes))
+    return ham
 
 
-def dump_operator(ham: SparseHamiltonian, path: str | Path) -> None:
-    """Write the operator as coordinate-format text for external cross-checks.
+def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
+    """Assemble the circuit Hamiltonian and its block label references at the given reduced flux."""
+    phi = float(flux)
+    if not np.isfinite(phi):
+        raise ConfigError(f"flux must be finite, got {phi}")
+    n_max = int(cfg.n_max)
+    ec = charging_matrix(build_capacitance_matrix(params))  # validates params first
+    ej = derive_junction_energies(params)
 
-    One header line (dimension, n_max, phi_ex), then one line per stored
-    entry: row col re im.
-    """
-    coo = ham.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    values = coo.data[order].astype(np.complex128)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{ham.dimension} {ham.n_max} {float(ham.phi_ex)!r}\n")
-        for row, col, val in zip(coo.row[order], coo.col[order], values):
-            handle.write(f"{row} {col} {float(val.real)!r} {float(val.imag)!r}\n")
+    ham = _build_block(ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), n_max, phi, ej.ej5)
+    modes = (
+        _build_block(ec[:1, :1], (ej.ej1,), n_max, phi),
+        _build_block(ec[1:2, 1:2], (ej.ej2,), n_max, phi),
+        _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
+    )
+    return SparseHamiltonian(matrix=ham, n_max=n_max, phi_ex=phi, modes=tuple(m.toarray() for m in modes))

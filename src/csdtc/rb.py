@@ -61,8 +61,8 @@ class RBTrace:
         if self.std_errs is not None:
             if len(self.std_errs) != len(self.lengths):
                 raise ValueError("std_errs must match lengths")
-            if not all(0.0 <= s < math.inf for s in self.std_errs):
-                raise ValueError("std_errs must be finite and non-negative")
+            if not all(0.0 < s < math.inf for s in self.std_errs):
+                raise ValueError("std_errs must be finite and positive")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("values must be finite")
         if self.kind in _BOUNDED_KINDS and any(not 0.0 <= v <= 1.0 for v in self.values):
@@ -169,9 +169,7 @@ def fit_decay(trace: RBTrace) -> DecayFit:
     scale = _exponent_scale(trace.kind)
     m = np.asarray(trace.lengths, dtype=float)
     y = np.asarray(trace.values, dtype=float)
-    sigma = None
-    if trace.std_errs is not None and min(trace.std_errs) > 0:
-        sigma = np.asarray(trace.std_errs, dtype=float)
+    sigma = None if trace.std_errs is None else np.asarray(trace.std_errs, dtype=float)
 
     if np.ptp(y) == 0.0:
         # constant trace: amplitude 0, decay constant unidentifiable

@@ -1,9 +1,12 @@
 """Eigenspectrum, dressed-state labels, and the ZZ interaction.
 
-Dressed states are labeled |Q1, Q2, P, M> by maximum overlap with products of
-single-mode reference eigenstates; the ZZ interaction is the cross-Kerr
-combination E(1100) - E(1000) - E(0100) + E(0000) of labeled eigenenergies,
-reported as zeta/2pi in kHz.
+Dressed states are labeled |Q1, Q2, c> against the three blocks of
+``SparseHamiltonian.modes``: Q1 and Q2 are the qubit-node occupations and c
+is the level index of the coupler block (nodes 3 and 4 with JJ5 at the flux).
+Each eigenstate gets one product of block eigenstates, by the unique
+assignment that maximizes the summed overlap. The ZZ interaction is the
+cross-Kerr combination E(110) - E(100) - E(010) + E(000) of labeled
+eigenenergies, reported as zeta/2pi in kHz.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import linear_sum_assignment
 
 from . import perturbative
 from .circuit import CircuitParams
@@ -21,18 +25,19 @@ from .errors import LabelingError, SolverError
 from .hamiltonian import ChargeBasisConfig, SparseHamiltonian, assemble_hamiltonian
 
 AMBIGUITY_THRESHOLD = 0.5
-_LABEL_LEVELS = 3  # occupations 0..2 per mode
+_QUBIT_LEVELS = 3  # occupations 0..2 per qubit block
+_COUPLER_LEVELS = 6  # ground, the two single- and the three double-excitation levels
 _DENSE_CUTOFF = 600
 _RESIDUAL_FACTOR = 1e-8
 
-COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))
+COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 
 
 @dataclass(frozen=True)
 class DressedLabel:
-    """Occupation label for one eigenstate with its assignment overlap."""
+    """(q1, q2, coupler level) label for one eigenstate with its assignment overlap."""
 
-    occupations: tuple[int, int, int, int]
+    occupations: tuple[int, int, int]
     overlap: float
     ambiguous: bool
 
@@ -132,62 +137,33 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
 
 
 def _product_overlaps(vecs: np.ndarray, bases) -> np.ndarray:
-    """|<product state | eigenstate>|^2, shape (k, levels, levels, levels, levels)."""
+    """|<product state | eigenstate>|^2, shape (k, levels of each block)."""
     k = vecs.shape[1]
-    size = bases[0].shape[0]
-    tensor = np.ascontiguousarray(vecs.T).reshape(k, size, size, size, size)
+    tensor = np.ascontiguousarray(vecs.T).reshape(k, *(basis.shape[0] for basis in bases))
     for basis in bases:
         tensor = np.tensordot(tensor, basis.conj(), axes=([1], [0]))
     return np.abs(tensor) ** 2
 
 
-def greedy_assign(overlaps: np.ndarray):
-    """Unique state->product assignment, greedy on descending overlap.
-
-    Ties break toward the lower eigenstate then the lower product index, so
-    the assignment is deterministic.
-    """
-    k, n_products = overlaps.shape
-    if n_products < k:
-        raise ValueError("need at least as many candidate products as eigenstates")
-    pairs = [
-        (-overlaps[state, product], state, product)
-        for state in range(k)
-        for product in range(n_products)
-    ]
-    pairs.sort()
-    state_done = [False] * k
-    product_done = [False] * n_products
-    assignment: list[tuple[int, float] | None] = [None] * k
-    for neg, state, product in pairs:
-        if state_done[state] or product_done[product]:
-            continue
-        assignment[state] = (product, -neg)
-        state_done[state] = True
-        product_done[product] = True
-        if all(state_done):
-            break
-    return assignment
-
-
 def label_states(eigvecs, ham: SparseHamiltonian):
-    """Label eigenstates by dominant overlap with products of ``ham.modes`` eigenstates."""
-    bases = [np.linalg.eigh(h)[1][:, :_LABEL_LEVELS] for h in ham.modes]
+    """Label eigenstates by the overlap-maximizing unique assignment to block eigenstate products."""
+    levels = (_QUBIT_LEVELS, _QUBIT_LEVELS, _COUPLER_LEVELS)
+    bases = [np.linalg.eigh(h)[1][:, :n] for h, n in zip(ham.modes, levels)]
     overlaps = _product_overlaps(eigvecs, bases)
     k = overlaps.shape[0]
     shape = overlaps.shape[1:]
     flat = overlaps.reshape(k, -1)
     if flat.shape[1] < k:
         raise LabelingError(
-            f"label space holds occupations 0..{_LABEL_LEVELS - 1} per mode "
-            f"({flat.shape[1]} products) and cannot uniquely label {k} eigenstates"
+            f"label space holds qubit occupations 0..{_QUBIT_LEVELS - 1} and coupler levels "
+            f"0..{_COUPLER_LEVELS - 1} ({flat.shape[1]} products) and cannot uniquely label {k} eigenstates"
         )
-    assignment = greedy_assign(flat)
+    _, products = linear_sum_assignment(flat, maximize=True)
     labels = []
-    for state in range(k):
-        product, overlap = assignment[state]
+    for state, product in enumerate(products):
+        overlap = float(flat[state, product])
         occ = tuple(int(v) for v in np.unravel_index(product, shape))
-        labels.append(DressedLabel(occ, float(overlap), bool(overlap < AMBIGUITY_THRESHOLD)))
+        labels.append(DressedLabel(occ, overlap, bool(overlap < AMBIGUITY_THRESHOLD)))
 
     assigned = {label.occupations for label in labels}
     missing = [occ for occ in COMPUTATIONAL_OCCUPATIONS if occ not in assigned]
@@ -229,12 +205,7 @@ def _zeta_from_spectrum(spec: SpectrumResult) -> float:
                 spectrum=spec,
             )
         energies[occ] = freq
-    zeta_ghz = (
-        energies[(1, 1, 0, 0)]
-        - energies[(1, 0, 0, 0)]
-        - energies[(0, 1, 0, 0)]
-        + energies[(0, 0, 0, 0)]
-    )
+    zeta_ghz = energies[(1, 1, 0)] - energies[(1, 0, 0)] - energies[(0, 1, 0)] + energies[(0, 0, 0)]
     return zeta_ghz * 1e6  # GHz -> kHz
 
 
@@ -310,16 +281,6 @@ def sweep_c34(
     return points
 
 
-def locate_sign_changes(points) -> list[tuple[float, float]]:
-    """Bracketing grid cells where zeta changes sign (failed points skipped)."""
-    valid = [(p.c34_ff, p.zeta_khz) for p in points if p.zeta_khz is not None]
-    brackets = []
-    for (x0, z0), (x1, z1) in zip(valid, valid[1:]):
-        if z0 * z1 < 0:
-            brackets.append((x0, x1))
-    return brackets
-
-
 def convergence_study(params: CircuitParams, flux, n_max_values, *, num_eigenstates: int = 16, seed: int = 0):
     """zeta at each basis size with successive deltas; converged below 1 kHz."""
     values = [int(n) for n in n_max_values]
@@ -346,7 +307,7 @@ def _fmt(value) -> str:
 
 def write_spectrum_csv(points, path) -> None:
     """Flux sweep of the four computational levels with label overlaps."""
-    tags = ["0000", "1000", "0100", "1100"]
+    tags = ["0000", "1000", "0100", "1100"]  # q1, q2, then "00" for the coupler ground state
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(

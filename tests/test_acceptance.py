@@ -72,10 +72,10 @@ def zero_flux_n7(device):
 
 def test_criterion_1_dressed_frequencies(zero_flux_n7):
     spec, elapsed = zero_flux_n7
-    q1, _ = spec.level((1, 0, 0, 0))
-    q2, _ = spec.level((0, 1, 0, 0))
-    q1_2, _ = spec.level((2, 0, 0, 0))
-    q2_2, _ = spec.level((0, 2, 0, 0))
+    q1, _ = spec.level((1, 0, 0))
+    q2, _ = spec.level((0, 1, 0))
+    q1_2, _ = spec.level((2, 0, 0))
+    q2_2, _ = spec.level((0, 2, 0))
     anh1_mhz = (q1_2 - 2.0 * q1) * 1e3
     anh2_mhz = (q2_2 - 2.0 * q2) * 1e3
 
@@ -96,9 +96,9 @@ def test_criterion_1_dressed_frequencies(zero_flux_n7):
 
 def test_criterion_2_zero_flux_zz(zero_flux_n7):
     spec, _ = zero_flux_n7
-    energies = {occ: spec.level(occ)[0] for occ in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))}
+    energies = {occ: spec.level(occ)[0] for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))}
     zeta_khz = (
-        energies[(1, 1, 0, 0)] - energies[(1, 0, 0, 0)] - energies[(0, 1, 0, 0)] + energies[(0, 0, 0, 0)]
+        energies[(1, 1, 0)] - energies[(1, 0, 0)] - energies[(0, 1, 0)] + energies[(0, 0, 0)]
     ) * 1e6
     passed = -150.0 <= zeta_khz <= 0.0
     report(2, "zero-flux zeta in [-150, 0] kHz", passed, f"zeta={zeta_khz:.2f} kHz")

@@ -288,6 +288,16 @@ class TestRBBudgetCommand:
         assert err.count(paths["purity_srb"]) == 1 and "values must be finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_zero_std_err_is_usage_error(self, tmp_path, capsys):
+        paths = _write_bundle(tmp_path)
+        bad = tmp_path / "zero_std.csv"
+        rows = [f"{m},{0.92 + 0.07 * 0.999**m!r},{0.0 if m == 1 else 0.01}" for m in LENGTHS]
+        bad.write_text("# kind=population_X1 variant=SRB\nm,value,std_err\n" + "\n".join(rows) + "\n")
+        code = main(["rb-budget", "--partial", "--x1-srb", str(bad), "--x1-irb", paths["x1_irb"]])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count(str(bad)) == 1 and "std_errs must be finite and positive" in err
+        assert len(err.strip().splitlines()) == 1
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE

@@ -3,14 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from csdtc.circuit import build_capacitance_matrix, charging_matrix, derive_junction_energies
 from csdtc.errors import ConfigError
 from csdtc.hamiltonian import (
     ChargeBasisConfig,
     assemble_hamiltonian,
-    dump_operator,
     single_mode_operators,
 )
 from csdtc.spectrum import solve_lowest
@@ -122,49 +120,14 @@ class TestUncoupledReference:
         asymptotic = math.sqrt(8.0 * e_c * 13.2614) - e_c
         assert f01 == pytest.approx(asymptotic, rel=0.05)
 
-    def test_mode3_carries_jj5_quadratic_share(self, device):
-        cfg = ChargeBasisConfig(n_max=3)
-        modes = assemble_hamiltonian(device, 0.0, cfg).modes
-        ej = derive_junction_energies(device)
-        ec = charging_matrix(build_capacitance_matrix(device))
-        size = cfg.states_per_node
-        _, cosine, _ = single_mode_operators(3)
-        nsq = np.diag(np.arange(-3, 4, dtype=float) ** 2)
-        expected = ec[2, 2] * nsq - ej.ej3 * cosine.toarray() + ej.ej5 * (np.eye(size) - cosine.toarray())
-        assert np.allclose(modes[2], expected, atol=1e-15)
-        # differs from the mode-1 form only by that quadratic share
-        mode1_form = ec[2, 2] * nsq - ej.ej3 * cosine.toarray()
-        assert np.allclose(modes[2] - mode1_form, ej.ej5 * (np.eye(size) - cosine.toarray()), atol=1e-15)
-
     def test_decoupled_ground_state_is_product(self, decoupled):
         ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
         _, vecs = solve_lowest(ham, 6)
         ground = vecs[:, 0]
         product = np.ones(1)
-        for mode in assemble_hamiltonian(decoupled, 0.0, CFG3).modes:
-            _, mvecs = np.linalg.eigh(mode)
+        for block in ham.modes:
+            _, mvecs = np.linalg.eigh(block)
             product = np.kron(product, mvecs[:, 0])
         overlap = abs(np.vdot(product, ground)) ** 2
         assert overlap > 0.999
 
-
-class TestOperatorDump:
-    def test_round_trip(self, tmp_path, device):
-        ham = assemble_hamiltonian(device, 0.25, CFG3)
-        path = tmp_path / "operator.txt"
-        dump_operator(ham, path)
-        lines = path.read_text().splitlines()
-        dim, n_max, phi = lines[0].split()
-        assert int(dim) == 2401 and int(n_max) == 3 and float(phi) == 0.25
-        rows, cols, res, ims = [], [], [], []
-        for line in lines[1:]:
-            r, c, re, im = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            res.append(float(re))
-            ims.append(float(im))
-        rebuilt = sp.coo_matrix(
-            (np.array(res) + 1j * np.array(ims), (rows, cols)), shape=(2401, 2401)
-        ).tocsr()
-        delta = rebuilt - ham.matrix
-        assert delta.nnz == 0 or np.max(np.abs(delta.data)) == 0.0

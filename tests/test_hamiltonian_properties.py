@@ -3,8 +3,11 @@
 Only assembly runs here, at n_max=3; nothing is diagonalized.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
 
@@ -56,9 +59,21 @@ def test_flux_period_one(params, phi):
 
 @OPERATOR_SETTINGS
 @given(PARAMETER_SETS, FLUXES)
-def test_label_references_flux_independent(params, phi):
-    at_flux = _assemble(params, phi).modes
-    at_zero = _assemble(params, 0.0).modes
-    assert len(at_flux) == len(at_zero) == 4
-    for a, b in zip(at_flux, at_zero):
-        assert np.array_equal(a, b)
+def test_coupler_reference_flux_reversal_is_charge_parity_and_conjugation(params, phi):
+    coupler = _assemble(params, phi).modes[2]
+    coupler_reversed = _assemble(params, -phi).modes[2]
+    assert np.array_equal(coupler_reversed, coupler[::-1, ::-1])
+    assert np.array_equal(coupler_reversed, coupler.conj())
+
+
+@OPERATOR_SETTINGS
+@given(PARAMETER_SETS, FLUXES)
+def test_operator_without_cross_block_capacitance_is_sum_of_references(params, phi):
+    blocks = replace(params, c12=0.0, c13=0.0, c14=0.0, c23=0.0, c24=0.0)
+    ham = _assemble(blocks, phi)
+    h1, h2, h34 = (sp.csr_matrix(block) for block in ham.modes)
+    eye = sp.identity(CFG3.states_per_node, format="csr")
+    expected = sp.kron(h1, sp.kron(eye, sp.kron(eye, eye))) + sp.kron(eye, sp.kron(h2, sp.kron(eye, eye)))
+    expected = expected + sp.kron(sp.kron(eye, eye), h34)
+    assert len(ham.modes) == 3
+    assert abs(ham.matrix - expected).max() <= 1e-12 * abs(ham.matrix).max()

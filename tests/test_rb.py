@@ -83,8 +83,9 @@ class TestTraceValidation:
             ((0.9, 0.5, math.inf, 0.1), None, "values must be finite"),
             ((0.9, 0.5, 0.2, 0.1), (math.nan, 0.01, 0.01, 0.01), "std_errs must be finite"),
             ((0.9, 0.5, 0.2, 0.1), (0.01, 0.01, math.nan, 0.01), "std_errs must be finite"),
+            ((0.9, 0.5, 0.2, 0.1), (0.01, 0.0, 0.01, 0.01), "std_errs must be finite and positive"),
         ],
-        ids=["nan_value", "inf_value", "nan_std_first", "nan_std_later"],
+        ids=["nan_value", "inf_value", "nan_std_first", "nan_std_later", "zero_std"],
     )
     def test_non_finite_rejected(self, values, std_errs, match):
         with pytest.raises(ValueError, match=match):

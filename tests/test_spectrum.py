@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,8 @@ import pytest
 from csdtc.errors import LabelingError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
-    C34SweepPoint,
     convergence_study,
-    greedy_assign,
     label_states,
-    locate_sign_changes,
     solve_lowest,
     spectrum_at,
     sweep_c34,
@@ -50,41 +48,9 @@ class TestSolveLowest:
     def test_decoupled_eigenvalues_are_single_mode_sums(self, decoupled):
         ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
         vals, _ = solve_lowest(ham, 10)
-        mode_vals = [np.linalg.eigvalsh(h) for h in assemble_hamiltonian(decoupled, 0.0, CFG3).modes]
-        sums = sorted(
-            a + b + c + d
-            for a, b, c, d in itertools.product(*(mv[:4] for mv in mode_vals))
-        )
+        block_vals = [np.linalg.eigvalsh(h) for h in ham.modes]
+        sums = sorted(a + b + c for a, b, c in itertools.product(*(bv[:10] for bv in block_vals)))
         assert np.allclose(vals, sums[:10], rtol=1e-9, atol=1e-9)
-
-
-class TestGreedyAssign:
-    def test_unique_and_descending(self):
-        overlaps = np.array(
-            [
-                [0.9, 0.05, 0.05],
-                [0.8, 0.15, 0.05],
-            ]
-        )
-        # state 0 takes product 0; state 1 must fall back to its next best
-        assignment = greedy_assign(overlaps)
-        assert assignment[0] == (0, pytest.approx(0.9))
-        assert assignment[1][0] == 1
-
-    def test_tie_breaks_toward_lower_state(self):
-        overlaps = np.array(
-            [
-                [0.5, 0.5],
-                [0.5, 0.5],
-            ]
-        )
-        assignment = greedy_assign(overlaps)
-        assert assignment[0][0] == 0
-        assert assignment[1][0] == 1
-
-    def test_requires_enough_products(self):
-        with pytest.raises(ValueError):
-            greedy_assign(np.ones((3, 2)))
 
 
 class TestLabels:
@@ -94,9 +60,18 @@ class TestLabels:
             assert label.overlap > 0.9999
             assert not label.ambiguous
 
+    def test_coupled_coupler_pair_labels_are_unity(self, decoupled):
+        # free qubits, but C34 and JJ5 tie the coupler nodes: node references cannot label this
+        coupled = replace(decoupled, c34=30.3, ic5=11.9)
+        spec = spectrum_at(coupled, 0.0, CFG4)
+        assert len(spec.labels) == 12
+        for label in spec.labels:
+            assert label.overlap > 0.9999
+        assert abs(zz_interaction(coupled, 0.0, CFG4).zeta_khz) < 1e-3
+
     def test_device_computational_labels_confident(self, device):
         spec = spectrum_at(device, 0.0, ChargeBasisConfig(n_max=5, num_eigenstates=16))
-        for occ in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)):
+        for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)):
             _, label = spec.level(occ)
             assert label.overlap > 0.8
             assert not label.ambiguous
@@ -106,7 +81,7 @@ class TestLabels:
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=6)
         ham = assemble_hamiltonian(device, 0.0, cfg)
         _, vecs = solve_lowest(ham, 6)
-        with pytest.raises(LabelingError, match="1, 1, 0, 0") as err:
+        with pytest.raises(LabelingError, match="1, 1, 0") as err:
             label_states(vecs, ham)
         assert err.value.candidates
 
@@ -187,15 +162,6 @@ class TestSweeps:
         assert forward[0].zeta_khz == backward[1].zeta_khz
         assert forward[1].zeta_khz == backward[0].zeta_khz
 
-    def test_locate_sign_changes(self):
-        points = [
-            C34SweepPoint(10.0, -5.0, 0.0, 0.0, None),
-            C34SweepPoint(20.0, None, 0.0, 0.0, "failed"),
-            C34SweepPoint(30.0, -1.0, 0.0, 0.0, None),
-            C34SweepPoint(40.0, 2.0, 0.0, 0.0, None),
-        ]
-        assert locate_sign_changes(points) == [(30.0, 40.0)]
-
 
 class TestLevelContinuity:
     def test_labeled_levels_continuous_in_flux(self, device):
@@ -205,7 +171,7 @@ class TestLevelContinuity:
         grid = np.linspace(0.0, 0.3, 13)
         points = sweep_flux(device, grid, cfg)
         step = grid[1] - grid[0]
-        for occ in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)):
+        for occ in ((1, 0, 0), (0, 1, 0), (1, 1, 0)):
             levels = []
             for point in points:
                 if point.spectrum is None:
