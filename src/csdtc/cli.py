@@ -101,19 +101,24 @@ def cmd_spectrum(args) -> int:
 
 def cmd_zz(args) -> int:
     params = load_params(args.params)
+    if args.command == "pert-compare" and args.c34_grid is None:
+        raise ConfigError("pert-compare requires --c34-grid")
     if (args.flux_grid is None) == (args.c34_grid is None):
         raise ConfigError("exactly one of --flux-grid or --c34-grid is required")
     if args.out is None:
         raise ConfigError("--out is required for zz output")
     cfg = _basis_config(args)
     if args.flux_grid is not None:
+        for flag, given in (("--zero-parasitics", args.zero_parasitics), ("--flux", args.flux is not None)):
+            if given:
+                raise ConfigError(f"{flag} applies only to --c34-grid sweeps, not to --flux-grid")
         points = spectrum.sweep_flux(params, parse_grid(args.flux_grid), cfg, seed=args.seed)
         spectrum.write_flux_zz_csv(points, args.out)
         return _report_sweep(points, "phi_ex", "phi_ex")
     points = spectrum.sweep_c34(
         params,
         parse_grid(args.c34_grid),
-        args.flux,
+        0.0 if args.flux is None else args.flux,
         cfg,
         zero_parasitics=args.zero_parasitics,
         seed=args.seed,
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p_zz)
         p_zz.add_argument("--flux-grid", default=None)
         p_zz.add_argument("--c34-grid", default=None)
-        p_zz.add_argument("--flux", type=float, default=0.0, help="flux for C34 sweeps")
+        p_zz.add_argument("--flux", type=float, default=None, help="flux for C34 sweeps (default 0)")
         p_zz.add_argument("--zero-parasitics", action="store_true")
         p_zz.set_defaults(func=cmd_zz)
 

@@ -10,8 +10,10 @@ The external flux enters only through the phase of the JJ5 hopping term, so
 the spectrum is exactly periodic in the reduced flux, and even in it: the
 parity map n_i -> -n_i conjugates that phase.
 
-One builder assembles this operator and its three label references: node 1,
-node 2, and the coupler block of nodes 3 and 4 joined by JJ5.
+One builder assembles this operator and its three blocks: node 1, node 2,
+and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
+returns the blocks and the charging matrix alone, without the four-node
+operator.
 """
 
 from __future__ import annotations
@@ -60,20 +62,30 @@ class ChargeBasisConfig:
 
 
 @dataclass(frozen=True)
-class SparseHamiltonian:
-    """Assembled sparse Hermitian operator, H/h in GHz, with its labeling references.
+class BlockHamiltonians:
+    """The three blocks of the circuit, H/h in GHz, and the charging matrix that couples them.
 
-    ``modes`` holds the dense Hamiltonians of the three blocks dressed states
-    are labeled against: node 1 (Ec_11 n^2 - ej1 cos phi), node 2, and the
-    coupler block of nodes 3 and 4 with all its terms (Ec_33, Ec_44 and
-    2 Ec_34 n3 n4 charge terms, ej3, ej4 and JJ5 at the flux phase). With the
-    cross-block charge terms removed, ``matrix`` is their Kronecker sum.
+    ``modes`` holds the dense Hamiltonians of node 1 (Ec_11 n^2 - ej1 cos phi),
+    node 2, and the coupler block of nodes 3 and 4 with all its terms (Ec_33,
+    Ec_44 and 2 Ec_34 n3 n4 charge terms, ej3, ej4 and JJ5 at the flux phase).
+    The full operator is their Kronecker sum plus the cross-block charge terms
+    2 Ec_ij n_i n_j, ij in {12, 13, 14, 23, 24}, of the 4x4 ``ec``.
     """
 
-    matrix: sp.csr_matrix
+    ec: np.ndarray
     n_max: int
     phi_ex: float
     modes: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class SparseHamiltonian(BlockHamiltonians):
+    """The assembled sparse Hermitian operator of all four nodes with its blocks.
+
+    The blocks are the references dressed states are labeled against.
+    """
+
+    matrix: sp.csr_matrix
 
     @property
     def dimension(self) -> int:
@@ -143,19 +155,33 @@ def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | N
     return ham
 
 
-def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
-    """Assemble the circuit Hamiltonian and its block label references at the given reduced flux."""
+def _circuit_energies(params: CircuitParams, flux: float):
     phi = float(flux)
     if not np.isfinite(phi):
         raise ConfigError(f"flux must be finite, got {phi}")
-    n_max = int(cfg.n_max)
     ec = charging_matrix(build_capacitance_matrix(params))  # validates params first
-    ej = derive_junction_energies(params)
+    return phi, ec, derive_junction_energies(params)
 
-    ham = _build_block(ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), n_max, phi, ej.ej5)
+
+def _modes(ec: np.ndarray, ej, n_max: int, phi: float) -> tuple[np.ndarray, ...]:
     modes = (
         _build_block(ec[:1, :1], (ej.ej1,), n_max, phi),
         _build_block(ec[1:2, 1:2], (ej.ej2,), n_max, phi),
         _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
     )
-    return SparseHamiltonian(matrix=ham, n_max=n_max, phi_ex=phi, modes=tuple(m.toarray() for m in modes))
+    return tuple(m.toarray() for m in modes)
+
+
+def assemble_blocks(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> BlockHamiltonians:
+    """The three block Hamiltonians and the charging matrix, without the four-node operator."""
+    phi, ec, ej = _circuit_energies(params, flux)
+    n_max = int(cfg.n_max)
+    return BlockHamiltonians(ec=ec, n_max=n_max, phi_ex=phi, modes=_modes(ec, ej, n_max, phi))
+
+
+def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
+    """Assemble the circuit Hamiltonian and its block label references at the given reduced flux."""
+    phi, ec, ej = _circuit_energies(params, flux)
+    n_max = int(cfg.n_max)
+    ham = _build_block(ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), n_max, phi, ej.ej5)
+    return SparseHamiltonian(ec=ec, n_max=n_max, phi_ex=phi, modes=_modes(ec, ej, n_max, phi), matrix=ham)

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csdtc.circuit import reference_device, save_params
+from csdtc import spectrum
+from csdtc.circuit import CircuitParams, reference_device, save_params
 from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_grid
 from csdtc.design import golden_section_min
 from csdtc.errors import BracketError, ConfigError
@@ -138,6 +139,37 @@ class TestZZCommand:
         lines = out_zz.read_text().splitlines()
         assert lines[0] == "C34_fF,zeta_exact_kHz,zeta_pert_kHz,g12_MHz,ambiguous_flag"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("command, extra, flag", [
+        ("zz", ["--zero-parasitics"], "--zero-parasitics"),
+        ("zz", ["--flux", "0.3"], "--flux"),
+        ("pert-compare", [], "--c34-grid"),
+    ])
+    def test_flags_without_effect_on_flux_grid_refused(self, tmp_path, params_file, capsys, command, extra, flag):
+        out = tmp_path / "zz.csv"
+        code = main([command, "--params", params_file, "--n-max", "3", "--k", "8",
+                     "--flux-grid", "0", "--out", str(out)] + extra)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_truncation_through_degenerate_coupler_pair_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # identical, uncoupled coupler nodes: coupler levels 1 and 2 are the degenerate |01>, |10> pair
+        symmetric = CircuitParams(
+            c11=108.0, c22=80.0, c33=90.0, c44=90.0,
+            c12=0.0, c13=0.0, c14=0.0, c23=0.0, c24=0.0, c34=0.0,
+            ic1=26.7, ic2=26.6, ic3=55.2, ic4=55.2, ic5=1e-9,
+        )
+        path = tmp_path / "symmetric.json"
+        save_params(symmetric, path)
+        monkeypatch.setattr(spectrum, "_KEPT_COUPLER_LEVELS", 2)
+        code = main(["zz", "--params", str(path), "--n-max", "5", "--k", "16",
+                     "--flux-grid", "0", "--out", str(tmp_path / "zz.csv")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "coupler block" in err and "gap" in err
 
     def test_failures_tolerated_up_to_ten_percent(self, tmp_path, params_file):
         # k=6 cannot label |1100> at n_max=5, so every point fails -> numerical exit

@@ -7,6 +7,7 @@ import pytest
 from csdtc.errors import LabelingError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
+    COMPUTATIONAL_OCCUPATIONS,
     convergence_study,
     label_states,
     solve_lowest,
@@ -95,6 +96,29 @@ class TestLabels:
         cfg = ChargeBasisConfig(n_max=3, num_eigenstates=100)
         with pytest.raises(LabelingError, match="label space"):
             spectrum_at(device, 0.0, cfg)
+
+
+class TestBackends:
+    @pytest.mark.parametrize("n_max, backend", [(4, "charge"), (5, "hierarchical")])
+    def test_backend_chosen_by_basis_size(self, device, n_max, backend):
+        spec = spectrum_at(device, 0.0, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
+        assert spec.backend == backend
+
+    @pytest.mark.parametrize("flux", [0.0, 0.15, -0.15, 0.25])
+    def test_hierarchical_matches_charge_oracle(self, device, flux):
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        spec = spectrum_at(device, flux, cfg)
+        ham = assemble_hamiltonian(device, flux, cfg)
+        vals, vecs = solve_lowest(ham, cfg.num_eigenstates)
+        oracle = [label.occupations for label in label_states(vecs, ham)]
+        zeta_khz, oracle_zeta_khz = 0.0, 0.0
+        for occ, sign in zip(COMPUTATIONAL_OCCUPATIONS, (1, -1, -1, 1)):
+            state = oracle.index(occ)
+            assert spec.labels[state].occupations == occ
+            assert spec.eigenfrequencies_ghz[state] == pytest.approx(vals[state] - vals[0], abs=1e-5)
+            zeta_khz += sign * spec.eigenfrequencies_ghz[state] * 1e6
+            oracle_zeta_khz += sign * (vals[state] - vals[0]) * 1e6
+        assert zeta_khz == pytest.approx(oracle_zeta_khz, abs=0.01)
 
 
 class TestZZ:
