@@ -21,6 +21,19 @@ class SolverError(NumericsError):
     """The eigensolver failed to reach its residual contract."""
 
 
+class TruncationError(SolverError):
+    """The hierarchical product basis leaves out levels that move the result beyond its tolerance.
+
+    Carries the refused ``spectrum`` (when available) and the estimated
+    ``zeta_shift_khz`` from the left-out levels.
+    """
+
+    def __init__(self, message, spectrum=None, zeta_shift_khz=None):
+        super().__init__(message)
+        self.spectrum = spectrum
+        self.zeta_shift_khz = zeta_shift_khz
+
+
 class LabelingError(RuntimeError):
     """Dressed-state labeling could not produce the required confident labels.
 

@@ -155,33 +155,25 @@ def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | N
     return ham
 
 
-def _circuit_energies(params: CircuitParams, flux: float):
+def assemble_blocks(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> BlockHamiltonians:
+    """The three block Hamiltonians and the charging matrix, without the four-node operator."""
     phi = float(flux)
     if not np.isfinite(phi):
         raise ConfigError(f"flux must be finite, got {phi}")
+    n_max = int(cfg.n_max)
     ec = charging_matrix(build_capacitance_matrix(params))  # validates params first
-    return phi, ec, derive_junction_energies(params)
-
-
-def _modes(ec: np.ndarray, ej, n_max: int, phi: float) -> tuple[np.ndarray, ...]:
+    ej = derive_junction_energies(params)
     modes = (
         _build_block(ec[:1, :1], (ej.ej1,), n_max, phi),
         _build_block(ec[1:2, 1:2], (ej.ej2,), n_max, phi),
         _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
     )
-    return tuple(m.toarray() for m in modes)
-
-
-def assemble_blocks(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> BlockHamiltonians:
-    """The three block Hamiltonians and the charging matrix, without the four-node operator."""
-    phi, ec, ej = _circuit_energies(params, flux)
-    n_max = int(cfg.n_max)
-    return BlockHamiltonians(ec=ec, n_max=n_max, phi_ex=phi, modes=_modes(ec, ej, n_max, phi))
+    return BlockHamiltonians(ec=ec, n_max=n_max, phi_ex=phi, modes=tuple(m.toarray() for m in modes))
 
 
 def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
     """Assemble the circuit Hamiltonian and its block label references at the given reduced flux."""
-    phi, ec, ej = _circuit_energies(params, flux)
-    n_max = int(cfg.n_max)
-    ham = _build_block(ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), n_max, phi, ej.ej5)
-    return SparseHamiltonian(ec=ec, n_max=n_max, phi_ex=phi, modes=_modes(ec, ej, n_max, phi), matrix=ham)
+    blocks = assemble_blocks(params, flux, cfg)
+    ej = derive_junction_energies(params)
+    ham = _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), blocks.n_max, blocks.phi_ex, ej.ej5)
+    return SparseHamiltonian(**vars(blocks), matrix=ham)

@@ -3,14 +3,16 @@
 Two backends solve for the lowest eigenpairs, chosen by basis size:
 
 - the charge basis (n_max 3 and 4, and the oracle everywhere): the four-node
-  operator on (2 n_max + 1)^4 states, by dense LAPACK below 600 states and
-  seeded ARPACK Lanczos above;
+  operator on (2 n_max + 1)^4 states, solved by seeded ARPACK Lanczos;
 - hierarchical (n_max >= 5): node 1, node 2 and the coupler block are
   diagonalized exactly and truncated to 6, 6 and 30 levels, and the
   cross-block charge terms 2 Ec_ij n_i n_j couple them in the resulting
   1080-state product basis, solved densely. The four-node operator is never
-  built, and ``seed`` has no effect. On the reference device zeta agrees with
-  the charge basis at the same n_max to within 0.004 kHz.
+  built, and ``seed`` has no effect. The levels left out are estimated at
+  second order in the cross-block terms; where they would move zeta by more
+  than 0.01 kHz or a computational frequency by more than 1e-5 GHz, the
+  circuit is solved on the charge basis instead. On the reference device
+  zeta agrees with the charge basis at the same n_max to within 0.004 kHz.
 
 Dressed states are labeled |Q1, Q2, c> against the three blocks of
 ``BlockHamiltonians.modes``: Q1 and Q2 are the qubit-node occupations and c
@@ -34,7 +36,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import perturbative
 from .circuit import CircuitParams
-from .errors import LabelingError, SolverError
+from .errors import LabelingError, SolverError, TruncationError
 from .hamiltonian import (
     BlockHamiltonians,
     ChargeBasisConfig,
@@ -46,12 +48,14 @@ from .hamiltonian import (
 AMBIGUITY_THRESHOLD = 0.5
 _QUBIT_LEVELS = 3  # occupations 0..2 per qubit block
 _COUPLER_LEVELS = 6  # ground, the two single- and the three double-excitation levels
-_DENSE_CUTOFF = 600
 _RESIDUAL_FACTOR = 1e-8
 # hierarchical backend: block levels kept in the product basis (6 * 6 * 30 = 1080 states)
 _KEPT_QUBIT_LEVELS = 6
 _KEPT_COUPLER_LEVELS = 30
 _BLOCK_NAMES = ("qubit 1", "qubit 2", "coupler")
+# hierarchical results whose estimated truncation error exceeds these are refused
+_TRUNCATION_ZETA_TOL_KHZ = 0.01
+_TRUNCATION_LEVEL_TOL_GHZ = 1e-5
 # backend crossover, median seconds per 16-pair solve on the reference device, one BLAS thread on a
 # 2-core machine (charge / hierarchical):
 # n_max=4: 0.15 / 0.16 at phi=0, 0.37 / 0.66 at phi=0.15; n_max=5: 0.48 / 0.15 and 1.18 / 0.59;
@@ -126,10 +130,9 @@ class ConvergenceStudy:
 def solve_lowest(operator, k: int, *, seed: int = 0):
     """Lowest-k eigenpairs of a Hermitian operator, ascending.
 
-    A dense array is solved by LAPACK for its lowest k pairs only. A sparse
-    operator is solved densely below a small cutoff and by ARPACK Lanczos
-    above it; the Lanczos start vector is seeded so repeated runs are
-    bit-identical. Residuals are checked against 1e-8 * ||H||_1 per pair.
+    A dense array is solved by LAPACK for its lowest k pairs only, a sparse
+    operator by ARPACK Lanczos from a seeded start vector, so repeated runs
+    are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per pair.
     """
     if isinstance(operator, SparseHamiltonian):
         mat = operator.matrix
@@ -143,9 +146,6 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
 
     if not sp.issparse(mat):
         vals, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
-    elif n <= _DENSE_CUTOFF:
-        vals, vecs = np.linalg.eigh(mat.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n).astype(mat.dtype)
@@ -234,8 +234,8 @@ def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed
     return _spectrum_result(flux, cfg, vals, label_states(vecs, ham), "charge")
 
 
-def _truncated_eigenbasis(name: str, mode: np.ndarray, kept: int):
-    """Lowest ``kept`` eigenpairs of one block; refuses a cut through a near-degenerate pair."""
+def _block_eigenbasis(name: str, mode: np.ndarray, kept: int):
+    """All eigenpairs of one block; refuses a cut at ``kept`` levels through a near-degenerate pair."""
     vals, vecs = np.linalg.eigh(mode)
     gap = vals[kept] - vals[kept - 1] if kept < vals.size else np.inf
     tol = _RESIDUAL_FACTOR * np.abs(mode).sum(axis=0).max()
@@ -244,7 +244,39 @@ def _truncated_eigenbasis(name: str, mode: np.ndarray, kept: int):
             f"{name} block truncated at {kept} levels cuts a near-degenerate pair "
             f"(gap {gap:.3e} GHz < {tol:.3e}); the result would depend on the basis"
         )
-    return vals[:kept], vecs[:, :kept]
+    return vals, vecs
+
+
+def _truncation_shifts(states, energies, block_energies, n1, n2, x, y, ec12: float) -> np.ndarray:
+    """Second-order energy shifts (GHz) of product-basis eigenstates from the block levels left out.
+
+    ``states`` holds eigenvectors as (count, m1, m2, mc) coefficient tensors
+    and ``energies`` their eigenvalues. The cross-block terms couple them to
+    the products outside the kept corner, whose unperturbed energies are sums
+    of block energies; each state shifts by -sum |<out|V|psi>|^2 / (E_out - E).
+    The operators map the kept levels of a block to all of its levels: the
+    node charges ``n1`` and ``n2``, and the coupler factors ``x`` of node 1
+    and ``y`` of node 2; ``ec12`` is Ec_12.
+    """
+    m1, m2, mc = states.shape[1:]
+    e1, e2, e34 = block_energies
+    amp = np.zeros((len(states), e1.size, e2.size, e34.size), dtype=np.result_type(states, x))
+    amp[:, :, :, :mc] += 2.0 * ec12 * np.einsum("Aa,Bb,sabc->sABc", n1, n2, states, optimize=True)
+    amp[:, :, :m2, :] += np.einsum("Aa,Cc,sabc->sAbC", n1, x, states, optimize=True)
+    amp[:, :m1, :, :] += np.einsum("Bb,Cc,sabc->saBC", n2, y, states, optimize=True)
+    amp[:, :m1, :m2, :mc] = 0.0
+    unperturbed = e1[:, None, None] + e2[None, :, None] + e34[None, None, :]
+    shifts = []
+    for weights, energy in zip(np.abs(amp) ** 2, energies):
+        coupled = weights > 0
+        gaps = unperturbed[coupled] - energy
+        if np.any(gaps <= 0):
+            raise TruncationError(
+                f"a left-out product state ({unperturbed[coupled][gaps <= 0].min():.4f} GHz) couples to "
+                f"a kept eigenstate above it ({energy:.4f} GHz)"
+            )
+        shifts.append(-np.sum(weights[coupled] / gaps))
+    return np.array(shifts)
 
 
 def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
@@ -256,51 +288,77 @@ def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -
     energies and the cross-block charge terms 2 Ec_ij n_i n_j; its lowest
     pairs are taken densely. Labels are the squared product coefficients of
     the label corner, assigned as for the charge basis.
+
+    The levels left out shift the computational levels at second order in
+    the cross-block terms. Where that estimate moves zeta by more than
+    0.01 kHz or a computational frequency by more than 1e-5 GHz, the
+    truncation is too coarse for the circuit and ``TruncationError`` is raised.
     """
     blocks = assemble_blocks(params, flux, cfg)
     kept = (_KEPT_QUBIT_LEVELS, _KEPT_QUBIT_LEVELS, _KEPT_COUPLER_LEVELS)
     (e1, v1), (e2, v2), (e34, v34) = (
-        _truncated_eigenbasis(name, mode, m) for name, mode, m in zip(_BLOCK_NAMES, blocks.modes, kept)
+        _block_eigenbasis(name, mode, m) for name, mode, m in zip(_BLOCK_NAMES, blocks.modes, kept)
     )
-
-    # node charges in the block eigenbases; v34 rows run over (n3, n4) in kron order
-    n_max = blocks.n_max
-    charges = np.arange(-n_max, n_max + 1, dtype=float)
-    n1 = (v1.T * charges) @ v1
-    n2 = (v2.T * charges) @ v2
-    n3 = (v34.conj().T * np.repeat(charges, charges.size)) @ v34
-    n4 = (v34.conj().T * np.tile(charges, charges.size)) @ v34
-
-    ec = blocks.ec
     m1, m2, mc = kept
+
+    # node charges from the kept to all levels of each block; v34 rows run over (n3, n4) in kron order
+    charges = np.arange(-blocks.n_max, blocks.n_max + 1, dtype=float)
+    ec = blocks.ec
+    n1 = (v1.T * charges) @ v1[:, :m1]
+    n2 = (v2.T * charges) @ v2[:, :m2]
+    n3 = (v34.conj().T * np.repeat(charges, charges.size)) @ v34[:, :mc]
+    n4 = (v34.conj().T * np.tile(charges, charges.size)) @ v34[:, :mc]
+    x = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4)
+    y = 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)
+
     ham = np.zeros((m1 * m2 * mc,) * 2, dtype=v34.dtype)
-    ham.flat[:: ham.shape[0] + 1] = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :]).ravel()
+    ham.flat[:: ham.shape[0] + 1] = (e1[:m1, None, None] + e2[None, :m2, None] + e34[None, None, :mc]).ravel()
     # each cross term is added through a 6-index view of ham, one block-diagonal slice at a time
     view = ham.reshape(m1, m2, mc, m1, m2, mc)
-    term = 2.0 * ec[0, 1] * n1[:, None, :, None] * n2[None, :, None, :]
+    term = 2.0 * ec[0, 1] * n1[:m1, None, :, None] * n2[None, :m2, None, :]
     for c in range(mc):
         view[:, :, c, :, :, c] += term
-    term = n1[:, None, :, None] * (2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4))[None, :, None, :]
+    term = n1[:m1, None, :, None] * x[None, :mc, None, :]
     for b in range(m2):
         view[:, b, :, :, b, :] += term
-    term = n2[:, None, :, None] * (2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4))[None, :, None, :]
+    term = n2[:m2, None, :, None] * y[None, :mc, None, :]
     for a in range(m1):
         view[a, :, :, a, :, :] += term
 
     k = cfg.num_eigenstates
     vals, vecs = solve_lowest(ham, k)
-    corner = vecs.T.reshape(k, m1, m2, mc)[:, :_QUBIT_LEVELS, :_QUBIT_LEVELS, :_COUPLER_LEVELS]
-    return _spectrum_result(flux, cfg, vals, _assign_labels(np.abs(corner) ** 2), "hierarchical")
+    coefficients = vecs.T.reshape(k, m1, m2, mc)
+    labels = _assign_labels(np.abs(coefficients[:, :_QUBIT_LEVELS, :_QUBIT_LEVELS, :_COUPLER_LEVELS]) ** 2)
+    spec = _spectrum_result(flux, cfg, vals, labels, "hierarchical")
+
+    computational = [[label.occupations for label in labels].index(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
+    shifts = _truncation_shifts(
+        coefficients[computational], vals[computational], (e1, e2, e34), n1, n2, x, y, ec[0, 1]
+    )
+    level_shifts = shifts[1:] - shifts[0]
+    zeta_shift_khz = (shifts[3] - shifts[1] - shifts[2] + shifts[0]) * 1e6
+    if abs(zeta_shift_khz) > _TRUNCATION_ZETA_TOL_KHZ or np.abs(level_shifts).max() > _TRUNCATION_LEVEL_TOL_GHZ:
+        raise TruncationError(
+            f"levels left out of the {m1}x{m2}x{mc} product basis shift zeta by about {zeta_shift_khz:.3g} kHz "
+            f"and the computational levels by up to {np.abs(level_shifts).max():.3g} GHz",
+            spectrum=spec,
+            zeta_shift_khz=zeta_shift_khz,
+        )
+    return spec
 
 
 def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> SpectrumResult:
     """Solve, label and ground-reference the spectrum at one flux.
 
-    n_max >= 5 takes the hierarchical backend, which ignores ``seed``; smaller
-    bases take the charge-basis oracle.
+    n_max >= 5 takes the hierarchical backend, which ignores ``seed``, unless
+    it refuses the circuit with ``TruncationError``; smaller bases and refused
+    circuits take the charge-basis oracle.
     """
     if cfg.n_max >= _HIERARCHICAL_MIN_N_MAX:
-        return hierarchical_spectrum(params, flux, cfg)
+        try:
+            return hierarchical_spectrum(params, flux, cfg)
+        except TruncationError:
+            pass
     return charge_spectrum(params, flux, cfg, seed=seed)
 
 

@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdtc.errors import LabelingError
+from csdtc.errors import LabelingError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
+    _zeta_from_spectrum,
+    charge_spectrum,
     convergence_study,
+    hierarchical_spectrum,
     label_states,
     solve_lowest,
     spectrum_at,
@@ -120,6 +123,27 @@ class TestBackends:
             oracle_zeta_khz += sign * (vals[state] - vals[0]) * 1e6
         assert zeta_khz == pytest.approx(oracle_zeta_khz, abs=0.01)
 
+    def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device):
+        # a 5 fF direct qubit-qubit capacitance couples the qubits to their levels above the 6 kept
+        coupled = replace(device, c12=5.0)
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        with pytest.raises(TruncationError, match="shift zeta by about"):
+            hierarchical_spectrum(coupled, 0.0, cfg)
+        spec = spectrum_at(coupled, 0.0, cfg)
+        oracle = charge_spectrum(coupled, 0.0, cfg)
+        assert spec.backend == "charge"
+        assert np.array_equal(spec.eigenfrequencies_ghz, oracle.eigenfrequencies_ghz)
+
+
+    def test_truncation_estimate_accounts_for_hierarchical_error(self, device):
+        # mutuals of a few fF between all blocks, so each of the three cross terms shifts zeta
+        coupled = replace(device, c12=2.0, c13=20.0, c24=20.0, c14=5.0, c23=5.0)
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        with pytest.raises(TruncationError) as refused:
+            hierarchical_spectrum(coupled, 0.0, cfg)
+        oracle_khz = _zeta_from_spectrum(charge_spectrum(coupled, 0.0, cfg))
+        error_khz = _zeta_from_spectrum(refused.value.spectrum) - oracle_khz
+        assert error_khz == pytest.approx(-refused.value.zeta_shift_khz, rel=0.1)
 
 class TestZZ:
     def test_decoupled_zero(self, decoupled):

@@ -1,8 +1,8 @@
 """The hierarchical backend against the charge-basis oracle over random admissible parameter sets, at n_max=3.
 
 With every block level kept, the product basis spans the whole charge basis,
-so the two backends must agree for any circuit. At the shipped truncation
-they agree exactly when no cross-block capacitance couples the blocks.
+so the two backends must agree for any circuit. At the shipped truncation the
+backend either agrees with the oracle or refuses the circuit.
 """
 
 from dataclasses import replace
@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from csdtc import spectrum  # noqa: E402
 from csdtc.circuit import validate_params  # noqa: E402
-from csdtc.errors import LabelingError  # noqa: E402
+from csdtc.errors import LabelingError, TruncationError  # noqa: E402
 from csdtc.hamiltonian import ChargeBasisConfig  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
 
@@ -46,11 +46,15 @@ def test_hierarchical_with_every_level_kept_matches_oracle(params, phi):
     assert abs(hierarchical - oracle) < 0.1
 
 
-@SPECTRUM_SETTINGS
-@given(PARAMETER_SETS, FLUXES)
-def test_hierarchical_without_cross_block_capacitance_matches_oracle(params, phi):
-    free = replace(params, c12=0.0, c13=0.0, c14=0.0, c23=0.0, c24=0.0)
-    oracle = _oracle_zeta(free, phi)
-    hierarchical = spectrum._zeta_from_spectrum(spectrum.hierarchical_spectrum(free, phi, CFG3))
+@settings(SPECTRUM_SETTINGS, max_examples=20)
+@given(PARAMETER_SETS, FLUXES, st.sampled_from([1.0, 0.1]))
+def test_hierarchical_matches_oracle_or_refuses(params, phi, mutual_scale):
+    # a scale of 0.1 shrinks the cross-block capacitances to 0-3 fF, where the truncation mostly holds
+    mutuals = {name: mutual_scale * getattr(params, name) for name in ("c12", "c13", "c14", "c23", "c24")}
+    params = replace(params, **mutuals)
+    oracle = _oracle_zeta(params, phi)
+    try:
+        hierarchical = spectrum._zeta_from_spectrum(spectrum.hierarchical_spectrum(params, phi, CFG3))
+    except TruncationError:
+        return
     assert abs(hierarchical - oracle) < 0.1
-    assert abs(hierarchical) < 0.1
