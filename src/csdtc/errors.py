@@ -18,7 +18,7 @@ class NumericsError(RuntimeError):
 
 
 class SolverError(NumericsError):
-    """The eigensolver failed to reach its residual contract."""
+    """An eigensolve failed its residual contract, or its operator is too large or lacks the symmetry it needs."""
 
 
 class TruncationError(SolverError):

@@ -10,6 +10,17 @@ The external flux enters only through the phase of the JJ5 hopping term, so
 the spectrum is exactly periodic in the reduced flux, and even in it: the
 parity map n_i -> -n_i conjugates that phase.
 
+Real form. In kron order that parity map is the index reflection
+P: i -> dim - 1 - i, and P H P = H* at every flux, for the four-node operator
+and for each block alike. The antiunitary P K (K complex conjugation)
+squares to one, so it fixes a real basis in which H is real symmetric:
+(e_i + e_Pi)/sqrt2 for i < h = dim // 2, the centre e_h (all charges zero)
+and i (e_i - e_Pi)/sqrt2. ``real_form`` writes H on that basis from the top
+h rows of H alone, with real slices, and ``from_real_form`` maps eigenvectors
+back. The transformation is unitary, so the eigenvalues are those of H
+exactly. Where H is real (flux 0 or 1/2) the real form is block-diagonal:
+the first h + 1 states span the parity-even sector, the last h the odd one.
+
 One builder assembles this operator and its three blocks: node 1, node 2,
 and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
 returns the blocks and the charging matrix alone, without the four-node
@@ -29,10 +40,13 @@ from .circuit import (
     charging_matrix,
     derive_junction_energies,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 
-_DIMENSION_CAP = 2_000_000
+_DIMENSION_CAP = 2_000_000  # four-node operator, built by the charge basis only
+_BLOCK_DIMENSION_CAP = 2_500  # the coupler block, solved densely by every backend
 _REAL_PHASE_TOL = 1e-15
+_MIRROR_TOL = 1e-12  # relative departure from P H P = H* that the real form accepts
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -47,9 +61,10 @@ class ChargeBasisConfig:
             raise ConfigError(f"n_max must be an integer >= 3, got {self.n_max}")
         if int(self.num_eigenstates) != self.num_eigenstates or self.num_eigenstates < 6:
             raise ConfigError(f"num_eigenstates must be an integer >= 6, got {self.num_eigenstates}")
-        if self.dimension > _DIMENSION_CAP:
+        if self.states_per_node**2 > _BLOCK_DIMENSION_CAP:
             raise ConfigError(
-                f"n_max={self.n_max} gives dimension {self.dimension} beyond the supported {_DIMENSION_CAP}"
+                f"n_max={self.n_max} gives a coupler block of dimension {self.states_per_node**2} "
+                f"beyond the supported {_BLOCK_DIMENSION_CAP}"
             )
 
     @property
@@ -172,8 +187,90 @@ def assemble_blocks(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) 
 
 
 def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
-    """Assemble the circuit Hamiltonian and its block label references at the given reduced flux."""
+    """Assemble the circuit Hamiltonian and its block label references at the given reduced flux.
+
+    Raises ``SolverError``, before allocating anything, when the four-node
+    operator is larger than the supported dimension.
+    """
+    if cfg.dimension > _DIMENSION_CAP:
+        raise SolverError(
+            f"the four-node operator at n_max={cfg.n_max} has dimension {cfg.dimension} "
+            f"beyond the supported {_DIMENSION_CAP}"
+        )
     blocks = assemble_blocks(params, flux, cfg)
     ej = derive_junction_energies(params)
     ham = _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), blocks.n_max, blocks.phi_ex, ej.ej5)
     return SparseHamiltonian(**vars(blocks), matrix=ham)
+
+
+def _require_mirror_symmetry(mat) -> None:
+    """Raise ``SolverError`` unless P H P = H*, entry by entry, in O(nnz).
+
+    Reversing the flat entries of a dense matrix, or the data and index
+    arrays of a canonical CSR matrix, applies P on both sides; each entry of
+    the first half is compared with its conjugated mirror in the second.
+    """
+    if sp.issparse(mat):
+        mat.sum_duplicates()
+        dim = mat.shape[1]
+        if not (
+            np.array_equal(mat.indptr, mat.nnz - mat.indptr[::-1])
+            and np.array_equal(mat.indices, (dim - 1) - mat.indices[::-1])
+        ):
+            raise SolverError("operator sparsity is not symmetric under the charge reflection n -> -n")
+        data = mat.data
+    else:
+        data = mat.ravel()
+    half = (data.size + 1) // 2
+    top, mirror = data[:half], data[::-1][:half]
+    scale = _MIRROR_TOL * np.abs(top).max(initial=0.0)
+    real_gap = np.abs(top.real - mirror.real).max(initial=0.0)
+    imag_gap = np.abs(top.imag + mirror.imag).max(initial=0.0) if np.iscomplexobj(data) else 0.0
+    if max(real_gap, imag_gap) > scale:
+        raise SolverError(
+            f"operator breaks P H P = H* under the charge reflection n -> -n by {max(real_gap, imag_gap):.3e} "
+            f"(> {scale:.3e}); its real form would not represent it"
+        )
+
+
+def real_form(mat):
+    """The real symmetric matrix of a dense or CSR operator H with P H P = H* on the basis of the module docstring.
+
+    With h = dim // 2, A = H[:h, :h], B = H[:h, h+1:] with its columns
+    reversed and c = H[:h, h], the result is
+
+        [[Re A + Re B,    sqrt2 Re c,  Im B - Im A ],
+         [sqrt2 Re c^T,   H_hh,        sqrt2 Im c^T],
+         [(Im B - Im A)^T, sqrt2 Im c, Re A - Re B ]],
+
+    in the operator's own kind (CSR or dense). Only the top h + 1 rows are
+    read, so the symmetry is checked first: ``SolverError`` if it fails.
+    """
+    _require_mirror_symmetry(mat)
+    h = mat.shape[0] // 2
+    a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
+    mixed = b.imag - a.imag
+    even, odd = _SQRT2 * c.real, _SQRT2 * c.imag
+    blocks = [
+        [a.real + b.real, even, mixed],
+        [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
+        [mixed.T, odd, a.real - b.real],
+    ]
+    if not sp.issparse(mat):
+        return np.block(blocks)
+    folded = sp.bmat(blocks, format="csr")
+    folded.eliminate_zeros()
+    return folded
+
+
+def from_real_form(vectors: np.ndarray) -> np.ndarray:
+    """Map column vectors on the real-form basis back to the charge basis."""
+    h = vectors.shape[0] // 2
+    out = np.empty(vectors.shape, dtype=np.complex128)
+    top = out[:h]
+    top.real = vectors[:h]
+    top.imag = vectors[h + 1 :]
+    top /= _SQRT2
+    out[h] = vectors[h]
+    np.conjugate(top[::-1], out=out[h + 1 :])
+    return out

@@ -14,6 +14,16 @@ Two backends solve for the lowest eigenpairs, chosen by basis size:
   circuit is solved on the charge basis instead. On the reference device
   zeta agrees with the charge basis at the same n_max to within 0.004 kHz.
 
+Every eigensolve is real. The charge reflection n -> -n conjugates every
+operator here (P H P = H*), so each has a real symmetric form on a fixed
+basis (``hamiltonian.real_form``) with exactly its eigenvalues. The charge
+basis solves that form wherever H is complex (flux off 0 and 1/2) and maps
+the eigenvectors back; where H is real it is solved as it is. The
+hierarchical backend diagonalizes each block in its real form at every flux.
+There each node charge, odd under the reflection, becomes i N with N real,
+so the cross terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and the product
+matrix is real as well.
+
 Dressed states are labeled |Q1, Q2, c> against the three blocks of
 ``BlockHamiltonians.modes``: Q1 and Q2 are the qubit-node occupations and c
 is the level index of the coupler block (nodes 3 and 4 with JJ5 at the flux).
@@ -43,6 +53,8 @@ from .hamiltonian import (
     SparseHamiltonian,
     assemble_blocks,
     assemble_hamiltonian,
+    from_real_form,
+    real_form,
 )
 
 AMBIGUITY_THRESHOLD = 0.5
@@ -57,9 +69,9 @@ _BLOCK_NAMES = ("qubit 1", "qubit 2", "coupler")
 _TRUNCATION_ZETA_TOL_KHZ = 0.01
 _TRUNCATION_LEVEL_TOL_GHZ = 1e-5
 # backend crossover, median seconds per 16-pair solve on the reference device, one BLAS thread on a
-# 2-core machine (charge / hierarchical):
-# n_max=4: 0.15 / 0.16 at phi=0, 0.37 / 0.66 at phi=0.15; n_max=5: 0.48 / 0.15 and 1.18 / 0.59;
-# n_max=7: 2.19 / 0.16 and 4.62 / 0.68
+# 2-core x86-64 machine (charge / hierarchical):
+# n_max=4: 0.16 / 0.17 at phi=0, 0.20 / 0.18 at phi=0.15; n_max=5: 0.55 / 0.19 and 0.59 / 0.19;
+# n_max=7: 2.33 / 0.19 and 2.60 / 0.18
 _HIERARCHICAL_MIN_N_MAX = 5
 
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
@@ -210,10 +222,17 @@ def _assign_labels(overlaps: np.ndarray):
     return tuple(labels)
 
 
+def _lowest_block_states(mode: np.ndarray, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvectors of a block; a complex block is solved in its real form."""
+    if np.iscomplexobj(mode):
+        return from_real_form(np.linalg.eigh(real_form(mode))[1][:, :count])
+    return np.linalg.eigh(mode)[1][:, :count]
+
+
 def label_states(eigvecs, ham: BlockHamiltonians):
     """Label charge-basis eigenstates by the overlap-maximizing unique assignment to block eigenstate products."""
     levels = (_QUBIT_LEVELS, _QUBIT_LEVELS, _COUPLER_LEVELS)
-    bases = [np.linalg.eigh(h)[1][:, :n] for h, n in zip(ham.modes, levels)]
+    bases = [_lowest_block_states(h, n) for h, n in zip(ham.modes, levels)]
     return _assign_labels(_product_overlaps(eigvecs, bases))
 
 
@@ -228,15 +247,26 @@ def _spectrum_result(flux, cfg: ChargeBasisConfig, vals: np.ndarray, labels, bac
 
 
 def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> SpectrumResult:
-    """The oracle: solve the four-node charge-basis operator and label against its blocks."""
+    """The oracle: solve the four-node charge-basis operator and label against its blocks.
+
+    A complex operator is solved in its real form and its eigenvectors mapped back.
+    """
     ham = assemble_hamiltonian(params, flux, cfg)
-    vals, vecs = solve_lowest(ham, cfg.num_eigenstates, seed=seed)
-    return _spectrum_result(flux, cfg, vals, label_states(vecs, ham), "charge")
+    blocks = BlockHamiltonians(ec=ham.ec, n_max=ham.n_max, phi_ex=ham.phi_ex, modes=ham.modes)
+    if np.iscomplexobj(ham.matrix):
+        folded = real_form(ham.matrix)
+        del ham  # labels need only the blocks: free the complex operator before the solve
+        vals, vecs = solve_lowest(folded, cfg.num_eigenstates, seed=seed)
+        del folded
+        vecs = from_real_form(vecs)
+    else:
+        vals, vecs = solve_lowest(ham, cfg.num_eigenstates, seed=seed)
+    return _spectrum_result(flux, cfg, vals, label_states(vecs, blocks), "charge")
 
 
 def _block_eigenbasis(name: str, mode: np.ndarray, kept: int):
-    """All eigenpairs of one block; refuses a cut at ``kept`` levels through a near-degenerate pair."""
-    vals, vecs = np.linalg.eigh(mode)
+    """All eigenpairs of one block in its real form; refuses a cut at ``kept`` levels through a near-degenerate pair."""
+    vals, vecs = np.linalg.eigh(real_form(mode))
     gap = vals[kept] - vals[kept - 1] if kept < vals.size else np.inf
     tol = _RESIDUAL_FACTOR * np.abs(mode).sum(axis=0).max()
     if gap < tol:
@@ -247,6 +277,19 @@ def _block_eigenbasis(name: str, mode: np.ndarray, kept: int):
     return vals, vecs
 
 
+def _real_charge(vecs: np.ndarray, charges: np.ndarray, kept: int) -> np.ndarray:
+    """N with n = i N for a node charge, from the first ``kept`` real-form eigenvectors of a block to all of them.
+
+    On the real-form basis a charge diagonal ``charges``, odd under the
+    reflection, is i [[0, 0, D], [0, 0, 0], [-D, 0, 0]] with D its first
+    dim // 2 entries.
+    """
+    h = vecs.shape[0] // 2
+    top = charges[:h, None]
+    even, odd = vecs[:h], vecs[h + 1 :]
+    return even.T @ (top * odd[:, :kept]) - odd.T @ (top * even[:, :kept])
+
+
 def _truncation_shifts(states, energies, block_energies, n1, n2, x, y, ec12: float) -> np.ndarray:
     """Second-order energy shifts (GHz) of product-basis eigenstates from the block levels left out.
 
@@ -255,12 +298,14 @@ def _truncation_shifts(states, energies, block_energies, n1, n2, x, y, ec12: flo
     the products outside the kept corner, whose unperturbed energies are sums
     of block energies; each state shifts by -sum |<out|V|psi>|^2 / (E_out - E).
     The operators map the kept levels of a block to all of its levels: the
-    node charges ``n1`` and ``n2``, and the coupler factors ``x`` of node 1
-    and ``y`` of node 2; ``ec12`` is Ec_12.
+    real node charges ``n1`` and ``n2`` (N with n = i N), and the coupler
+    factors ``x`` of node 1 and ``y`` of node 2; ``ec12`` is Ec_12. The
+    cross terms are minus the sum formed here, a sign that drops out of
+    |<out|V|psi>|^2.
     """
     m1, m2, mc = states.shape[1:]
     e1, e2, e34 = block_energies
-    amp = np.zeros((len(states), e1.size, e2.size, e34.size), dtype=np.result_type(states, x))
+    amp = np.zeros((len(states), e1.size, e2.size, e34.size))
     amp[:, :, :, :mc] += 2.0 * ec12 * np.einsum("Aa,Bb,sabc->sABc", n1, n2, states, optimize=True)
     amp[:, :, :m2, :] += np.einsum("Aa,Cc,sabc->sAbC", n1, x, states, optimize=True)
     amp[:, :m1, :, :] += np.einsum("Bb,Cc,sabc->saBC", n2, y, states, optimize=True)
@@ -283,11 +328,12 @@ def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -
     """Spectrum in the product basis of the lowest block eigenstates, without the four-node operator.
 
     Node 1, node 2 and the coupler block (which holds all the flux dependence
-    and JJ5) are diagonalized exactly and truncated to 6, 6 and 30 levels. In
-    that 1080-state product basis the Hamiltonian is the sum of the block
-    energies and the cross-block charge terms 2 Ec_ij n_i n_j; its lowest
-    pairs are taken densely. Labels are the squared product coefficients of
-    the label corner, assigned as for the charge basis.
+    and JJ5) are diagonalized exactly in their real forms and truncated to 6,
+    6 and 30 levels. In that 1080-state product basis the Hamiltonian is the
+    sum of the block energies and the cross-block charge terms
+    2 Ec_ij n_i n_j = -2 Ec_ij N_i N_j, all real; its lowest pairs are taken
+    densely. Labels are the squared product coefficients of the label
+    corner, assigned as for the charge basis.
 
     The levels left out shift the computational levels at second order in
     the cross-block terms. Where that estimate moves zeta by more than
@@ -301,29 +347,29 @@ def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -
     )
     m1, m2, mc = kept
 
-    # node charges from the kept to all levels of each block; v34 rows run over (n3, n4) in kron order
+    # real node charges N (n = i N) from the kept to all levels of each block; v34 rows run over (n3, n4)
     charges = np.arange(-blocks.n_max, blocks.n_max + 1, dtype=float)
     ec = blocks.ec
-    n1 = (v1.T * charges) @ v1[:, :m1]
-    n2 = (v2.T * charges) @ v2[:, :m2]
-    n3 = (v34.conj().T * np.repeat(charges, charges.size)) @ v34[:, :mc]
-    n4 = (v34.conj().T * np.tile(charges, charges.size)) @ v34[:, :mc]
+    n1 = _real_charge(v1, charges, m1)
+    n2 = _real_charge(v2, charges, m2)
+    n3 = _real_charge(v34, np.repeat(charges, charges.size), mc)
+    n4 = _real_charge(v34, np.tile(charges, charges.size), mc)
     x = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4)
     y = 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)
 
-    ham = np.zeros((m1 * m2 * mc,) * 2, dtype=v34.dtype)
+    ham = np.zeros((m1 * m2 * mc,) * 2)
     ham.flat[:: ham.shape[0] + 1] = (e1[:m1, None, None] + e2[None, :m2, None] + e34[None, None, :mc]).ravel()
-    # each cross term is added through a 6-index view of ham, one block-diagonal slice at a time
+    # each cross term (-2 Ec_ij N_i N_j) is subtracted through a 6-index view of ham, one block-diagonal slice at a time
     view = ham.reshape(m1, m2, mc, m1, m2, mc)
     term = 2.0 * ec[0, 1] * n1[:m1, None, :, None] * n2[None, :m2, None, :]
     for c in range(mc):
-        view[:, :, c, :, :, c] += term
+        view[:, :, c, :, :, c] -= term
     term = n1[:m1, None, :, None] * x[None, :mc, None, :]
     for b in range(m2):
-        view[:, b, :, :, b, :] += term
+        view[:, b, :, :, b, :] -= term
     term = n2[:m2, None, :, None] * y[None, :mc, None, :]
     for a in range(m1):
-        view[a, :, :, a, :, :] += term
+        view[a, :, :, a, :, :] -= term
 
     k = cfg.num_eigenstates
     vals, vecs = solve_lowest(ham, k)

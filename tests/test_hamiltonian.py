@@ -1,17 +1,22 @@
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from csdtc.circuit import build_capacitance_matrix, charging_matrix, derive_junction_energies
-from csdtc.errors import ConfigError
+from csdtc.errors import ConfigError, SolverError
 from csdtc.hamiltonian import (
     ChargeBasisConfig,
     assemble_hamiltonian,
+    from_real_form,
+    real_form,
     single_mode_operators,
 )
-from csdtc.spectrum import solve_lowest
+from csdtc.spectrum import charge_spectrum, solve_lowest
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=8)
 
@@ -30,6 +35,22 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ChargeBasisConfig(**kwargs)
+
+    def test_basis_beyond_four_node_cap_constructs(self):
+        # the hierarchical backend never builds the 39**4-state operator, only 1521-state coupler blocks
+        assert ChargeBasisConfig(n_max=19).dimension == 2313441
+
+    def test_four_node_operator_beyond_cap_refused_before_allocating(self, device):
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(SolverError, match="dimension 2313441 beyond the supported 2000000"):
+                charge_spectrum(device, 0.3, ChargeBasisConfig(n_max=19))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1.0
+        assert peak < 1_000_000
 
 
 class TestSingleModeOperators:
@@ -98,6 +119,35 @@ class TestAssembly:
         center = (2401 - 1) // 2
         # diagonal there is the JJ-constant only (cos contributes off-diagonal)
         assert ham[center, center] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("phi", [0.3, -0.45])
+    def test_eigenpairs_map_back_to_the_operator(self, device, phi):
+        ham = assemble_hamiltonian(device, phi, CFG3).matrix
+        folded = real_form(ham)
+        assert folded.dtype == np.float64
+        vals, real_vecs = solve_lowest(folded, 8)
+        vecs = from_real_form(real_vecs)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-10)
+        assert np.abs(ham @ vecs - vecs * vals).max() < 1e-8 * abs(ham).sum(axis=0).max()
+
+    def test_dense_block_folds_like_the_operator(self, device):
+        coupler = assemble_hamiltonian(device, 0.3, CFG3).modes[2]
+        folded = real_form(coupler)
+        assert np.array_equal(folded, folded.T)
+        assert np.allclose(np.linalg.eigvalsh(folded), np.linalg.eigvalsh(coupler), atol=1e-12)
+
+    def test_operator_breaking_the_reflection_is_refused(self, device, monkeypatch):
+        from csdtc import spectrum
+
+        ham = assemble_hamiltonian(device, 0.3, CFG3)
+        # a charge bias on node 1 alone: odd, not even, under n -> -n
+        bias = np.repeat(np.arange(-3.0, 4.0), 7**3)
+        broken = replace(ham, matrix=(ham.matrix + 0.01 * sp.diags(bias)).tocsr())
+        monkeypatch.setattr(spectrum, "assemble_hamiltonian", lambda *args: broken)
+        with pytest.raises(SolverError, match="breaks P H P = H"):
+            charge_spectrum(device, 0.3, CFG3)
 
 
 class TestUncoupledReference:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from csdtc.errors import LabelingError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
@@ -122,6 +124,27 @@ class TestBackends:
             zeta_khz += sign * spec.eigenfrequencies_ghz[state] * 1e6
             oracle_zeta_khz += sign * (vals[state] - vals[0]) * 1e6
         assert zeta_khz == pytest.approx(oracle_zeta_khz, abs=0.01)
+
+    @pytest.mark.parametrize("n_max, backend", [(3, "charge"), (5, "hierarchical")])
+    def test_every_eigensolve_is_real_at_complex_flux(self, device, monkeypatch, n_max, backend):
+        seen = []
+
+        def recording(module, name):
+            solver = getattr(module, name)
+
+            def solve(matrix, *args, **kwargs):
+                seen.append((f"{module.__name__}.{name}", matrix.dtype))
+                return solver(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, solve)
+
+        for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
+            recording(module, name)
+        spec = spectrum_at(device, 0.3, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
+        assert spec.backend == backend
+        operator_solver = "scipy.sparse.linalg.eigsh" if backend == "charge" else "scipy.linalg.eigh"
+        assert {name for name, _ in seen} == {operator_solver, "numpy.linalg.eigh"}
+        assert all(dtype == np.float64 for _, dtype in seen)
 
     def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device):
         # a 5 fF direct qubit-qubit capacitance couples the qubits to their levels above the 6 kept

@@ -1,14 +1,19 @@
-"""The hierarchical backend against the charge-basis oracle over random admissible parameter sets, at n_max=3.
+"""Both backends against dense references over random admissible parameter sets, at n_max=3.
 
+The charge basis, solved sparsely in its real form, must give the lowest
+eigenvalues of the dense complex operator, and the real form must be U^H H U.
 With every block level kept, the product basis spans the whole charge basis,
 so the two backends must agree for any circuit. At the shipped truncation the
-backend either agrees with the oracle or refuses the circuit.
+hierarchical backend either agrees with the oracle or refuses the circuit.
 """
 
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
 
@@ -18,13 +23,15 @@ from hypothesis import strategies as st  # noqa: E402
 from csdtc import spectrum  # noqa: E402
 from csdtc.circuit import validate_params  # noqa: E402
 from csdtc.errors import LabelingError, TruncationError  # noqa: E402
-from csdtc.hamiltonian import ChargeBasisConfig  # noqa: E402
+from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, real_form  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=16)
 FLUXES = st.sampled_from([0.0, 0.15, 0.25])
 REAL_FLUXES = st.sampled_from([0.0, 0.5])  # a real 2401-state product matrix keeps the full-basis check cheap
 SPECTRUM_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=10)
+HALF_PERIOD_FLUXES = st.sampled_from([0.0, 0.5, -0.5])  # where the operator is real
+ALL_FLUXES = st.one_of(HALF_PERIOD_FLUXES, st.floats(-1.0, 1.0))
 
 
 def _oracle_zeta(params, phi):
@@ -58,3 +65,45 @@ def test_hierarchical_matches_oracle_or_refuses(params, phi, mutual_scale):
     except TruncationError:
         return
     assert abs(hierarchical - oracle) < 0.1
+
+
+def _real_form_basis(dim: int) -> sp.csr_matrix:
+    """U with columns (e_i + e_Pi)/sqrt2, e_h, i (e_i - e_Pi)/sqrt2, P the reflection i -> dim - 1 - i."""
+    h = dim // 2
+    top = np.arange(h)
+    rows = np.concatenate([top, top[::-1] + h + 1, [h], top, top[::-1] + h + 1])
+    cols = np.concatenate([top, top, [h], top + h + 1, top + h + 1])
+    vals = np.concatenate([np.ones(2 * h), [np.sqrt(2.0)], np.full(h, 1j), np.full(h, -1j)]) / np.sqrt(2.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+@settings(SPECTRUM_SETTINGS, max_examples=6)  # each dense complex 2401-state reference takes about 3.5 s
+@given(PARAMETER_SETS, ALL_FLUXES)
+def test_charge_basis_matches_dense_operator(params, phi):
+    assume(not validate_params(params))
+    try:
+        spec = spectrum.charge_spectrum(params, phi, CFG3)
+    except LabelingError:
+        assume(False)
+    ham = assemble_hamiltonian(params, phi, CFG3).matrix
+    dense = sla.eigvalsh(ham.toarray(), subset_by_index=[0, CFG3.num_eigenstates - 1])
+    assert np.abs(spec.eigenfrequencies_ghz - (dense - dense[0])).max() <= 1e-9
+
+
+@SPECTRUM_SETTINGS
+@given(PARAMETER_SETS, ALL_FLUXES)
+def test_real_form_is_the_operator_on_the_reflection_basis(params, phi):
+    assume(not validate_params(params))
+    ham = assemble_hamiltonian(params, phi, CFG3).matrix
+    basis = _real_form_basis(ham.shape[0])
+    expected = (basis.conj().T @ ham @ basis).toarray()
+    assert np.abs(real_form(ham).toarray() - expected).max() <= 1e-12 * abs(ham).max()
+
+
+@SPECTRUM_SETTINGS
+@given(PARAMETER_SETS, HALF_PERIOD_FLUXES)
+def test_real_form_splits_into_parity_sectors_at_real_flux(params, phi):
+    assume(not validate_params(params))
+    folded = real_form(assemble_hamiltonian(params, phi, CFG3).matrix)
+    h = folded.shape[0] // 2
+    assert folded[: h + 1, h + 1 :].nnz == 0  # even sector and centre | odd sector
