@@ -14,7 +14,6 @@ from .circuit import (
     derive_junction_energies,
     load_params,
     reference_device,
-    validate_params,
 )
 from .design import closed_form_design, search_design
 from .hamiltonian import ChargeBasisConfig, assemble_hamiltonian
@@ -62,7 +61,6 @@ __all__ = [
     "sweep_flux",
     "synth_trace",
     "two_mode_reduction",
-    "validate_params",
     "zero_coupling_c34",
     "zz_interaction",
 ]

@@ -36,7 +36,10 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Node capacitances and mutual capacitances in fF, critical currents in nA."""
+    """Node capacitances and mutual capacitances in fF, critical currents in nA.
+
+    Construction raises ``ParameterError`` naming each violated invariant.
+    """
 
     c11: float
     c22: float
@@ -53,6 +56,9 @@ class CircuitParams:
     ic3: float
     ic4: float
     ic5: float
+
+    def __post_init__(self):
+        require_valid(self)
 
     def with_c34(self, c34_ff: float) -> "CircuitParams":
         return replace(self, c34=c34_ff)
@@ -78,8 +84,8 @@ def _display(field: str) -> str:
     return field.capitalize() if field.startswith("c") else "Ic" + field[2:]
 
 
-def validate_params(params: CircuitParams) -> list[str]:
-    """Return one message per violated invariant; empty means admissible."""
+def require_valid(params: CircuitParams) -> None:
+    """Raise ``ParameterError`` with one message per violated invariant, joined by "; "."""
     report = []
     for name in _NODE_FIELDS:
         value = getattr(params, name)
@@ -95,31 +101,22 @@ def validate_params(params: CircuitParams) -> list[str]:
             report.append(f"critical current {_display(name)} must be strictly positive, got {value}")
     if not report:
         try:
-            np.linalg.cholesky(_assemble_capacitance(params))
+            np.linalg.cholesky(build_capacitance_matrix(params))
         except np.linalg.LinAlgError:
             report.append("assembled capacitance matrix is not positive definite")
-    return report
-
-
-def require_valid(params: CircuitParams) -> None:
-    report = validate_params(params)
     if report:
         raise ParameterError("; ".join(report))
 
 
 def derive_junction_energies(params: CircuitParams) -> JunctionEnergies:
     """Josephson energies E_Ji/h = Phi0 Ic_i / (2 pi h) and L_J5 = (Phi0/2pi)/Ic5."""
-    ej = []
-    for name in _CURRENT_FIELDS:
-        ic = getattr(params, name)
-        if not np.isfinite(ic) or ic <= 0:
-            raise ParameterError(f"critical current {_display(name)} must be strictly positive, got {ic}")
-        ej.append(PHI0_REDUCED * (ic * NA) / PLANCK_H / GHZ)
+    ej = [PHI0_REDUCED * (getattr(params, name) * NA) / PLANCK_H / GHZ for name in _CURRENT_FIELDS]
     lj5 = PHI0_REDUCED / (params.ic5 * NA) / NH
     return JunctionEnergies(*ej, lj5_nh=lj5)
 
 
-def _assemble_capacitance(params: CircuitParams) -> np.ndarray:
+def build_capacitance_matrix(params: CircuitParams) -> np.ndarray:
+    """Node capacitance matrix (F) of the parameter set."""
     mat = np.zeros((4, 4))
     for name, (i, j) in _MUTUAL_INDEX.items():
         value = getattr(params, name) * FF
@@ -129,12 +126,6 @@ def _assemble_capacitance(params: CircuitParams) -> np.ndarray:
         # diagonal = own node capacitance plus every mutual touching the node
         mat[i, i] = getattr(params, name) * FF - (mat[i].sum() - mat[i, i])
     return mat
-
-
-def build_capacitance_matrix(params: CircuitParams) -> np.ndarray:
-    """Validate the parameter set (positive definiteness included) and assemble its matrix (F)."""
-    require_valid(params)
-    return _assemble_capacitance(params)
 
 
 def charging_matrix(cmat: np.ndarray) -> np.ndarray:

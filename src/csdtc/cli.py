@@ -30,7 +30,7 @@ EXIT_NUMERICAL = 3
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' (inclusive endpoints) or a single value."""
+    """Parse 'start:stop:count' (inclusive endpoints, so a count of 1 needs start == stop) or a single value."""
     parts = str(text).split(":")
     try:
         if len(parts) == 1:
@@ -38,7 +38,7 @@ def parse_grid(text: str) -> np.ndarray:
         if len(parts) == 3:
             start, stop = float(parts[0]), float(parts[1])
             count = int(parts[2])
-            if count < 1:
+            if count < 1 or (count == 1 and start != stop):
                 raise ValueError
             return np.linspace(start, stop, count)
     except ValueError:

@@ -23,8 +23,8 @@ the first h + 1 states span the parity-even sector, the last h the odd one.
 
 One builder assembles this operator and its three blocks: node 1, node 2,
 and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
-returns the blocks and the charging matrix alone, without the four-node
-operator.
+returns the blocks, the charging matrix and the junction energies, without
+the four-node operator.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import scipy.sparse as sp
 
 from .circuit import (
     CircuitParams,
+    JunctionEnergies,
     build_capacitance_matrix,
     charging_matrix,
     derive_junction_energies,
@@ -170,20 +171,22 @@ def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | N
     return ham
 
 
-def assemble_blocks(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> BlockHamiltonians:
-    """The three block Hamiltonians and the charging matrix, without the four-node operator."""
+def assemble_blocks(
+    params: CircuitParams, flux: float, cfg: ChargeBasisConfig
+) -> tuple[BlockHamiltonians, JunctionEnergies]:
+    """The block Hamiltonians and charging matrix, without the four-node operator, and the junction energies."""
     phi = float(flux)
     if not np.isfinite(phi):
         raise ConfigError(f"flux must be finite, got {phi}")
     n_max = int(cfg.n_max)
-    ec = charging_matrix(build_capacitance_matrix(params))  # validates params first
+    ec = charging_matrix(build_capacitance_matrix(params))
     ej = derive_junction_energies(params)
     modes = (
         _build_block(ec[:1, :1], (ej.ej1,), n_max, phi),
         _build_block(ec[1:2, 1:2], (ej.ej2,), n_max, phi),
         _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
     )
-    return BlockHamiltonians(ec=ec, n_max=n_max, phi_ex=phi, modes=tuple(m.toarray() for m in modes))
+    return BlockHamiltonians(ec=ec, n_max=n_max, phi_ex=phi, modes=tuple(m.toarray() for m in modes)), ej
 
 
 def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
@@ -197,8 +200,7 @@ def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisCon
             f"the four-node operator at n_max={cfg.n_max} has dimension {cfg.dimension} "
             f"beyond the supported {_DIMENSION_CAP}"
         )
-    blocks = assemble_blocks(params, flux, cfg)
-    ej = derive_junction_energies(params)
+    blocks, ej = assemble_blocks(params, flux, cfg)
     ham = _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), blocks.n_max, blocks.phi_ex, ej.ej5)
     return SparseHamiltonian(**vars(blocks), matrix=ham)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .circuit import CircuitParams, JunctionEnergies, derive_junction_energies, require_valid
+from .circuit import CircuitParams, JunctionEnergies, derive_junction_energies
 from .constants import E_CHARGE, FF, GHZ, HBAR, NH
 from .errors import ModelError
 
@@ -217,8 +217,7 @@ def zz_perturbative(system: ModeSystem, eff: EffectiveParams) -> tuple[float, np
 
 
 def two_mode_reduction(params: CircuitParams, e_norm_ghz: float | None = None) -> PerturbativeResult:
-    """Run the whole block-transform pipeline for one parameter set, validating it once."""
-    require_valid(params)
+    """Run the whole block-transform pipeline for one parameter set."""
     ej = derive_junction_energies(params)
     e_norm = ej.ej1 if e_norm_ghz is None else float(e_norm_ghz)
     b13, b24 = block_normal_modes(params, ej, e_norm)
@@ -244,7 +243,6 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     weak-coupling shorthand, so for strongly coupled circuits the result is
     polished against the exact g12 zero before the check.
     """
-    require_valid(params)  # the parasitics the bare set drops must be admissible too
     bare = params.without_parasitics()
 
     def reduce(c34_ff: float) -> PerturbativeResult:

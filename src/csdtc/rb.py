@@ -366,25 +366,33 @@ def full_budget(traces: dict, *, allow_partial: bool = False) -> ErrorBudget:
 
     l1 = l1_std = None
     if {"x1_srb", "x1_irb"} <= set(traces):
-        l1, l1_std = leakage_budget(fit_decay(traces["x1_srb"]), fit_decay(traces["x1_irb"]))
+        l1, l1_std = leakage_budget(_slot_fit("x1_srb", traces["x1_srb"]), _slot_fit("x1_irb", traces["x1_irb"]))
 
     r_incoh = r_incoh_std = None
     if {"purity_srb", "purity_irb"} <= set(traces):
         r_incoh, r_incoh_std = ratio_error_budget(
-            fit_decay(traces["purity_srb"]), fit_decay(traces["purity_irb"])
+            _slot_fit("purity_srb", traces["purity_srb"]), _slot_fit("purity_irb", traces["purity_irb"])
         )
 
     r_cz = r_cz_std = None
     if {"p0000_srb", "p0000_irb", "x1_srb", "x1_irb"} <= set(traces):
         r_cz, r_cz_std = ratio_error_budget(
-            fit_decay(subtracted_population_trace(traces["p0000_srb"], traces["x1_srb"])),
-            fit_decay(subtracted_population_trace(traces["p0000_irb"], traces["x1_irb"])),
+            _slot_fit("p0000_srb/x1_srb", subtracted_population_trace(traces["p0000_srb"], traces["x1_srb"])),
+            _slot_fit("p0000_irb/x1_irb", subtracted_population_trace(traces["p0000_irb"], traces["x1_irb"])),
         )
 
     return assemble_budget(
         r_cz, r_incoh, l1,
         r_cz_std=r_cz_std, r_incoh_std=r_incoh_std, l1_std=l1_std,
     )
+
+
+def _slot_fit(slots: str, trace: RBTrace) -> DecayFit:
+    """``fit_decay`` of the trace in ``slots``; ``FitError`` naming them if it does not decay."""
+    fit = fit_decay(trace)
+    if not fit.lambda_identifiable:
+        raise FitError(f"trace {slots} does not decay (fitted amplitude {fit.amplitude}): lambda is not identifiable")
+    return fit
 
 
 def budget_to_dict(budget: ErrorBudget) -> dict:

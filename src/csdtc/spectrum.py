@@ -340,7 +340,7 @@ def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -
     0.01 kHz or a computational frequency by more than 1e-5 GHz, the
     truncation is too coarse for the circuit and ``TruncationError`` is raised.
     """
-    blocks = assemble_blocks(params, flux, cfg)
+    blocks, _ = assemble_blocks(params, flux, cfg)
     kept = (_KEPT_QUBIT_LEVELS, _KEPT_QUBIT_LEVELS, _KEPT_COUPLER_LEVELS)
     (e1, v1), (e2, v2), (e34, v34) = (
         _block_eigenbasis(name, mode, m) for name, mode, m in zip(_BLOCK_NAMES, blocks.modes, kept)

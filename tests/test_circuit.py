@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from csdtc.circuit import (
     params_to_dict,
     reference_device,
     save_params,
-    validate_params,
 )
 from csdtc.constants import E_CHARGE, PHI0_REDUCED, PLANCK_H
 from csdtc.errors import NumericsError, ParameterError
@@ -45,11 +45,8 @@ class TestJunctionEnergies:
         assert ej.lj5_nh * ej.ej5 == pytest.approx(target, rel=1e-12)
 
     def test_nonpositive_current_rejected(self, device):
-        from dataclasses import replace
-
-        bad = replace(device, ic3=0.0)
-        with pytest.raises(ParameterError, match="Ic3"):
-            derive_junction_energies(bad)
+        with pytest.raises(ParameterError, match="critical current Ic5 must be strictly positive, got -1.0"):
+            replace(device, ic5=-1.0)
 
 
 class TestCapacitanceMatrix:
@@ -114,21 +111,27 @@ class TestChargingMatrix:
 
 class TestValidation:
     def test_reference_is_clean(self, device):
-        assert validate_params(device) == []
+        assert CircuitParams(**asdict(device)) == device
 
     def test_negative_node_cap(self, device):
-        from dataclasses import replace
-
-        report = validate_params(replace(device, c11=-1.0))
-        assert len(report) == 1
-        assert "C11" in report[0]
+        with pytest.raises(ParameterError, match="^node capacitance C11 must be strictly positive, got -1.0$"):
+            replace(device, c11=-1.0)
 
     def test_zero_current(self, device):
-        from dataclasses import replace
+        with pytest.raises(ParameterError, match="^critical current Ic3 must be strictly positive, got 0.0$"):
+            replace(device, ic3=0.0)
 
-        report = validate_params(replace(device, ic3=0.0))
-        assert len(report) == 1
-        assert "Ic3" in report[0]
+    def test_every_violation_reported(self, device):
+        with pytest.raises(ParameterError) as info:
+            replace(device, c12=-5.0, ic5=float("nan"))
+        assert str(info.value) == (
+            "mutual capacitance C12 must be non-negative, got -5.0; "
+            "critical current Ic5 must be strictly positive, got nan"
+        )
+
+    def test_shunt_copy_is_checked(self, device):
+        with pytest.raises(ParameterError, match="mutual capacitance C34 must be non-negative"):
+            device.with_c34(-1.0)
 
 
 class TestJsonDocument:

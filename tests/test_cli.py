@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csdtc import spectrum
-from csdtc.circuit import CircuitParams, reference_device, save_params
+from csdtc.circuit import CircuitParams, params_to_dict, reference_device, save_params
 from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_grid
 from csdtc.design import golden_section_min
 from csdtc.errors import BracketError, ConfigError
@@ -13,6 +14,8 @@ from csdtc.rb import (
     KIND_POPULATION_0000,
     KIND_POPULATION_X1,
     KIND_PURITY,
+    SLOT_EXPECTATIONS,
+    RBTrace,
     synth_trace,
     write_trace_csv,
 )
@@ -36,10 +39,13 @@ class TestParseGrid:
         assert grid.size == 96
         assert grid[0] == 5.0 and grid[-1] == 100.0
 
-    @pytest.mark.parametrize("text", ["a:b:c", "1:2", "1:2:0", "", "1:2:3:4"])
+    @pytest.mark.parametrize("text", ["a:b:c", "1:2", "1:2:0", "", "1:2:3:4", "0:0.5:1"])
     def test_malformed(self, text):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(f"malformed grid {text!r}")):
             parse_grid(text)
+
+    def test_one_point_needs_equal_endpoints(self):
+        assert np.array_equal(parse_grid("0.25:0.25:1"), np.array([0.25]))
 
 
 class TestGoldenSection:
@@ -108,6 +114,32 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "node_caps_fF[0]" in err
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--flux-grid", "0"],
+        ["zz", "--flux-grid", "0"],
+        ["zz", "--c34-grid", "28:32:2"],
+        ["pert-compare", "--c34-grid", "28:32:2", "--zero-parasitics"],
+        ["design", "--bracket", "34:58", "--bracket-tol", "10"],
+        ["design", "--formula-only"],
+    ],
+    ids=["spectrum", "zz_flux", "zz_c34", "pert_compare_zero_parasitics", "design", "design_formula_only"],
+)
+def test_inadmissible_params_file_is_usage_error_naming_it(tmp_path, capsys, argv):
+    # the parasitic-free commands drop C12, so only a check at load time sees it
+    doc = params_to_dict(reference_device())
+    doc["mutual_caps_fF"]["C12"] = -5.0
+    bad = tmp_path / "negative_c12.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(argv + ["--params", str(bad), "--n-max", "3", "--k", "8", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: parameter file {bad}: mutual capacitance C12 must be non-negative, got -5.0\n"
+    assert not out.exists()
 
 
 class TestZZCommand:
@@ -330,6 +362,29 @@ class TestRBBudgetCommand:
         err = capsys.readouterr().err
         assert err.count(str(bad)) == 1 and "std_errs must be finite and positive" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flat, named", [("purity_irb", "purity_irb"), ("p0000_srb", "p0000_srb/x1_srb")])
+    def test_trace_without_decay_is_numerical_failure(self, tmp_path, capsys, flat, named):
+        paths = _write_bundle(tmp_path)
+        if flat == "purity_irb":
+            values = (0.5,) * len(LENGTHS)
+        else:
+            # dyadic values keep P_0000 - P_X1/4 exactly 0.25 at every length
+            x1 = tuple(0.5 + 0.5**k for k in range(1, len(LENGTHS) + 1))
+            write_trace_csv(RBTrace(LENGTHS, x1, None, KIND_POPULATION_X1, "SRB"), paths["x1_srb"])
+            values = tuple(0.25 + v / 4 for v in x1)
+        kind, variant = SLOT_EXPECTATIONS[flat]
+        write_trace_csv(RBTrace(LENGTHS, values, None, kind, variant), paths[flat])
+        out = tmp_path / "budget.json"
+        args = ["rb-budget", "--out", str(out)]
+        for slot, path in paths.items():
+            args += [f"--{slot.replace('_', '-')}", path]
+        assert main(args) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"trace {named} does not decay" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE

@@ -10,9 +10,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given  # noqa: E402
+from hypothesis import given  # noqa: E402
 
-from csdtc.circuit import derive_junction_energies, validate_params  # noqa: E402
+from csdtc.circuit import derive_junction_energies  # noqa: E402
 from csdtc.perturbative import block_normal_modes, two_mode_reduction  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
 
@@ -20,7 +20,6 @@ from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
 @PROPERTY_SETTINGS
 @given(PARAMETER_SETS)
 def test_observables_invariant_under_normalization(params):
-    assume(not validate_params(params))
     ej = derive_junction_energies(params)
     a = two_mode_reduction(params, e_norm_ghz=ej.ej1)
     b = two_mode_reduction(params, e_norm_ghz=ej.ej2)
@@ -35,7 +34,6 @@ def test_observables_invariant_under_normalization(params):
 @PROPERTY_SETTINGS
 @given(PARAMETER_SETS)
 def test_block_transforms_orthogonal(params):
-    assume(not validate_params(params))
     ej = derive_junction_energies(params)
     for e_norm in (ej.ej1, ej.ej2):
         for block in block_normal_modes(params, ej, e_norm):

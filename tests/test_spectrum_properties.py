@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csdtc import spectrum  # noqa: E402
-from csdtc.circuit import validate_params  # noqa: E402
 from csdtc.errors import LabelingError, TruncationError  # noqa: E402
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, real_form  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
@@ -36,7 +35,6 @@ ALL_FLUXES = st.one_of(HALF_PERIOD_FLUXES, st.floats(-1.0, 1.0))
 
 def _oracle_zeta(params, phi):
     """zeta of the charge-basis oracle; the example is discarded where the oracle cannot label."""
-    assume(not validate_params(params))
     try:
         return spectrum._zeta_from_spectrum(spectrum.charge_spectrum(params, phi, CFG3))
     except LabelingError:
@@ -80,7 +78,6 @@ def _real_form_basis(dim: int) -> sp.csr_matrix:
 @settings(SPECTRUM_SETTINGS, max_examples=6)  # each dense complex 2401-state reference takes about 3.5 s
 @given(PARAMETER_SETS, ALL_FLUXES)
 def test_charge_basis_matches_dense_operator(params, phi):
-    assume(not validate_params(params))
     try:
         spec = spectrum.charge_spectrum(params, phi, CFG3)
     except LabelingError:
@@ -93,7 +90,6 @@ def test_charge_basis_matches_dense_operator(params, phi):
 @SPECTRUM_SETTINGS
 @given(PARAMETER_SETS, ALL_FLUXES)
 def test_real_form_is_the_operator_on_the_reflection_basis(params, phi):
-    assume(not validate_params(params))
     ham = assemble_hamiltonian(params, phi, CFG3).matrix
     basis = _real_form_basis(ham.shape[0])
     expected = (basis.conj().T @ ham @ basis).toarray()
@@ -103,7 +99,6 @@ def test_real_form_is_the_operator_on_the_reflection_basis(params, phi):
 @SPECTRUM_SETTINGS
 @given(PARAMETER_SETS, HALF_PERIOD_FLUXES)
 def test_real_form_splits_into_parity_sectors_at_real_flux(params, phi):
-    assume(not validate_params(params))
     folded = real_form(assemble_hamiltonian(params, phi, CFG3).matrix)
     h = folded.shape[0] // 2
     assert folded[: h + 1, h + 1 :].nnz == 0  # even sector and centre | odd sector
