@@ -1,7 +1,8 @@
 """Command-line interface: sweeps, design search, and RB budgets.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure. Outputs
-are byte-identical across reruns with the same config and seed.
+are byte-identical across reruns with the same config and seed. Warnings
+and the error, if any, reach stderr as one line each.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -61,11 +63,11 @@ def _basis_config(args) -> ChargeBasisConfig:
     return ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k)
 
 
-def _add_common(parser):
+def _add_common(parser, *, out_required: bool = True):
     parser.add_argument("--params", required=True, help="circuit parameter JSON file")
-    parser.add_argument("--out", help="output path")
+    parser.add_argument("--out", required=out_required, help="output path")
     parser.add_argument("--n-max", type=int, default=7, dest="n_max")
-    parser.add_argument("--k", type=int, default=16)
+    parser.add_argument("--k", type=int, default=16, help="eigenstate count, 6 to 54")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -89,40 +91,18 @@ def _write_json(doc: dict, out) -> None:
         sys.stdout.write(text)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_flux_sweep(args) -> int:
     params = load_params(args.params)
-    grid = parse_grid(args.flux_grid)
-    if args.out is None:
-        raise ConfigError("--out is required for spectrum output")
-    points = spectrum.sweep_flux(params, grid, _basis_config(args), seed=args.seed)
-    spectrum.write_spectrum_csv(points, args.out)
+    points = spectrum.sweep_flux(params, parse_grid(args.flux_grid), _basis_config(args), seed=args.seed)
+    args.write_csv(points, args.out)
     return _report_sweep(points, "phi_ex", "phi_ex")
 
 
-def cmd_zz(args) -> int:
+def cmd_pert_compare(args) -> int:
     params = load_params(args.params)
-    if args.command == "pert-compare" and args.c34_grid is None:
-        raise ConfigError("pert-compare requires --c34-grid")
-    if (args.flux_grid is None) == (args.c34_grid is None):
-        raise ConfigError("exactly one of --flux-grid or --c34-grid is required")
-    if args.out is None:
-        raise ConfigError("--out is required for zz output")
-    cfg = _basis_config(args)
-    if args.flux_grid is not None:
-        for flag, given in (("--zero-parasitics", args.zero_parasitics), ("--flux", args.flux is not None)):
-            if given:
-                raise ConfigError(f"{flag} applies only to --c34-grid sweeps, not to --flux-grid")
-        points = spectrum.sweep_flux(params, parse_grid(args.flux_grid), cfg, seed=args.seed)
-        spectrum.write_flux_zz_csv(points, args.out)
-        return _report_sweep(points, "phi_ex", "phi_ex")
-    points = spectrum.sweep_c34(
-        params,
-        parse_grid(args.c34_grid),
-        0.0 if args.flux is None else args.flux,
-        cfg,
-        zero_parasitics=args.zero_parasitics,
-        seed=args.seed,
-    )
+    if args.zero_parasitics:
+        params = params.without_parasitics()
+    points = spectrum.sweep_c34(params, parse_grid(args.c34_grid), args.flux, _basis_config(args), seed=args.seed)
     spectrum.write_c34_zz_csv(points, args.out)
     return _report_sweep(points, "C34_fF", "c34_ff")
 
@@ -157,29 +137,39 @@ def cmd_rb_budget(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Options spelled in full only; a usage error raises ConfigError instead of exiting."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="csdtc", description="Coupler spectra, ZZ sweeps and RB budgets")
+    parser = _Parser(prog="csdtc", description="Coupler spectra, ZZ sweeps and RB budgets")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", help="flux sweep of the labeled computational levels")
     _add_common(p_spec)
     p_spec.add_argument("--flux-grid", default="-0.5:0.5:101")
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_spec.set_defaults(func=cmd_flux_sweep, write_csv=spectrum.write_spectrum_csv)
 
-    for name, help_text in (
-        ("zz", "zeta versus flux or versus the shunt capacitance"),
-        ("pert-compare", "alias of zz over a C34 grid with both zeta columns"),
-    ):
-        p_zz = sub.add_parser(name, help=help_text)
-        _add_common(p_zz)
-        p_zz.add_argument("--flux-grid", default=None)
-        p_zz.add_argument("--c34-grid", default=None)
-        p_zz.add_argument("--flux", type=float, default=None, help="flux for C34 sweeps (default 0)")
-        p_zz.add_argument("--zero-parasitics", action="store_true")
-        p_zz.set_defaults(func=cmd_zz)
+    p_zz = sub.add_parser("zz", help="zeta versus flux")
+    _add_common(p_zz)
+    p_zz.add_argument("--flux-grid", required=True)
+    p_zz.set_defaults(func=cmd_flux_sweep, write_csv=spectrum.write_flux_zz_csv)
+
+    p_pert = sub.add_parser("pert-compare", help="zeta versus the shunt capacitance, with the two-mode prediction")
+    _add_common(p_pert)
+    p_pert.add_argument("--c34-grid", required=True, help="C34 grid in fF")
+    p_pert.add_argument("--flux", type=float, default=0.0, help="flux of the sweep")
+    p_pert.add_argument("--zero-parasitics", action="store_true", help="drop C12, C14 and C23")
+    p_pert.set_defaults(func=cmd_pert_compare)
 
     p_design = sub.add_parser("design", help="decoupling C34 from the fixed point and from |zeta| argmin")
-    _add_common(p_design)
+    _add_common(p_design, out_required=False)
     p_design.add_argument("--bracket", default="10:90", help="C34 bracket 'lo:hi' in fF for the argmin search")
     p_design.add_argument("--bracket-tol", type=float, default=0.05, dest="bracket_tol")
     p_design.add_argument("--formula-only", action="store_true", help="closed form 1/(LJ5 w1 w2) only")
@@ -195,20 +185,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(argv) -> tuple[int, Exception | None]:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args), None
     except (NumericsError, LabelingError, ModelError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ParameterError, ConfigError, FileNotFoundError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERICAL, exc
+    except (ParameterError, ConfigError, OSError, ValueError) as exc:
+        return EXIT_USAGE, exc
+
+
+def main(argv=None) -> int:
+    with warnings.catch_warnings(record=True) as caught:
+        code, failure = _run(argv)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -56,7 +56,7 @@ def golden_section_min(func, lo: float, hi: float, *, tol: float = 0.05):
 def closed_form_design(params: CircuitParams) -> dict:
     """Single closed-form 1/(L_J5 w1 w2) at the configured C34, no iteration."""
     return {
-        "c34_star_fF": perturbative.two_mode_reduction(params.without_parasitics()).c34_closed_ff,
+        "c34_star_fF": perturbative.two_mode_reduction(params).c34_closed_ff,
         "g12_residual": None,
         "zeta_at_star_kHz": None,
         "argmin_c34_exact_fF": None,

@@ -48,6 +48,10 @@ _BLOCK_DIMENSION_CAP = 2_500  # the coupler block, solved densely by every backe
 _REAL_PHASE_TOL = 1e-15
 _MIRROR_TOL = 1e-12  # relative departure from P H P = H* that the real form accepts
 _SQRT2 = np.sqrt(2.0)
+# dressed labels |Q1, Q2, c>: qubit occupations 0..2, coupler levels 0..5 (ground, the two single-
+# and the three double-excitation levels), so at most 3 * 3 * 6 = 54 eigenstates can be labeled
+LABEL_LEVELS = (3, 3, 6)
+_MAX_EIGENSTATES = int(np.prod(LABEL_LEVELS))
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,11 @@ class ChargeBasisConfig:
     def __post_init__(self):
         if int(self.n_max) != self.n_max or self.n_max < 3:
             raise ConfigError(f"n_max must be an integer >= 3, got {self.n_max}")
-        if int(self.num_eigenstates) != self.num_eigenstates or self.num_eigenstates < 6:
-            raise ConfigError(f"num_eigenstates must be an integer >= 6, got {self.num_eigenstates}")
+        if int(self.num_eigenstates) != self.num_eigenstates or not 6 <= self.num_eigenstates <= _MAX_EIGENSTATES:
+            raise ConfigError(
+                f"num_eigenstates must be an integer from 6 to {_MAX_EIGENSTATES}, the number of dressed "
+                f"labels, got {self.num_eigenstates}"
+            )
         if self.states_per_node**2 > _BLOCK_DIMENSION_CAP:
             raise ConfigError(
                 f"n_max={self.n_max} gives a coupler block of dimension {self.states_per_node**2} "

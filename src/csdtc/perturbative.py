@@ -243,10 +243,8 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     weak-coupling shorthand, so for strongly coupled circuits the result is
     polished against the exact g12 zero before the check.
     """
-    bare = params.without_parasitics()
-
     def reduce(c34_ff: float) -> PerturbativeResult:
-        return two_mode_reduction(bare.with_c34(c34_ff))
+        return two_mode_reduction(params.with_c34(c34_ff))
 
     c34 = float(params.c34)
     trace = []

@@ -48,6 +48,7 @@ from . import perturbative
 from .circuit import CircuitParams
 from .errors import LabelingError, SolverError, TruncationError
 from .hamiltonian import (
+    LABEL_LEVELS,
     BlockHamiltonians,
     ChargeBasisConfig,
     SparseHamiltonian,
@@ -58,8 +59,6 @@ from .hamiltonian import (
 )
 
 AMBIGUITY_THRESHOLD = 0.5
-_QUBIT_LEVELS = 3  # occupations 0..2 per qubit block
-_COUPLER_LEVELS = 6  # ground, the two single- and the three double-excitation levels
 _RESIDUAL_FACTOR = 1e-8
 # hierarchical backend: block levels kept in the product basis (6 * 6 * 30 = 1080 states)
 _KEPT_QUBIT_LEVELS = 6
@@ -196,8 +195,8 @@ def _assign_labels(overlaps: np.ndarray):
     flat = overlaps.reshape(k, -1)
     if flat.shape[1] < k:
         raise LabelingError(
-            f"label space holds qubit occupations 0..{_QUBIT_LEVELS - 1} and coupler levels "
-            f"0..{_COUPLER_LEVELS - 1} ({flat.shape[1]} products) and cannot uniquely label {k} eigenstates"
+            f"label space holds qubit occupations 0..{LABEL_LEVELS[0] - 1} and coupler levels "
+            f"0..{LABEL_LEVELS[2] - 1} ({flat.shape[1]} products) and cannot uniquely label {k} eigenstates"
         )
     _, products = linear_sum_assignment(flat, maximize=True)
     labels = []
@@ -231,8 +230,7 @@ def _lowest_block_states(mode: np.ndarray, count: int) -> np.ndarray:
 
 def label_states(eigvecs, ham: BlockHamiltonians):
     """Label charge-basis eigenstates by the overlap-maximizing unique assignment to block eigenstate products."""
-    levels = (_QUBIT_LEVELS, _QUBIT_LEVELS, _COUPLER_LEVELS)
-    bases = [_lowest_block_states(h, n) for h, n in zip(ham.modes, levels)]
+    bases = [_lowest_block_states(h, n) for h, n in zip(ham.modes, LABEL_LEVELS)]
     return _assign_labels(_product_overlaps(eigvecs, bases))
 
 
@@ -374,7 +372,8 @@ def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -
     k = cfg.num_eigenstates
     vals, vecs = solve_lowest(ham, k)
     coefficients = vecs.T.reshape(k, m1, m2, mc)
-    labels = _assign_labels(np.abs(coefficients[:, :_QUBIT_LEVELS, :_QUBIT_LEVELS, :_COUPLER_LEVELS]) ** 2)
+    corner = coefficients[:, : LABEL_LEVELS[0], : LABEL_LEVELS[1], : LABEL_LEVELS[2]]
+    labels = _assign_labels(np.abs(corner) ** 2)
     spec = _spectrum_result(flux, cfg, vals, labels, "hierarchical")
 
     computational = [[label.occupations for label in labels].index(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
@@ -467,25 +466,16 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int
     return points
 
 
-def sweep_c34(
-    params: CircuitParams,
-    c34_grid_ff,
-    flux,
-    cfg: ChargeBasisConfig,
-    *,
-    zero_parasitics: bool = False,
-    seed: int = 0,
-):
+def sweep_c34(params: CircuitParams, c34_grid_ff, flux, cfg: ChargeBasisConfig, *, seed: int = 0):
     """zeta versus the shunt capacitance, with the two-mode prediction alongside."""
     grid = np.asarray(c34_grid_ff, dtype=float)
     if grid.size == 0:
         raise ValueError("C34 grid must be non-empty")
     if np.any(grid <= 0):
         raise ValueError("C34 grid must be strictly positive")
-    base = params.without_parasitics() if zero_parasitics else params
     points = []
     for c34 in grid:
-        trial = base.with_c34(float(c34))
+        trial = params.with_c34(float(c34))
         pert = perturbative.two_mode_reduction(trial)
         try:
             zeta = _zeta_from_spectrum(spectrum_at(trial, flux, cfg, seed=seed))

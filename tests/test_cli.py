@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from csdtc import spectrum
 from csdtc.circuit import CircuitParams, params_to_dict, reference_device, save_params
-from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_grid
+from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid
 from csdtc.design import golden_section_min
 from csdtc.errors import BracketError, ConfigError
 from csdtc.rb import (
@@ -21,6 +22,7 @@ from csdtc.rb import (
 )
 
 LENGTHS = (1, 5, 10, 20, 40, 80, 120, 200, 300)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -121,12 +123,12 @@ class TestSpectrumCommand:
     [
         ["spectrum", "--flux-grid", "0"],
         ["zz", "--flux-grid", "0"],
-        ["zz", "--c34-grid", "28:32:2"],
+        ["pert-compare", "--c34-grid", "28:32:2"],
         ["pert-compare", "--c34-grid", "28:32:2", "--zero-parasitics"],
         ["design", "--bracket", "34:58", "--bracket-tol", "10"],
         ["design", "--formula-only"],
     ],
-    ids=["spectrum", "zz_flux", "zz_c34", "pert_compare_zero_parasitics", "design", "design_formula_only"],
+    ids=["spectrum", "zz_flux", "pert_compare", "pert_compare_zero_parasitics", "design", "design_formula_only"],
 )
 def test_inadmissible_params_file_is_usage_error_naming_it(tmp_path, capsys, argv):
     # the parasitic-free commands drop C12, so only a check at load time sees it
@@ -159,18 +161,6 @@ class TestZZCommand:
         assert main(["zz", "--params", params_file, "--out", out]) == EXIT_USAGE
         assert main(["zz", "--params", params_file, "--out", out,
                      "--flux-grid", "0", "--c34-grid", "30"]) == EXIT_USAGE
-
-    def test_c34_mode_and_pert_compare_alias(self, tmp_path, params_file):
-        out_zz = tmp_path / "zz.csv"
-        out_pc = tmp_path / "pc.csv"
-        args = ["--params", params_file, "--n-max", "4", "--k", "12",
-                "--c34-grid", "28:32:2", "--zero-parasitics"]
-        assert main(["zz"] + args + ["--out", str(out_zz)]) == EXIT_OK
-        assert main(["pert-compare"] + args + ["--out", str(out_pc)]) == EXIT_OK
-        assert out_zz.read_bytes() == out_pc.read_bytes()
-        lines = out_zz.read_text().splitlines()
-        assert lines[0] == "C34_fF,zeta_exact_kHz,zeta_pert_kHz,g12_MHz,ambiguous_flag"
-        assert len(lines) == 3
 
     @pytest.mark.parametrize("command, extra, flag", [
         ("zz", ["--zero-parasitics"], "--zero-parasitics"),
@@ -209,6 +199,110 @@ class TestZZCommand:
                      "--flux-grid", "0", "--out", str(tmp_path / "zz.csv")])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("n_max, k", [(4, 100), (5, 1080)])
+    def test_k_beyond_label_space_refused_before_solving(self, tmp_path, params_file, capsys, monkeypatch, n_max, k):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("spectrum_at called")
+
+        monkeypatch.setattr("csdtc.spectrum.spectrum_at", no_eigensolve)
+        out = tmp_path / "zz.csv"
+        code = main(["zz", "--params", params_file, "--n-max", str(n_max), "--k", str(k),
+                     "--flux-grid", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "from 6 to 54" in err and f"got {k}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_help_lists_flux_options_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zz", "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert "--flux-grid" in options
+        assert not options & {"--c34-grid", "--flux", "--zero-parasitics"}
+
+
+class TestPertCompareCommand:
+    def test_c34_sweep_columns(self, tmp_path, params_file):
+        out = tmp_path / "pc.csv"
+        code = main(["pert-compare", "--params", params_file, "--n-max", "4", "--k", "12",
+                     "--c34-grid", "28:32:2", "--zero-parasitics", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "C34_fF,zeta_exact_kHz,zeta_pert_kHz,g12_MHz,ambiguous_flag"
+        assert len(lines) == 3
+
+    def test_zero_parasitics_sweeps_the_parasitic_free_circuit(self, tmp_path):
+        noisy = CircuitParams(**{**vars(reference_device()), "c12": 5.0, "c14": 3.0, "c23": 2.0})
+        paths = {}
+        for name, params in (("noisy", noisy), ("bare", noisy.without_parasitics())):
+            paths[name] = tmp_path / f"{name}.json"
+            save_params(params, paths[name])
+        base = ["pert-compare", "--n-max", "3", "--k", "8", "--c34-grid", "30", "--flux", "0.2"]
+        out_flag, out_bare, out_noisy = (tmp_path / f"{name}.csv" for name in ("flag", "bare", "noisy"))
+        assert main(base + ["--params", str(paths["noisy"]), "--zero-parasitics", "--out", str(out_flag)]) == EXIT_OK
+        assert main(base + ["--params", str(paths["bare"]), "--out", str(out_bare)]) == EXIT_OK
+        assert main(base + ["--params", str(paths["noisy"]), "--out", str(out_noisy)]) == EXIT_OK
+        assert out_flag.read_bytes() == out_bare.read_bytes()
+        assert out_flag.read_bytes() != out_noisy.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["zz", "--flux-grid", "0", "--c34-grid", "30"], "--c34-grid"),
+        (["zz", "--c34-grid", "30"], "--flux-grid"),
+        (["spectrum", "--flux", "0.3"], "--flux"),
+        (["pert-compare", "--flux", "0.2"], "--c34-grid"),
+        (["zz", "--flux-grid", "0", "--n-max", "x"], "--n-max"),
+        (["design", "--formula"], "--formula"),
+        (["frobnicate"], "frobnicate"),
+    ],
+    ids=["zz_c34_grid", "zz_without_flux_grid", "spectrum_flux", "pert_compare_without_c34_grid", "n_max_not_int",
+         "design_abbreviated_formula_only", "unknown_command"],
+)
+def test_usage_error_is_one_line_naming_it(tmp_path, capsys, params_file, argv, named):
+    out = tmp_path / "out"
+    code = main(argv + ["--params", params_file, "--n-max", "3", "--k", "8", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["zz", "--flux-grid", "0"],
+    ["pert-compare", "--c34-grid", "30"],
+], ids=["spectrum", "zz", "pert_compare"])
+def test_sweep_without_out_is_one_line_usage_error(capsys, params_file, argv):
+    assert main(argv + ["--params", params_file]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_readme_command_lines_parse():
+    commands, pending, in_sh = [], "", False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line.strip() == "```sh"
+            continue
+        if not in_sh:
+            continue
+        pending += line
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        words, pending = shlex.split(pending, comments=True), ""
+        if words[:1] == ["csdtc"]:
+            commands.append(words[1:])
+    assert {words[0] for words in commands} == {"spectrum", "zz", "pert-compare", "design", "rb-budget"}
+    for words in commands:
+        build_parser().parse_args(words)
+
 
 class TestDesignCommand:
     def test_formula_only(self, tmp_path, params_file):
@@ -246,9 +340,9 @@ class TestDesignCommand:
         assert not out.exists()
 
 
-def _write_bundle(tmp_path, lengths=LENGTHS):
+def _write_bundle(tmp_path, lengths=LENGTHS, **lam_overrides):
     lam = {"x1_srb": 0.9990, "x1_irb": 0.9980, "purity_srb": 0.9960, "purity_irb": 0.9930,
-           "p0000_srb": 0.9950, "p0000_irb": 0.9900}
+           "p0000_srb": 0.9950, "p0000_irb": 0.9900, **lam_overrides}
     spec = {
         "x1_srb": (KIND_POPULATION_X1, "SRB", 0.92, 0.07),
         "x1_irb": (KIND_POPULATION_X1, "IRB", 0.92, 0.07),
@@ -316,6 +410,19 @@ class TestRBBudgetCommand:
         err = capsys.readouterr().err
         assert "purity_srb" in err
         assert paths["x1_srb"] in err
+
+    def test_negative_coherent_error_is_one_warning_line(self, tmp_path, capsys):
+        # a purity decay this fast puts the incoherent error above the gate error
+        paths = _write_bundle(tmp_path, purity_irb=0.985)
+        out = tmp_path / "budget.json"
+        args = ["rb-budget", "--out", str(out)]
+        for slot, path in paths.items():
+            args += [f"--{slot.replace('_', '-')}", path]
+        assert main(args) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("warning: coherent error came out negative")
+        assert len(err.splitlines()) == 1 and ".py" not in err
+        assert json.loads(out.read_text())["r_coh_cz"] < 0
 
     def test_no_traces(self):
         assert main(["rb-budget"]) == EXIT_USAGE

@@ -31,7 +31,7 @@ class TestConfig:
     def test_dimension(self):
         assert ChargeBasisConfig(n_max=7).dimension == 15**4
 
-    @pytest.mark.parametrize("kwargs", [dict(n_max=2), dict(num_eigenstates=5), dict(n_max=40)])
+    @pytest.mark.parametrize("kwargs", [dict(n_max=2), dict(num_eigenstates=5), dict(n_max=40), dict(num_eigenstates=55)])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ChargeBasisConfig(**kwargs)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from csdtc.errors import LabelingError, TruncationError
+from csdtc.errors import ConfigError, LabelingError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
@@ -97,10 +97,15 @@ class TestLabels:
         assert freqs[0] == 0.0
         assert np.all(np.diff(freqs) >= 0)
 
-    def test_k_beyond_label_space_rejected(self, device):
-        cfg = ChargeBasisConfig(n_max=3, num_eigenstates=100)
+    def test_k_beyond_label_space_rejected(self):
+        assert ChargeBasisConfig(n_max=3, num_eigenstates=54).num_eigenstates == 54
+        with pytest.raises(ConfigError, match="from 6 to 54"):
+            ChargeBasisConfig(n_max=3, num_eigenstates=100)
+
+    def test_label_states_beyond_label_space_rejected(self, device):
+        ham = assemble_hamiltonian(device, 0.0, CFG3)
         with pytest.raises(LabelingError, match="label space"):
-            spectrum_at(device, 0.0, cfg)
+            label_states(np.eye(CFG3.dimension)[:, :55], ham)
 
 
 class TestBackends:
@@ -221,11 +226,6 @@ class TestSweeps:
         direct = zz_interaction(device, 0.0, CFG4)
         assert points[0].zeta_khz == pytest.approx(direct.zeta_khz, rel=1e-12)
         assert points[0].error is None
-
-    def test_c34_zero_parasitics_flag(self, device):
-        flagged = sweep_c34(device, [30.3], 0.0, CFG4, zero_parasitics=True)
-        bare = sweep_c34(device.without_parasitics(), [30.3], 0.0, CFG4)
-        assert flagged[0].zeta_khz == pytest.approx(bare[0].zeta_khz, rel=1e-12)
 
     def test_points_independent_of_grid_order(self, device):
         forward = sweep_flux(device, [0.0, 0.1], CFG4)
