@@ -102,7 +102,7 @@ def cmd_pert_compare(args) -> int:
     params = load_params(args.params)
     if args.zero_parasitics:
         params = params.without_parasitics()
-    points = spectrum.sweep_c34(params, parse_grid(args.c34_grid), args.flux, _basis_config(args), seed=args.seed)
+    points = spectrum.sweep_c34(params, parse_grid(args.c34_grid), _basis_config(args), seed=args.seed)
     spectrum.write_c34_zz_csv(points, args.out)
     return _report_sweep(points, "C34_fF", "c34_ff")
 
@@ -161,10 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_zz.add_argument("--flux-grid", required=True)
     p_zz.set_defaults(func=cmd_flux_sweep, write_csv=spectrum.write_flux_zz_csv)
 
-    p_pert = sub.add_parser("pert-compare", help="zeta versus the shunt capacitance, with the two-mode prediction")
+    p_pert = sub.add_parser(
+        "pert-compare", help="zeta versus the shunt capacitance at zero flux, with the two-mode prediction"
+    )
     _add_common(p_pert)
     p_pert.add_argument("--c34-grid", required=True, help="C34 grid in fF")
-    p_pert.add_argument("--flux", type=float, default=0.0, help="flux of the sweep")
     p_pert.add_argument("--zero-parasitics", action="store_true", help="drop C12, C14 and C23")
     p_pert.set_defaults(func=cmd_pert_compare)
 

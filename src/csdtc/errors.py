@@ -22,10 +22,10 @@ class SolverError(NumericsError):
 
 
 class TruncationError(SolverError):
-    """The hierarchical product basis leaves out levels that move the result beyond its tolerance.
+    """The product basis did not settle below its largest energy cutoff, or left out a product it must keep.
 
-    Carries the refused ``spectrum`` (when available) and the estimated
-    ``zeta_shift_khz`` from the left-out levels.
+    Carries the last ``spectrum`` (when available) and ``zeta_shift_khz``,
+    how far its corrected zeta moved from the cutoff below.
     """
 
     def __init__(self, message, spectrum=None, zeta_shift_khz=None):

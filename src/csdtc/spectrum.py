@@ -1,28 +1,32 @@
 """Eigenspectrum, dressed-state labels, and the ZZ interaction.
 
-Two backends solve for the lowest eigenpairs, chosen by basis size:
+One backend answers at every n_max, with the charge basis as its oracle:
 
-- the charge basis (n_max 3 and 4, and the oracle everywhere): the four-node
-  operator on (2 n_max + 1)^4 states, solved by seeded ARPACK Lanczos;
-- hierarchical (n_max >= 5): node 1, node 2 and the coupler block are
-  diagonalized exactly and truncated to 6, 6 and 30 levels, and the
-  cross-block charge terms 2 Ec_ij n_i n_j couple them in the resulting
-  1080-state product basis, solved densely. The four-node operator is never
-  built, and ``seed`` has no effect. The levels left out are estimated at
-  second order in the cross-block terms; where they would move zeta by more
-  than 0.01 kHz or a computational frequency by more than 1e-5 GHz, the
-  circuit is solved on the charge basis instead. On the reference device
-  zeta agrees with the charge basis at the same n_max to within 0.004 kHz.
+- product (``spectrum_at``): node 1, node 2 and the coupler block are
+  diagonalized fully, and the Hamiltonian is written on the products of
+  their eigenstates whose summed excitation energy
+  (e1[a] - e1[0]) + (e2[b] - e2[0]) + (e34[c] - e34[0]) is at most a cutoff
+  E_cut: block energies on the diagonal, minus the cross-block charge terms
+  2 Ec_ij N_i N_j, solved densely. Each computational level then gets its
+  second-order shift from every product left out (hierarchical
+  diagonalization with a Loewdin-partitioning correction). E_cut is raised
+  in 5 GHz steps from 40 GHz until the corrected zeta and computational
+  frequencies stop moving (0.01 kHz, 1e-5 GHz), up to 60 GHz; the first
+  answer is at 45 GHz. The four-node operator is never built, and ``seed``
+  has no effect.
+- charge basis (the oracle, and the fall-back where the cutoffs do not
+  settle): the four-node operator on (2 n_max + 1)^4 states, solved by
+  seeded ARPACK Lanczos.
 
 Every eigensolve is real. The charge reflection n -> -n conjugates every
 operator here (P H P = H*), so each has a real symmetric form on a fixed
 basis (``hamiltonian.real_form``) with exactly its eigenvalues. The charge
 basis solves that form wherever H is complex (flux off 0 and 1/2) and maps
-the eigenvectors back; where H is real it is solved as it is. The
-hierarchical backend diagonalizes each block in its real form at every flux.
-There each node charge, odd under the reflection, becomes i N with N real,
-so the cross terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and the product
-matrix is real as well.
+the eigenvectors back; where H is real it is solved as it is. The product
+backend diagonalizes each block in its real form at every flux. There each
+node charge, odd under the reflection, becomes i N with N real, so the cross
+terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and the product matrix is real
+as well.
 
 Dressed states are labeled |Q1, Q2, c> against the three blocks of
 ``BlockHamiltonians.modes``: Q1 and Q2 are the qubit-node occupations and c
@@ -60,20 +64,17 @@ from .hamiltonian import (
 
 AMBIGUITY_THRESHOLD = 0.5
 _RESIDUAL_FACTOR = 1e-8
-# hierarchical backend: block levels kept in the product basis (6 * 6 * 30 = 1080 states)
-_KEPT_QUBIT_LEVELS = 6
-_KEPT_COUPLER_LEVELS = 30
-_BLOCK_NAMES = ("qubit 1", "qubit 2", "coupler")
-# hierarchical results whose estimated truncation error exceeds these are refused
-_TRUNCATION_ZETA_TOL_KHZ = 0.01
-_TRUNCATION_LEVEL_TOL_GHZ = 1e-5
-# backend crossover, median seconds per 16-pair solve on the reference device, one BLAS thread on a
-# 2-core x86-64 machine (charge / hierarchical):
-# n_max=4: 0.16 / 0.17 at phi=0, 0.20 / 0.18 at phi=0.15; n_max=5: 0.55 / 0.19 and 0.59 / 0.19;
-# n_max=7: 2.33 / 0.19 and 2.60 / 0.18
-_HIERARCHICAL_MIN_N_MAX = 5
+# product backend: cutoffs (GHz) on the summed block excitation energy of a kept product, tried in order
+_E_CUT_LADDER_GHZ = (40.0, 45.0, 50.0, 55.0, 60.0)
+# a rung settles when its corrected result moved from the rung below by no more than these
+_SETTLED_ZETA_KHZ = 0.01
+_SETTLED_LEVEL_GHZ = 1e-5
+# a rung whose second-order correction is at most this many times those is accepted on one agreeing
+# pair of rungs; a larger correction needs two (at n_max 5 one pair read 0.006 kHz against a 0.012 kHz error)
+_SMALL_CORRECTION = 5.0
 
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+_ZETA_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # zeta = E(000) - E(100) - E(010) + E(110)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,11 @@ class SpectrumResult:
     n_max: int
     eigenfrequencies_ghz: np.ndarray
     labels: tuple[DressedLabel, ...]
-    backend: str  # "charge" or "hierarchical"
+    backend: str  # "product" or "charge"
+    e_cut_ghz: float | None = None  # product backend: the accepted cutoff,
+    kept_states: int | None = None  # the number of products kept below it,
+    truncation_khz: float | None = None  # and the zeta change from the cutoff below
+    fallback: str | None = None  # charge backend: why the product backend refused the point
 
     def level(self, occupations) -> tuple[float, DressedLabel]:
         """Frequency and label of the eigenstate carrying the given occupations."""
@@ -169,7 +174,7 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
-    scale = np.abs(mat).sum(axis=0).max()
+    scale = spla.norm(mat, 1) if sp.issparse(mat) else sla.norm(mat, 1)  # LAPACK's norm copies no dense matrix
     residuals = np.linalg.norm(mat @ vecs - vecs * vals[np.newaxis, :], axis=0)
     tol = _RESIDUAL_FACTOR * scale
     if np.any(residuals > tol):
@@ -234,16 +239,6 @@ def label_states(eigvecs, ham: BlockHamiltonians):
     return _assign_labels(_product_overlaps(eigvecs, bases))
 
 
-def _spectrum_result(flux, cfg: ChargeBasisConfig, vals: np.ndarray, labels, backend: str) -> SpectrumResult:
-    return SpectrumResult(
-        flux=float(flux),
-        n_max=int(cfg.n_max),
-        eigenfrequencies_ghz=vals - vals[0],
-        labels=labels,
-        backend=backend,
-    )
-
-
 def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> SpectrumResult:
     """The oracle: solve the four-node charge-basis operator and label against its blocks.
 
@@ -259,24 +254,44 @@ def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed
         vecs = from_real_form(vecs)
     else:
         vals, vecs = solve_lowest(ham, cfg.num_eigenstates, seed=seed)
-    return _spectrum_result(flux, cfg, vals, label_states(vecs, blocks), "charge")
+    return SpectrumResult(
+        flux=float(flux),
+        n_max=int(cfg.n_max),
+        eigenfrequencies_ghz=vals - vals[0],
+        labels=label_states(vecs, blocks),
+        backend="charge",
+    )
 
 
-def _block_eigenbasis(name: str, mode: np.ndarray, kept: int):
-    """All eigenpairs of one block in its real form; refuses a cut at ``kept`` levels through a near-degenerate pair."""
-    vals, vecs = np.linalg.eigh(real_form(mode))
-    gap = vals[kept] - vals[kept - 1] if kept < vals.size else np.inf
-    tol = _RESIDUAL_FACTOR * np.abs(mode).sum(axis=0).max()
-    if gap < tol:
-        raise SolverError(
-            f"{name} block truncated at {kept} levels cuts a near-degenerate pair "
-            f"(gap {gap:.3e} GHz < {tol:.3e}); the result would depend on the basis"
-        )
-    return vals, vecs
+@dataclass(frozen=True)
+class _ProductBlocks:
+    """The three blocks fully diagonalized, with the cross-block couplings on their eigenbases.
+
+    ``energies`` holds every eigenvalue of node 1, node 2 and the coupler
+    block. On the product basis the cross terms are
+    -2 Ec_12 N1 N2 - N1 X - N2 Y, with the real node charges ``n1`` and
+    ``n2`` (n = i N) and the coupler factors ``x`` = 2 (Ec_13 N3 + Ec_14 N4)
+    and ``y`` = 2 (Ec_23 N3 + Ec_24 N4). Each maps the levels a product up to
+    the largest cutoff can hold (the columns) to all levels of its block.
+    ``gap_tol`` is the residual tolerance of the largest block.
+    """
+
+    energies: tuple[np.ndarray, np.ndarray, np.ndarray]
+    n1: np.ndarray
+    n2: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ec12: float
+    gap_tol: float
+
+    @property
+    def reach(self) -> tuple[int, int, int]:
+        """Levels of each block that a kept product can hold."""
+        return self.n1.shape[1], self.n2.shape[1], self.x.shape[1]
 
 
-def _real_charge(vecs: np.ndarray, charges: np.ndarray, kept: int) -> np.ndarray:
-    """N with n = i N for a node charge, from the first ``kept`` real-form eigenvectors of a block to all of them.
+def _real_charge(vecs: np.ndarray, charges: np.ndarray, count: int) -> np.ndarray:
+    """N with n = i N for a node charge, from the first ``count`` real-form eigenvectors of a block to all of them.
 
     On the real-form basis a charge diagonal ``charges``, odd under the
     reflection, is i [[0, 0, D], [0, 0, 0], [-D, 0, 0]] with D its first
@@ -285,32 +300,76 @@ def _real_charge(vecs: np.ndarray, charges: np.ndarray, kept: int) -> np.ndarray
     h = vecs.shape[0] // 2
     top = charges[:h, None]
     even, odd = vecs[:h], vecs[h + 1 :]
-    return even.T @ (top * odd[:, :kept]) - odd.T @ (top * even[:, :kept])
+    return even.T @ (top * odd[:, :count]) - odd.T @ (top * even[:, :count])
 
 
-def _truncation_shifts(states, energies, block_energies, n1, n2, x, y, ec12: float) -> np.ndarray:
-    """Second-order energy shifts (GHz) of product-basis eigenstates from the block levels left out.
+def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: float) -> _ProductBlocks:
+    """Diagonalize the blocks for products up to ``e_max`` GHz of summed excitation."""
+    blocks, _ = assemble_blocks(params, flux, cfg)
+    (e1, v1), (e2, v2), (e34, v34) = (np.linalg.eigh(real_form(mode)) for mode in blocks.modes)
+    m1, m2, mc = (
+        max(int(np.searchsorted(e - e[0], e_max, side="right")), levels)
+        for e, levels in zip((e1, e2, e34), LABEL_LEVELS)
+    )
+    # v34 rows run over (n3, n4) in kron order
+    charges = np.arange(-blocks.n_max, blocks.n_max + 1, dtype=float)
+    n3 = _real_charge(v34, np.repeat(charges, charges.size), mc)
+    n4 = _real_charge(v34, np.tile(charges, charges.size), mc)
+    ec = blocks.ec
+    return _ProductBlocks(
+        energies=(e1, e2, e34),
+        n1=_real_charge(v1, charges, m1),
+        n2=_real_charge(v2, charges, m2),
+        x=2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4),
+        y=2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4),
+        ec12=float(ec[0, 1]),
+        gap_tol=_RESIDUAL_FACTOR * max(np.abs(mode).sum(axis=0).max() for mode in blocks.modes),
+    )
 
-    ``states`` holds eigenvectors as (count, m1, m2, mc) coefficient tensors
-    and ``energies`` their eigenvalues. The cross-block terms couple them to
-    the products outside the kept corner, whose unperturbed energies are sums
-    of block energies; each state shifts by -sum |<out|V|psi>|^2 / (E_out - E).
-    The operators map the kept levels of a block to all of its levels: the
-    real node charges ``n1`` and ``n2`` (N with n = i N), and the coupler
-    factors ``x`` of node 1 and ``y`` of node 2; ``ec12`` is Ec_12. The
-    cross terms are minus the sum formed here, a sign that drops out of
-    |<out|V|psi>|^2.
+
+def _product_hamiltonian(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dense H on the kept products (a[i], b[i], c[i]).
+
+    The diagonal holds the block energies. Each cross term is diagonal in one
+    block index (c for 2 Ec_12 N1 N2, b for N1 X, a for N2 Y), so it is
+    subtracted one group of products sharing that index at a time, as the
+    outer product of its two block matrices restricted to the group.
     """
-    m1, m2, mc = states.shape[1:]
-    e1, e2, e34 = block_energies
+    e1, e2, e34 = blocks.energies
+    ham = np.diag(e1[a] + e2[b] + e34[c])
+    terms = (
+        (c, a, b, 2.0 * blocks.ec12 * blocks.n1, blocks.n2),
+        (b, a, c, blocks.n1, blocks.x),
+        (a, b, c, blocks.n2, blocks.y),
+    )
+    for shared, i, j, left, right in terms:
+        order = np.argsort(shared, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(shared[order])) + 1):
+            gi, gj = i[group], j[group]
+            ham[np.ix_(group, group)] -= left[np.ix_(gi, gi)] * right[np.ix_(gj, gj)]
+    return ham
+
+
+def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray) -> np.ndarray:
+    """Second-order energy shifts (GHz) of product-basis eigenstates from the products left out.
+
+    ``states`` holds eigenvectors as coefficient tensors over the levels of
+    ``blocks.reach``, and ``energies`` their eigenvalues; ``kept`` marks the
+    kept products among all. The cross terms couple the states to the
+    left-out products, whose unperturbed energies are sums of block energies;
+    each state shifts by -sum |<out|V|psi>|^2 / (E_out - E). The sum formed
+    here is minus V, a sign that drops out of |<out|V|psi>|^2.
+    """
+    m1, m2, mc = blocks.reach
+    e1, e2, e34 = blocks.energies
     amp = np.zeros((len(states), e1.size, e2.size, e34.size))
-    amp[:, :, :, :mc] += 2.0 * ec12 * np.einsum("Aa,Bb,sabc->sABc", n1, n2, states, optimize=True)
-    amp[:, :, :m2, :] += np.einsum("Aa,Cc,sabc->sAbC", n1, x, states, optimize=True)
-    amp[:, :m1, :, :] += np.einsum("Bb,Cc,sabc->saBC", n2, y, states, optimize=True)
-    amp[:, :m1, :m2, :mc] = 0.0
+    amp[:, :, :, :mc] += 2.0 * blocks.ec12 * np.einsum("Aa,Bb,sabc->sABc", blocks.n1, blocks.n2, states, optimize=True)
+    amp[:, :, :m2, :] += np.einsum("Aa,Cc,sabc->sAbC", blocks.n1, blocks.x, states, optimize=True)
+    amp[:, :m1, :, :] += np.einsum("Bb,Cc,sabc->saBC", blocks.n2, blocks.y, states, optimize=True)
+    amp[:, kept] = 0.0
     unperturbed = e1[:, None, None] + e2[None, :, None] + e34[None, None, :]
     shifts = []
-    for weights, energy in zip(np.abs(amp) ** 2, energies):
+    for weights, energy in zip(amp**2, energies):
         coupled = weights > 0
         gaps = unperturbed[coupled] - energy
         if np.any(gaps <= 0):
@@ -322,89 +381,111 @@ def _truncation_shifts(states, energies, block_energies, n1, n2, x, y, ec12: flo
     return np.array(shifts)
 
 
-def hierarchical_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
-    """Spectrum in the product basis of the lowest block eigenstates, without the four-node operator.
+def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisConfig):
+    """Labeled spectrum on the products with summed excitation energy up to ``e_cut`` GHz.
 
-    Node 1, node 2 and the coupler block (which holds all the flux dependence
-    and JJ5) are diagonalized exactly in their real forms and truncated to 6,
-    6 and 30 levels. In that 1080-state product basis the Hamiltonian is the
-    sum of the block energies and the cross-block charge terms
-    2 Ec_ij n_i n_j = -2 Ec_ij N_i N_j, all real; its lowest pairs are taken
-    densely. Labels are the squared product coefficients of the label
-    corner, assigned as for the charge basis.
-
-    The levels left out shift the computational levels at second order in
-    the cross-block terms. Where that estimate moves zeta by more than
-    0.01 kHz or a computational frequency by more than 1e-5 GHz, the
-    truncation is too coarse for the circuit and ``TruncationError`` is raised.
+    ``e_cut`` is at most the ``e_max`` the blocks were built for. The label
+    corner is always kept. The computational levels carry their
+    second-order shifts from the products left out, which are returned too,
+    in ``COMPUTATIONAL_OCCUPATIONS`` order.
     """
-    blocks, _ = assemble_blocks(params, flux, cfg)
-    kept = (_KEPT_QUBIT_LEVELS, _KEPT_QUBIT_LEVELS, _KEPT_COUPLER_LEVELS)
-    (e1, v1), (e2, v2), (e34, v34) = (
-        _block_eigenbasis(name, mode, m) for name, mode, m in zip(_BLOCK_NAMES, blocks.modes, kept)
-    )
-    m1, m2, mc = kept
-
-    # real node charges N (n = i N) from the kept to all levels of each block; v34 rows run over (n3, n4)
-    charges = np.arange(-blocks.n_max, blocks.n_max + 1, dtype=float)
-    ec = blocks.ec
-    n1 = _real_charge(v1, charges, m1)
-    n2 = _real_charge(v2, charges, m2)
-    n3 = _real_charge(v34, np.repeat(charges, charges.size), mc)
-    n4 = _real_charge(v34, np.tile(charges, charges.size), mc)
-    x = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4)
-    y = 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)
-
-    ham = np.zeros((m1 * m2 * mc,) * 2)
-    ham.flat[:: ham.shape[0] + 1] = (e1[:m1, None, None] + e2[None, :m2, None] + e34[None, None, :mc]).ravel()
-    # each cross term (-2 Ec_ij N_i N_j) is subtracted through a 6-index view of ham, one block-diagonal slice at a time
-    view = ham.reshape(m1, m2, mc, m1, m2, mc)
-    term = 2.0 * ec[0, 1] * n1[:m1, None, :, None] * n2[None, :m2, None, :]
-    for c in range(mc):
-        view[:, :, c, :, :, c] -= term
-    term = n1[:m1, None, :, None] * x[None, :mc, None, :]
-    for b in range(m2):
-        view[:, b, :, :, b, :] -= term
-    term = n2[:m2, None, :, None] * y[None, :mc, None, :]
-    for a in range(m1):
-        view[a, :, :, a, :, :] -= term
+    e1, e2, e34 = blocks.energies
+    excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
+    below = excitation <= e_cut
+    if not below.all():
+        gap = excitation[~below].min() - excitation[below].max()
+        if gap < blocks.gap_tol:
+            raise SolverError(
+                f"the product basis cut at E_cut = {e_cut:g} GHz splits a near-degenerate pair of products "
+                f"(gap {gap:.3e} GHz < {blocks.gap_tol:.3e}); the result would depend on the block bases"
+            )
+    kept = below.copy()
+    kept[: LABEL_LEVELS[0], : LABEL_LEVELS[1], : LABEL_LEVELS[2]] = True
+    a, b, c = np.nonzero(kept)
 
     k = cfg.num_eigenstates
-    vals, vecs = solve_lowest(ham, k)
-    coefficients = vecs.T.reshape(k, m1, m2, mc)
-    corner = coefficients[:, : LABEL_LEVELS[0], : LABEL_LEVELS[1], : LABEL_LEVELS[2]]
-    labels = _assign_labels(np.abs(corner) ** 2)
-    spec = _spectrum_result(flux, cfg, vals, labels, "hierarchical")
+    vals, vecs = solve_lowest(_product_hamiltonian(blocks, a, b, c), k)
+    in_corner = (a < LABEL_LEVELS[0]) & (b < LABEL_LEVELS[1]) & (c < LABEL_LEVELS[2])
+    corner = np.zeros((k, *LABEL_LEVELS))
+    corner[:, a[in_corner], b[in_corner], c[in_corner]] = vecs[in_corner].T ** 2
+    labels = _assign_labels(corner)
 
     computational = [[label.occupations for label in labels].index(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
-    shifts = _truncation_shifts(
-        coefficients[computational], vals[computational], (e1, e2, e34), n1, n2, x, y, ec[0, 1]
+    states = np.zeros((len(computational), *blocks.reach))
+    states[:, a, b, c] = vecs[:, computational].T
+    shifts = _left_out_shifts(states, vals[computational], blocks, kept)
+    vals[computational] += shifts
+    spec = SpectrumResult(
+        flux=float(flux),
+        n_max=int(cfg.n_max),
+        eigenfrequencies_ghz=vals - vals[0],
+        labels=labels,
+        backend="product",
+        e_cut_ghz=float(e_cut),
+        kept_states=int(a.size),
     )
-    level_shifts = shifts[1:] - shifts[0]
-    zeta_shift_khz = (shifts[3] - shifts[1] - shifts[2] + shifts[0]) * 1e6
-    if abs(zeta_shift_khz) > _TRUNCATION_ZETA_TOL_KHZ or np.abs(level_shifts).max() > _TRUNCATION_LEVEL_TOL_GHZ:
-        raise TruncationError(
-            f"levels left out of the {m1}x{m2}x{mc} product basis shift zeta by about {zeta_shift_khz:.3g} kHz "
-            f"and the computational levels by up to {np.abs(level_shifts).max():.3g} GHz",
-            spectrum=spec,
-            zeta_shift_khz=zeta_shift_khz,
-        )
-    return spec
+    return spec, shifts
+
+
+def _computational_frequencies(spec: SpectrumResult) -> np.ndarray:
+    """Frequencies of the labeled computational levels, in ``COMPUTATIONAL_OCCUPATIONS`` order."""
+    return np.array([spec.level(occ)[0] for occ in COMPUTATIONAL_OCCUPATIONS])
+
+
+def _zeta_and_level_change(energies: np.ndarray) -> tuple[float, float]:
+    """|zeta| (kHz) and the largest |frequency| (GHz) of a change of the four computational energies."""
+    return abs(energies @ _ZETA_SIGNS) * 1e6, float(np.abs(energies[1:] - energies[0]).max())
+
+
+def _within_tolerance(zeta_khz: float, level_ghz: float, factor: float = 1.0) -> bool:
+    return zeta_khz <= factor * _SETTLED_ZETA_KHZ and level_ghz <= factor * _SETTLED_LEVEL_GHZ
+
+
+def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
+    """Spectrum on the block-product basis below an energy cutoff, raised until the result settles.
+
+    The blocks are diagonalized once. Each rung of ``_E_CUT_LADDER_GHZ``
+    solves the products up to its cutoff with the second-order correction,
+    and the first answer is at the second rung. A rung settles when its
+    corrected zeta and computational frequencies moved from the rung below
+    by at most ``_SETTLED_ZETA_KHZ`` and ``_SETTLED_LEVEL_GHZ``. It is
+    accepted when it settles and either its correction is at most
+    ``_SMALL_CORRECTION`` times those tolerances or the rung below settled
+    too: a large correction leaves a remainder that one agreeing pair of
+    rungs can miss. The last change is recorded as ``truncation_khz``;
+    ``TruncationError`` names the last cutoff when no rung is accepted.
+    """
+    blocks = _product_blocks(params, flux, cfg, _E_CUT_LADDER_GHZ[-1])
+    previous, _ = _product_solve(blocks, _E_CUT_LADDER_GHZ[0], flux, cfg)
+    settled_below = False
+    for e_cut in _E_CUT_LADDER_GHZ[1:]:
+        current, shifts = _product_solve(blocks, e_cut, flux, cfg)
+        moved = _zeta_and_level_change(_computational_frequencies(current) - _computational_frequencies(previous))
+        correction = _zeta_and_level_change(shifts)
+        settled = _within_tolerance(*moved)
+        if settled and (settled_below or _within_tolerance(*correction, factor=_SMALL_CORRECTION)):
+            return replace(current, truncation_khz=moved[0])
+        previous, settled_below = current, settled
+    raise TruncationError(
+        f"product basis not settled at E_cut = {e_cut:g} GHz: from {_E_CUT_LADDER_GHZ[-2]:g} GHz the corrected "
+        f"zeta moved {moved[0]:.3g} kHz and the computational levels up to {moved[1]:.3g} GHz, with a "
+        f"second-order correction of {correction[0]:.3g} kHz on zeta",
+        spectrum=current,
+        zeta_shift_khz=moved[0],
+    )
 
 
 def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> SpectrumResult:
     """Solve, label and ground-reference the spectrum at one flux.
 
-    n_max >= 5 takes the hierarchical backend, which ignores ``seed``, unless
-    it refuses the circuit with ``TruncationError``; smaller bases and refused
-    circuits take the charge-basis oracle.
+    The product backend, which ignores ``seed``, answers unless it raises
+    ``TruncationError``; then the charge-basis oracle solves the point and
+    the result records why in ``fallback``.
     """
-    if cfg.n_max >= _HIERARCHICAL_MIN_N_MAX:
-        try:
-            return hierarchical_spectrum(params, flux, cfg)
-        except TruncationError:
-            pass
-    return charge_spectrum(params, flux, cfg, seed=seed)
+    try:
+        return product_spectrum(params, flux, cfg)
+    except TruncationError as exc:
+        return replace(charge_spectrum(params, flux, cfg, seed=seed), fallback=str(exc))
 
 
 def _zeta_from_spectrum(spec: SpectrumResult) -> float:
@@ -466,8 +547,8 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int
     return points
 
 
-def sweep_c34(params: CircuitParams, c34_grid_ff, flux, cfg: ChargeBasisConfig, *, seed: int = 0):
-    """zeta versus the shunt capacitance, with the two-mode prediction alongside."""
+def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig, *, seed: int = 0):
+    """zeta versus the shunt capacitance at zero flux, with the two-mode prediction (which assumes it) alongside."""
     grid = np.asarray(c34_grid_ff, dtype=float)
     if grid.size == 0:
         raise ValueError("C34 grid must be non-empty")
@@ -478,7 +559,7 @@ def sweep_c34(params: CircuitParams, c34_grid_ff, flux, cfg: ChargeBasisConfig, 
         trial = params.with_c34(float(c34))
         pert = perturbative.two_mode_reduction(trial)
         try:
-            zeta = _zeta_from_spectrum(spectrum_at(trial, flux, cfg, seed=seed))
+            zeta = _zeta_from_spectrum(spectrum_at(trial, 0.0, cfg, seed=seed))
             points.append(C34SweepPoint(float(c34), zeta, pert.zeta_pert_khz, pert.system.g12, None))
         except (LabelingError, SolverError) as exc:
             points.append(C34SweepPoint(float(c34), None, pert.zeta_pert_khz, pert.system.g12, str(exc)))

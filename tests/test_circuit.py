@@ -108,6 +108,12 @@ class TestChargingMatrix:
         with pytest.raises(NumericsError, match="condition number"):
             charging_matrix(singular)
 
+    def test_near_singular_admissible_set_refused(self, device):
+        # nodes 1 and 2 tied only to each other by 1e5 fF, with 1e-20 fF each to ground: admissible, yet singular
+        tied = replace(device, c11=1e-20, c22=1e-20, c12=1e5, c13=0.0, c14=0.0, c23=0.0, c24=0.0)
+        with pytest.raises(NumericsError, match="condition number"):
+            charging_matrix(build_capacitance_matrix(tied))
+
 
 class TestValidation:
     def test_reference_is_clean(self, device):

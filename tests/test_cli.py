@@ -11,6 +11,7 @@ from csdtc.circuit import CircuitParams, params_to_dict, reference_device, save_
 from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid
 from csdtc.design import golden_section_min
 from csdtc.errors import BracketError, ConfigError
+from csdtc.hamiltonian import ChargeBasisConfig
 from csdtc.rb import (
     KIND_POPULATION_0000,
     KIND_POPULATION_X1,
@@ -178,20 +179,26 @@ class TestZZCommand:
         assert not out.exists()
 
     def test_truncation_through_degenerate_coupler_pair_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        # identical, uncoupled coupler nodes: coupler levels 1 and 2 are the degenerate |01>, |10> pair
-        symmetric = CircuitParams(
-            c11=108.0, c22=80.0, c33=90.0, c44=90.0,
+        # uncoupled coupler nodes detuned by 3e-9 of C44: coupler levels 1 and 2 are the |01>, |10> pair, 1e-8 GHz apart
+        near_symmetric = CircuitParams(
+            c11=108.0, c22=80.0, c33=90.0, c44=90.0 * (1.0 + 3e-9),
             c12=0.0, c13=0.0, c14=0.0, c23=0.0, c24=0.0, c34=0.0,
             ic1=26.7, ic2=26.6, ic3=55.2, ic4=55.2, ic5=1e-9,
         )
-        path = tmp_path / "symmetric.json"
-        save_params(symmetric, path)
-        monkeypatch.setattr(spectrum, "_KEPT_COUPLER_LEVELS", 2)
+        path = tmp_path / "near_symmetric.json"
+        save_params(near_symmetric, path)
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        e1, _, e34 = spectrum._product_blocks(near_symmetric, 0.0, cfg, np.inf).energies
+        x1, x34 = e1 - e1[0], e34 - e34[0]
+        # a cutoff between the products (3, 0, 1) and (3, 0, 2)
+        e_cut = x1[3] + (x34[1] + x34[2]) / 2.0
+        assert x1[3] + x34[1] < e_cut < x1[3] + x34[2]
+        monkeypatch.setattr(spectrum, "_E_CUT_LADDER_GHZ", (e_cut, e_cut + 5.0))
         code = main(["zz", "--params", str(path), "--n-max", "5", "--k", "16",
                      "--flux-grid", "0", "--out", str(tmp_path / "zz.csv")])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert "coupler block" in err and "gap" in err
+        assert "near-degenerate pair of products" in err and "gap" in err
 
     def test_failures_tolerated_up_to_ten_percent(self, tmp_path, params_file):
         # k=6 cannot label |1100> at n_max=5, so every point fails -> numerical exit
@@ -239,7 +246,7 @@ class TestPertCompareCommand:
         for name, params in (("noisy", noisy), ("bare", noisy.without_parasitics())):
             paths[name] = tmp_path / f"{name}.json"
             save_params(params, paths[name])
-        base = ["pert-compare", "--n-max", "3", "--k", "8", "--c34-grid", "30", "--flux", "0.2"]
+        base = ["pert-compare", "--n-max", "3", "--k", "8", "--c34-grid", "30"]
         out_flag, out_bare, out_noisy = (tmp_path / f"{name}.csv" for name in ("flag", "bare", "noisy"))
         assert main(base + ["--params", str(paths["noisy"]), "--zero-parasitics", "--out", str(out_flag)]) == EXIT_OK
         assert main(base + ["--params", str(paths["bare"]), "--out", str(out_bare)]) == EXIT_OK
@@ -255,12 +262,13 @@ class TestPertCompareCommand:
         (["zz", "--c34-grid", "30"], "--flux-grid"),
         (["spectrum", "--flux", "0.3"], "--flux"),
         (["pert-compare", "--flux", "0.2"], "--c34-grid"),
+        (["pert-compare", "--c34-grid", "30", "--flux", "0.2"], "--flux"),
         (["zz", "--flux-grid", "0", "--n-max", "x"], "--n-max"),
         (["design", "--formula"], "--formula"),
         (["frobnicate"], "frobnicate"),
     ],
-    ids=["zz_c34_grid", "zz_without_flux_grid", "spectrum_flux", "pert_compare_without_c34_grid", "n_max_not_int",
-         "design_abbreviated_formula_only", "unknown_command"],
+    ids=["zz_c34_grid", "zz_without_flux_grid", "spectrum_flux", "pert_compare_without_c34_grid", "pert_compare_flux",
+         "n_max_not_int", "design_abbreviated_formula_only", "unknown_command"],
 )
 def test_usage_error_is_one_line_naming_it(tmp_path, capsys, params_file, argv, named):
     out = tmp_path / "out"

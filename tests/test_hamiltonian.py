@@ -37,7 +37,7 @@ class TestConfig:
             ChargeBasisConfig(**kwargs)
 
     def test_basis_beyond_four_node_cap_constructs(self):
-        # the hierarchical backend never builds the 39**4-state operator, only 1521-state coupler blocks
+        # the product backend never builds the 39**4-state operator, only 1521-state coupler blocks
         assert ChargeBasisConfig(n_max=19).dimension == 2313441
 
     def test_four_node_operator_beyond_cap_refused_before_allocating(self, device):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from csdtc import spectrum
 from csdtc.errors import ConfigError, LabelingError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
@@ -13,8 +14,8 @@ from csdtc.spectrum import (
     _zeta_from_spectrum,
     charge_spectrum,
     convergence_study,
-    hierarchical_spectrum,
     label_states,
+    product_spectrum,
     solve_lowest,
     spectrum_at,
     sweep_c34,
@@ -27,6 +28,7 @@ from csdtc.spectrum import (
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=8)
 CFG4 = ChargeBasisConfig(n_max=4, num_eigenstates=12)
+LABEL_CORNER_STATES = 3 * 3 * 6
 
 
 class TestSolveLowest:
@@ -109,10 +111,14 @@ class TestLabels:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("n_max, backend", [(4, "charge"), (5, "hierarchical")])
-    def test_backend_chosen_by_basis_size(self, device, n_max, backend):
+    @pytest.mark.parametrize("n_max", [3, 4, 5, 7])
+    def test_product_backend_at_every_n_max(self, device, n_max):
         spec = spectrum_at(device, 0.0, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
-        assert spec.backend == backend
+        assert spec.backend == "product"
+        assert spec.e_cut_ghz in spectrum._E_CUT_LADDER_GHZ[1:]
+        assert LABEL_CORNER_STATES < spec.kept_states < (2 * n_max + 1) ** 4
+        assert 0.0 <= spec.truncation_khz <= spectrum._SETTLED_ZETA_KHZ
+        assert spec.fallback is None
 
     @pytest.mark.parametrize("flux", [0.0, 0.15, -0.15, 0.25])
     def test_hierarchical_matches_charge_oracle(self, device, flux):
@@ -130,7 +136,31 @@ class TestBackends:
             oracle_zeta_khz += sign * (vals[state] - vals[0]) * 1e6
         assert zeta_khz == pytest.approx(oracle_zeta_khz, abs=0.01)
 
-    @pytest.mark.parametrize("n_max, backend", [(3, "charge"), (5, "hierarchical")])
+    @pytest.mark.parametrize("c34", [5.0, 30.0, 100.0])
+    def test_shunt_scan_points_match_charge_oracle_at_n_max_4(self, device, c34):
+        params = device.with_c34(c34)
+        cfg = ChargeBasisConfig(n_max=4, num_eigenstates=16)
+        spec = spectrum_at(params, 0.0, cfg)
+        assert spec.backend == "product"
+        oracle = _zeta_from_spectrum(charge_spectrum(params, 0.0, cfg))
+        assert _zeta_from_spectrum(spec) == pytest.approx(oracle, abs=0.1)
+
+    def test_gate_edge_stays_ambiguous_without_the_four_node_operator(self, device, monkeypatch):
+        def no_operator(*args, **kwargs):
+            raise AssertionError("assemble_hamiltonian called")
+
+        monkeypatch.setattr(spectrum, "assemble_hamiltonian", no_operator)
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        for flux in (0.45, -0.45):
+            spec = spectrum_at(device, flux, cfg)
+            assert spec.backend == "product"
+            _, label = spec.level((1, 1, 0))
+            assert label.ambiguous
+            assert label.overlap == pytest.approx(0.474, abs=0.005)
+            with pytest.raises(LabelingError, match="ambiguous"):
+                _zeta_from_spectrum(spec)
+
+    @pytest.mark.parametrize("n_max, backend", [(3, "charge"), (5, "product")])
     def test_every_eigensolve_is_real_at_complex_flux(self, device, monkeypatch, n_max, backend):
         seen = []
 
@@ -145,33 +175,38 @@ class TestBackends:
 
         for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
             recording(module, name)
-        spec = spectrum_at(device, 0.3, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
+        solve = charge_spectrum if backend == "charge" else spectrum_at
+        spec = solve(device, 0.3, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
         assert spec.backend == backend
         operator_solver = "scipy.sparse.linalg.eigsh" if backend == "charge" else "scipy.linalg.eigh"
         assert {name for name, _ in seen} == {operator_solver, "numpy.linalg.eigh"}
         assert all(dtype == np.float64 for _, dtype in seen)
 
-    def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device):
-        # a 5 fF direct qubit-qubit capacitance couples the qubits to their levels above the 6 kept
+    def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device, monkeypatch):
+        # a 5 fF direct qubit-qubit capacitance needs the products up to 50 GHz; stop the ladder at 45
         coupled = replace(device, c12=5.0)
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
-        with pytest.raises(TruncationError, match="shift zeta by about"):
-            hierarchical_spectrum(coupled, 0.0, cfg)
+        monkeypatch.setattr(spectrum, "_E_CUT_LADDER_GHZ", (40.0, 45.0))
+        with pytest.raises(TruncationError, match="not settled at E_cut = 45 GHz"):
+            product_spectrum(coupled, 0.0, cfg)
         spec = spectrum_at(coupled, 0.0, cfg)
         oracle = charge_spectrum(coupled, 0.0, cfg)
         assert spec.backend == "charge"
+        assert "E_cut = 45 GHz" in spec.fallback
         assert np.array_equal(spec.eigenfrequencies_ghz, oracle.eigenfrequencies_ghz)
 
-
-    def test_truncation_estimate_accounts_for_hierarchical_error(self, device):
+    def test_truncation_estimate_accounts_for_hierarchical_error(self, device, monkeypatch):
         # mutuals of a few fF between all blocks, so each of the three cross terms shifts zeta
         coupled = replace(device, c12=2.0, c13=20.0, c24=20.0, c14=5.0, c23=5.0)
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
-        with pytest.raises(TruncationError) as refused:
-            hierarchical_spectrum(coupled, 0.0, cfg)
+        blocks = spectrum._product_blocks(coupled, 0.0, cfg, 40.0)
+        corrected_khz = _zeta_from_spectrum(spectrum._product_solve(blocks, 40.0, 0.0, cfg)[0])
+        monkeypatch.setattr(spectrum, "_left_out_shifts", lambda states, energies, *args: np.zeros(len(energies)))
+        raw_khz = _zeta_from_spectrum(spectrum._product_solve(blocks, 40.0, 0.0, cfg)[0])
         oracle_khz = _zeta_from_spectrum(charge_spectrum(coupled, 0.0, cfg))
-        error_khz = _zeta_from_spectrum(refused.value.spectrum) - oracle_khz
-        assert error_khz == pytest.approx(-refused.value.zeta_shift_khz, rel=0.1)
+        assert abs(raw_khz - oracle_khz) > 1.0
+        assert raw_khz - oracle_khz == pytest.approx(raw_khz - corrected_khz, rel=0.1)
+
 
 class TestZZ:
     def test_decoupled_zero(self, decoupled):
@@ -217,12 +252,12 @@ class TestSweeps:
 
     def test_c34_grid_validation(self, device):
         with pytest.raises(ValueError):
-            sweep_c34(device, [], 0.0, CFG4)
+            sweep_c34(device, [], CFG4)
         with pytest.raises(ValueError):
-            sweep_c34(device, [-1.0], 0.0, CFG4)
+            sweep_c34(device, [-1.0], CFG4)
 
     def test_c34_single_point_matches_zz(self, device):
-        points = sweep_c34(device, [30.3], 0.0, CFG4)
+        points = sweep_c34(device, [30.3], CFG4)
         direct = zz_interaction(device, 0.0, CFG4)
         assert points[0].zeta_khz == pytest.approx(direct.zeta_khz, rel=1e-12)
         assert points[0].error is None
@@ -316,7 +351,7 @@ class TestCsvWriters:
         assert cells[1:] == [""] * 8
 
     def test_c34_csv_columns(self, tmp_path, device):
-        points = sweep_c34(device, [30.3], 0.0, CFG4)
+        points = sweep_c34(device, [30.3], CFG4)
         path = tmp_path / "c34.csv"
         write_c34_zz_csv(points, path)
         header = path.read_text().splitlines()[0]

@@ -2,13 +2,13 @@
 
 The charge basis, solved sparsely in its real form, must give the lowest
 eigenvalues of the dense complex operator, and the real form must be U^H H U.
-With every block level kept, the product basis spans the whole charge basis,
-so the two backends must agree for any circuit. At the shipped truncation the
-hierarchical backend either agrees with the oracle or refuses the circuit.
+With every block product kept, the product basis spans the whole charge
+basis, so the two backends must agree for any circuit. Below its energy
+cutoffs the product backend either agrees with the oracle or refuses the
+circuit.
 """
 
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,21 +45,20 @@ def _oracle_zeta(params, phi):
 @given(PARAMETER_SETS, REAL_FLUXES)
 def test_hierarchical_with_every_level_kept_matches_oracle(params, phi):
     oracle = _oracle_zeta(params, phi)
-    size = 2 * CFG3.n_max + 1
-    with mock.patch.multiple(spectrum, _KEPT_QUBIT_LEVELS=size, _KEPT_COUPLER_LEVELS=size**2):
-        hierarchical = spectrum._zeta_from_spectrum(spectrum.hierarchical_spectrum(params, phi, CFG3))
-    assert abs(hierarchical - oracle) < 0.1
+    spec, _ = spectrum._product_solve(spectrum._product_blocks(params, phi, CFG3, np.inf), np.inf, phi, CFG3)
+    assert spec.kept_states == CFG3.dimension
+    assert abs(spectrum._zeta_from_spectrum(spec) - oracle) < 0.1
 
 
 @settings(SPECTRUM_SETTINGS, max_examples=20)
 @given(PARAMETER_SETS, FLUXES, st.sampled_from([1.0, 0.1]))
 def test_hierarchical_matches_oracle_or_refuses(params, phi, mutual_scale):
-    # a scale of 0.1 shrinks the cross-block capacitances to 0-3 fF, where the truncation mostly holds
+    # a scale of 0.1 shrinks the cross-block capacitances to 0-3 fF, where the cutoffs mostly settle
     mutuals = {name: mutual_scale * getattr(params, name) for name in ("c12", "c13", "c14", "c23", "c24")}
     params = replace(params, **mutuals)
     oracle = _oracle_zeta(params, phi)
     try:
-        hierarchical = spectrum._zeta_from_spectrum(spectrum.hierarchical_spectrum(params, phi, CFG3))
+        hierarchical = spectrum._zeta_from_spectrum(spectrum.product_spectrum(params, phi, CFG3))
     except TruncationError:
         return
     assert abs(hierarchical - oracle) < 0.1
