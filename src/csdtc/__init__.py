@@ -25,7 +25,6 @@ from .perturbative import (
 from .rb import ErrorBudget, RBTrace, assemble_budget, fit_decay, full_budget, synth_trace
 from .spectrum import (
     SpectrumResult,
-    ZZResult,
     convergence_study,
     spectrum_at,
     sweep_c34,
@@ -40,7 +39,6 @@ __all__ = [
     "JunctionEnergies",
     "ChargeBasisConfig",
     "SpectrumResult",
-    "ZZResult",
     "PerturbativeResult",
     "ErrorBudget",
     "RBTrace",

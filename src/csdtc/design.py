@@ -80,13 +80,13 @@ def search_design(
     fixed_point = perturbative.zero_coupling_c34(bare)
 
     def abs_zeta(c34_ff: float) -> float:
-        return abs(spectrum.zz_interaction(bare.with_c34(c34_ff), 0.0, cfg, seed=seed).zeta_khz)
+        return abs(spectrum.zz_interaction(bare.with_c34(c34_ff), 0.0, cfg, seed=seed))
 
     argmin, _ = golden_section_min(abs_zeta, *bracket, tol=tol)
     zeta_at_star = spectrum.zz_interaction(bare.with_c34(fixed_point.c34_star_ff), 0.0, cfg, seed=seed)
     return {
         "c34_star_fF": fixed_point.c34_star_ff,
         "g12_residual": fixed_point.g12_residual,
-        "zeta_at_star_kHz": zeta_at_star.zeta_khz,
+        "zeta_at_star_kHz": zeta_at_star,
         "argmin_c34_exact_fF": argmin,
     }

@@ -22,16 +22,7 @@ class SolverError(NumericsError):
 
 
 class TruncationError(SolverError):
-    """The product basis did not settle below its largest energy cutoff, or left out a product it must keep.
-
-    Carries the last ``spectrum`` (when available) and ``zeta_shift_khz``,
-    how far its corrected zeta moved from the cutoff below.
-    """
-
-    def __init__(self, message, spectrum=None, zeta_shift_khz=None):
-        super().__init__(message)
-        self.spectrum = spectrum
-        self.zeta_shift_khz = zeta_shift_khz
+    """The product basis did not settle below its largest energy cutoff, or left out a product it must keep."""
 
 
 class LabelingError(RuntimeError):

@@ -34,7 +34,8 @@ is the level index of the coupler block (nodes 3 and 4 with JJ5 at the flux).
 Each eigenstate gets one product of block eigenstates, by the unique
 assignment that maximizes the summed overlap. The ZZ interaction is the
 cross-Kerr combination E(110) - E(100) - E(010) + E(000) of labeled
-eigenenergies, reported as zeta/2pi in kHz.
+eigenenergies, reported as zeta/2pi in kHz by ``zz_interaction``.
+``convergence_study`` judges the basis size against ``ZETA_GATE_KHZ``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ _SETTLED_LEVEL_GHZ = 1e-5
 _SMALL_CORRECTION = 5.0
 
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
-_ZETA_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # zeta = E(000) - E(100) - E(010) + E(110)
+# the oracle gate: successive basis sizes whose zetas differ by less than this count as converged
+ZETA_GATE_KHZ = 0.1
 
 
 @dataclass(frozen=True)
@@ -107,15 +109,6 @@ class SpectrumResult:
             if label.occupations == occ:
                 return float(freq), label
         raise LabelingError(f"no eigenstate labeled {occ}", spectrum=self)
-
-
-@dataclass(frozen=True)
-class ZZResult:
-    """zeta/2pi in kHz at one flux point."""
-
-    zeta_khz: float
-    flux: float
-    convergence_delta_khz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -432,9 +425,15 @@ def _computational_frequencies(spec: SpectrumResult) -> np.ndarray:
     return np.array([spec.level(occ)[0] for occ in COMPUTATIONAL_OCCUPATIONS])
 
 
+def _zeta_khz(energies) -> float:
+    """zeta (kHz) of the four computational energies (GHz) in ``COMPUTATIONAL_OCCUPATIONS`` order."""
+    e000, e100, e010, e110 = energies
+    return (e110 - e100 - e010 + e000) * 1e6
+
+
 def _zeta_and_level_change(energies: np.ndarray) -> tuple[float, float]:
     """|zeta| (kHz) and the largest |frequency| (GHz) of a change of the four computational energies."""
-    return abs(energies @ _ZETA_SIGNS) * 1e6, float(np.abs(energies[1:] - energies[0]).max())
+    return abs(_zeta_khz(energies)), float(np.abs(energies[1:] - energies[0]).max())
 
 
 def _within_tolerance(zeta_khz: float, level_ghz: float, factor: float = 1.0) -> bool:
@@ -469,9 +468,7 @@ def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> Spe
     raise TruncationError(
         f"product basis not settled at E_cut = {e_cut:g} GHz: from {_E_CUT_LADDER_GHZ[-2]:g} GHz the corrected "
         f"zeta moved {moved[0]:.3g} kHz and the computational levels up to {moved[1]:.3g} GHz, with a "
-        f"second-order correction of {correction[0]:.3g} kHz on zeta",
-        spectrum=current,
-        zeta_shift_khz=moved[0],
+        f"second-order correction of {correction[0]:.3g} kHz on zeta"
     )
 
 
@@ -489,7 +486,7 @@ def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: in
 
 
 def _zeta_from_spectrum(spec: SpectrumResult) -> float:
-    energies = {}
+    energies = []
     for occ in COMPUTATIONAL_OCCUPATIONS:
         freq, label = spec.level(occ)
         if label.ambiguous:
@@ -497,33 +494,18 @@ def _zeta_from_spectrum(spec: SpectrumResult) -> float:
                 f"label {occ} is ambiguous (overlap {label.overlap:.3f} < {AMBIGUITY_THRESHOLD})",
                 spectrum=spec,
             )
-        energies[occ] = freq
-    zeta_ghz = energies[(1, 1, 0)] - energies[(1, 0, 0)] - energies[(0, 1, 0)] + energies[(0, 0, 0)]
-    return zeta_ghz * 1e6  # GHz -> kHz
+        energies.append(freq)
+    return _zeta_khz(energies)
 
 
-def zz_interaction(
-    params: CircuitParams,
-    flux,
-    cfg: ChargeBasisConfig,
-    *,
-    seed: int = 0,
-    certify: bool = False,
-) -> ZZResult:
-    """ZZ interaction zeta/2pi (kHz) from labeled eigenenergies.
+def zz_interaction(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> float:
+    """ZZ interaction zeta/2pi (kHz) at one flux, from the labeled eigenenergies of ``spectrum_at``.
 
-    With ``certify=True`` the value is recomputed on the charge-basis oracle
-    at n_max + 2 and the absolute difference is reported as the convergence
-    delta.
+    An ambiguous computational label raises ``LabelingError`` with the
+    spectrum attached. The value is for ``cfg.n_max`` alone; whether that
+    basis is large enough is what ``convergence_study`` answers.
     """
-    spec = spectrum_at(params, flux, cfg, seed=seed)
-    zeta = _zeta_from_spectrum(spec)
-    delta = None
-    if certify:
-        bigger = replace(cfg, n_max=cfg.n_max + 2)
-        zeta_big = _zeta_from_spectrum(charge_spectrum(params, flux, bigger, seed=seed))
-        delta = abs(zeta_big - zeta)
-    return ZZResult(zeta_khz=zeta, flux=float(flux), convergence_delta_khz=delta)
+    return _zeta_from_spectrum(spectrum_at(params, flux, cfg, seed=seed))
 
 
 def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int = 0):
@@ -552,33 +534,32 @@ def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig, *, see
     grid = np.asarray(c34_grid_ff, dtype=float)
     if grid.size == 0:
         raise ValueError("C34 grid must be non-empty")
-    if np.any(grid <= 0):
-        raise ValueError("C34 grid must be strictly positive")
+    trials = [params.with_c34(float(c34)) for c34 in grid]  # refuses a negative or non-finite C34 up front
     points = []
-    for c34 in grid:
-        trial = params.with_c34(float(c34))
+    for trial in trials:
         pert = perturbative.two_mode_reduction(trial)
         try:
-            zeta = _zeta_from_spectrum(spectrum_at(trial, 0.0, cfg, seed=seed))
-            points.append(C34SweepPoint(float(c34), zeta, pert.zeta_pert_khz, pert.system.g12, None))
+            zeta = zz_interaction(trial, 0.0, cfg, seed=seed)
+            points.append(C34SweepPoint(trial.c34, zeta, pert.zeta_pert_khz, pert.system.g12, None))
         except (LabelingError, SolverError) as exc:
-            points.append(C34SweepPoint(float(c34), None, pert.zeta_pert_khz, pert.system.g12, str(exc)))
+            points.append(C34SweepPoint(trial.c34, None, pert.zeta_pert_khz, pert.system.g12, str(exc)))
     return points
 
 
-def convergence_study(params: CircuitParams, flux, n_max_values, *, num_eigenstates: int = 16, seed: int = 0):
-    """zeta at each basis size with successive deltas; converged below 1 kHz."""
+def convergence_study(params: CircuitParams, flux, cfg: ChargeBasisConfig, n_max_values, *, seed: int = 0):
+    """``zz_interaction`` at each n_max, with everything else of ``cfg`` kept, and the successive deltas.
+
+    The basis counts as converged when the last delta is below
+    ``ZETA_GATE_KHZ``, the 0.1 kHz oracle gate.
+    """
     values = [int(n) for n in n_max_values]
     if len(values) < 2:
         raise ValueError("need at least two n_max values")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("n_max values must be strictly ascending")
-    zetas = []
-    for n_max in values:
-        cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=num_eigenstates)
-        zetas.append(zz_interaction(params, flux, cfg, seed=seed).zeta_khz)
+    zetas = [zz_interaction(params, flux, replace(cfg, n_max=n_max), seed=seed) for n_max in values]
     deltas = tuple(abs(b - a) for a, b in zip(zetas, zetas[1:]))
-    return ConvergenceStudy(tuple(values), tuple(zetas), deltas, converged=bool(deltas[-1] < 1.0))
+    return ConvergenceStudy(tuple(values), tuple(zetas), deltas, converged=bool(deltas[-1] < ZETA_GATE_KHZ))
 
 
 # --- CSV artifacts --------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_criterion_4_design_condition(device):
     cfg = ChargeBasisConfig(n_max=9, num_eigenstates=16)
 
     def abs_zeta(c34_ff):
-        return abs(zz_interaction(bare.with_c34(c34_ff), 0.0, cfg).zeta_khz)
+        return abs(zz_interaction(bare.with_c34(c34_ff), 0.0, cfg))
 
     argmin, _ = golden_section_min(abs_zeta, 34.0, 58.0, tol=1.2)
     ok_argmin = abs(argmin - c34_star) <= 0.20 * c34_star
@@ -144,7 +144,7 @@ def test_criterion_4_design_condition(device):
     ratios = []
     ok_window = True
     for c34 in window:
-        exact = zz_interaction(bare.with_c34(float(c34)), 0.0, cfg).zeta_khz
+        exact = zz_interaction(bare.with_c34(float(c34)), 0.0, cfg)
         pert = two_mode_reduction(bare.with_c34(float(c34))).zeta_pert_khz
         ratios.append(pert / exact)
         same_sign = (exact < 0) == (pert < 0)
@@ -167,7 +167,7 @@ def test_criterion_5_symmetry_and_oracle(device):
 
     def zeta_or_none(phi):
         try:
-            return zz_interaction(device, phi, cfg).zeta_khz
+            return zz_interaction(device, phi, cfg)
         except LabelingError:
             return None
 

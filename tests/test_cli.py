@@ -240,6 +240,15 @@ class TestPertCompareCommand:
         assert lines[0] == "C34_fF,zeta_exact_kHz,zeta_pert_kHz,g12_MHz,ambiguous_flag"
         assert len(lines) == 3
 
+    def test_zero_shunt_is_an_admissible_grid_point(self, tmp_path, params_file):
+        out = tmp_path / "pc.csv"
+        code = main(["pert-compare", "--params", params_file, "--n-max", "4",
+                     "--c34-grid", "0:10:2", "--zero-parasitics", "--out", str(out)])
+        assert code == EXIT_OK
+        c34, exact, pert, g12, flag = out.read_text().splitlines()[1].split(",")
+        assert float(c34) == 0.0 and flag == "0"
+        assert all(np.isfinite(float(value)) for value in (exact, pert, g12))
+
     def test_zero_parasitics_sweeps_the_parasitic_free_circuit(self, tmp_path):
         noisy = CircuitParams(**{**vars(reference_device()), "c12": 5.0, "c14": 3.0, "c23": 2.0})
         paths = {}
@@ -310,6 +319,13 @@ def test_readme_command_lines_parse():
     assert {words[0] for words in commands} == {"spectrum", "zz", "pert-compare", "design", "rb-budget"}
     for words in commands:
         build_parser().parse_args(words)
+
+
+def test_readme_library_sketch_runs():
+    sketch = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(sketch, namespace)
+    assert round(namespace["zz"], 1) == -35.4  # the value its comment gives
 
 
 class TestDesignCommand:

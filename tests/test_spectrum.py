@@ -11,6 +11,7 @@ from csdtc.errors import ConfigError, LabelingError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
+    ZETA_GATE_KHZ,
     _zeta_from_spectrum,
     charge_spectrum,
     convergence_study,
@@ -75,7 +76,7 @@ class TestLabels:
         assert len(spec.labels) == 12
         for label in spec.labels:
             assert label.overlap > 0.9999
-        assert abs(zz_interaction(coupled, 0.0, CFG4).zeta_khz) < 1e-3
+        assert abs(zz_interaction(coupled, 0.0, CFG4)) < 1e-3
 
     def test_device_computational_labels_confident(self, device):
         spec = spectrum_at(device, 0.0, ChargeBasisConfig(n_max=5, num_eigenstates=16))
@@ -210,17 +211,11 @@ class TestBackends:
 
 class TestZZ:
     def test_decoupled_zero(self, decoupled):
-        result = zz_interaction(decoupled, 0.0, CFG3)
-        assert abs(result.zeta_khz) < 1e-3
-
-    def test_certified_convergence_delta(self, decoupled):
-        result = zz_interaction(decoupled, 0.0, CFG3, certify=True)
-        assert result.convergence_delta_khz is not None
-        assert result.convergence_delta_khz < 1e-3
+        assert abs(zz_interaction(decoupled, 0.0, CFG3)) < 1e-3
 
     def test_evenness_small_basis(self, device):
-        plus = zz_interaction(device, 0.2, CFG4).zeta_khz
-        minus = zz_interaction(device, -0.2, CFG4).zeta_khz
+        plus = zz_interaction(device, 0.2, CFG4)
+        minus = zz_interaction(device, -0.2, CFG4)
         assert minus == pytest.approx(plus, rel=1e-6)
 
     def test_ambiguous_labels_refused_with_spectrum_attached(self, device):
@@ -236,7 +231,7 @@ class TestSweeps:
         points = sweep_flux(device, [0.0], CFG4)
         direct = zz_interaction(device, 0.0, CFG4)
         assert len(points) == 1
-        assert points[0].zeta_khz == direct.zeta_khz
+        assert points[0].zeta_khz == direct
 
     def test_grid_validation(self, device):
         with pytest.raises(ValueError):
@@ -259,7 +254,7 @@ class TestSweeps:
     def test_c34_single_point_matches_zz(self, device):
         points = sweep_c34(device, [30.3], CFG4)
         direct = zz_interaction(device, 0.0, CFG4)
-        assert points[0].zeta_khz == pytest.approx(direct.zeta_khz, rel=1e-12)
+        assert points[0].zeta_khz == direct
         assert points[0].error is None
 
     def test_points_independent_of_grid_order(self, device):
@@ -296,20 +291,31 @@ class TestLevelContinuity:
 
 class TestConvergenceStudy:
     def test_decoupled_zeta_zero_at_every_n_max(self, decoupled):
-        study = convergence_study(decoupled, 0.0, [3, 4], num_eigenstates=8)
+        study = convergence_study(decoupled, 0.0, CFG3, [3, 4])
         assert all(abs(z) < 1e-3 for z in study.zeta_khz_values)
         assert study.converged
 
-    def test_device_zero_flux_converges_below_1khz(self, device):
-        study = convergence_study(device, 0.0, [5, 7, 9])
-        assert study.deltas_khz[-1] < 1.0
+    def test_each_value_is_zz_at_that_n_max(self, device):
+        study = convergence_study(device, 0.15, CFG4, [3, 4])
+        for n_max, zeta in zip(study.n_max_values, study.zeta_khz_values):
+            assert zeta == zz_interaction(device, 0.15, replace(CFG4, n_max=n_max))
+
+    def test_zero_flux_gate_rejects_5_7_9(self, device):
+        # zeta -43.978 / -35.353 / -35.224 kHz: still 0.130 kHz from n_max 7 to 9
+        study = convergence_study(device, 0.0, ChargeBasisConfig(), [5, 7, 9])
+        assert study.deltas_khz[-1] > ZETA_GATE_KHZ
+        assert not study.converged
+
+    def test_zero_flux_gate_accepts_7_9_11(self, device):
+        study = convergence_study(device, 0.0, ChargeBasisConfig(), [7, 9, 11])
+        assert study.deltas_khz[-1] < 0.01
         assert study.converged
 
     def test_requires_two_ascending(self, decoupled):
         with pytest.raises(ValueError):
-            convergence_study(decoupled, 0.0, [5])
+            convergence_study(decoupled, 0.0, CFG3, [5])
         with pytest.raises(ValueError):
-            convergence_study(decoupled, 0.0, [5, 5])
+            convergence_study(decoupled, 0.0, CFG3, [5, 5])
 
 
 class TestCsvWriters:
