@@ -13,10 +13,12 @@ One backend answers at every n_max, with the charge basis as its oracle:
   in 5 GHz steps from 40 GHz until the corrected zeta and computational
   frequencies stop moving (0.01 kHz, 1e-5 GHz), up to 60 GHz; the first
   answer is at 45 GHz. The four-node operator is never built, and ``seed``
-  has no effect.
+  has no effect. Where every block is real (flux 0 or 1/2) the kept
+  products split into two parity sectors, solved apart (below).
 - charge basis (the oracle, and the fall-back where the cutoffs do not
   settle): the four-node operator on (2 n_max + 1)^4 states, solved by
-  seeded ARPACK Lanczos.
+  seeded ARPACK Lanczos. It is never split by parity, so it stays an
+  independent check of the split.
 
 Every eigensolve is real. The charge reflection n -> -n conjugates every
 operator here (P H P = H*), so each has a real symmetric form on a fixed
@@ -27,6 +29,15 @@ backend diagonalizes each block in its real form at every flux. There each
 node charge, odd under the reflection, becomes i N with N real, so the cross
 terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and the product matrix is real
 as well.
+
+Where every block is real (flux 0 or 1/2), each block's real form is
+block-diagonal in its even sector (the first dim // 2 + 1 states) and its odd
+one. The product backend solves the two sectors apart, so each block level
+has a parity p = +-1, and N, odd under the reflection, is exactly 0 between
+levels of equal parity (``SolverError`` otherwise). Every cross term then
+flips two block parities, so H conserves p1 p2 p34: the kept products split
+exactly into an even and an odd sector, and the lowest k of each, solved
+apart, are merged. ``SpectrumResult.sector_states`` holds the two sizes.
 
 Dressed states are labeled |Q1, Q2, c> against the three blocks of
 ``BlockHamiltonians.modes``: Q1 and Q2 are the qubit-node occupations and c
@@ -100,6 +111,7 @@ class SpectrumResult:
     e_cut_ghz: float | None = None  # product backend: the accepted cutoff,
     kept_states: int | None = None  # the number of products kept below it,
     truncation_khz: float | None = None  # and the zeta change from the cutoff below
+    sector_states: tuple[int, int] | None = None  # at flux 0 or 1/2: the kept products of even and odd parity
     fallback: str | None = None  # charge backend: why the product backend refused the point
 
     def level(self, occupations) -> tuple[float, DressedLabel]:
@@ -266,7 +278,9 @@ class _ProductBlocks:
     ``n2`` (n = i N) and the coupler factors ``x`` = 2 (Ec_13 N3 + Ec_14 N4)
     and ``y`` = 2 (Ec_23 N3 + Ec_24 N4). Each maps the levels a product up to
     the largest cutoff can hold (the columns) to all levels of its block.
-    ``gap_tol`` is the residual tolerance of the largest block.
+    ``gap_tol`` is the residual tolerance of the largest block. Where every
+    block is real, ``parities`` holds each level's charge-reflection parity
+    (+1 even, -1 odd) per block, and None elsewhere.
     """
 
     energies: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -276,6 +290,7 @@ class _ProductBlocks:
     y: np.ndarray
     ec12: float
     gap_tol: float
+    parities: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def reach(self) -> tuple[int, int, int]:
@@ -296,10 +311,52 @@ def _real_charge(vecs: np.ndarray, charges: np.ndarray, count: int) -> np.ndarra
     return even.T @ (top * odd[:, :count]) - odd.T @ (top * even[:, :count])
 
 
+def _block_eigh(mode: np.ndarray, split: bool):
+    """All eigenpairs of a block's real form, ascending, and with ``split`` each level's parity.
+
+    A real block's real form is block-diagonal: the even sector (the first
+    dim // 2 + 1 states, with the all-zero-charge centre) and the odd one.
+    Split, each sector is solved apart, so every eigenvector is exactly zero
+    outside its sector and is tagged +1 (even) or -1 (odd).
+    """
+    folded = real_form(mode)
+    if not split:
+        return (*np.linalg.eigh(folded), None)
+    h1 = folded.shape[0] // 2 + 1
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = np.linalg.eigh(folded[:h1, :h1]), np.linalg.eigh(folded[h1:, h1:])
+    vals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(vals, kind="stable")
+    parity = np.repeat([1, -1], [even_vals.size, odd_vals.size])
+    return vals[order], sla.block_diag(even_vecs, odd_vecs)[:, order], parity[order]
+
+
+def _require_exact_split(flux, factors) -> None:
+    """Raise ``SolverError`` unless each cross factor is exactly 0 between two levels of equal parity.
+
+    ``factors`` holds (name, matrix, parities of its block's levels), the
+    parities labeling both the rows and the columns.
+    """
+    worst = (0.0, "")
+    for name, factor, parity in factors:
+        same = parity[:, None] == parity[None, : factor.shape[1]]
+        worst = max(worst, (float(np.abs(factor[same]).max(initial=0.0)), name))
+    if worst[0] > 0.0:
+        raise SolverError(
+            f"the product basis at flux {float(flux):g} does not split by parity: the cross factor {worst[1]} "
+            f"couples two levels of equal charge-reflection parity by {worst[0]:.3e}"
+        )
+
+
 def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: float) -> _ProductBlocks:
-    """Diagonalize the blocks for products up to ``e_max`` GHz of summed excitation."""
+    """Diagonalize the blocks for products up to ``e_max`` GHz of summed excitation.
+
+    Where every block is real (flux 0 or 1/2) each is solved by parity
+    sector, and ``SolverError`` is raised unless the cross factors then
+    vanish exactly between levels of equal parity.
+    """
     blocks, _ = assemble_blocks(params, flux, cfg)
-    (e1, v1), (e2, v2), (e34, v34) = (np.linalg.eigh(real_form(mode)) for mode in blocks.modes)
+    split = not any(np.iscomplexobj(mode) for mode in blocks.modes)
+    (e1, v1, p1), (e2, v2, p2), (e34, v34, p34) = (_block_eigh(mode, split) for mode in blocks.modes)
     m1, m2, mc = (
         max(int(np.searchsorted(e - e[0], e_max, side="right")), levels)
         for e, levels in zip((e1, e2, e34), LABEL_LEVELS)
@@ -309,14 +366,19 @@ def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: 
     n3 = _real_charge(v34, np.repeat(charges, charges.size), mc)
     n4 = _real_charge(v34, np.tile(charges, charges.size), mc)
     ec = blocks.ec
+    n1, n2 = _real_charge(v1, charges, m1), _real_charge(v2, charges, m2)
+    x, y = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4), 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)
+    if split:
+        _require_exact_split(flux, (("n1", n1, p1), ("n2", n2, p2), ("x", x, p34), ("y", y, p34)))
     return _ProductBlocks(
         energies=(e1, e2, e34),
-        n1=_real_charge(v1, charges, m1),
-        n2=_real_charge(v2, charges, m2),
-        x=2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4),
-        y=2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4),
+        n1=n1,
+        n2=n2,
+        x=x,
+        y=y,
         ec12=float(ec[0, 1]),
         gap_tol=_RESIDUAL_FACTOR * max(np.abs(mode).sum(axis=0).max() for mode in blocks.modes),
+        parities=(p1, p2, p34) if split else None,
     )
 
 
@@ -341,6 +403,35 @@ def _product_hamiltonian(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c
             gi, gj = i[group], j[group]
             ham[np.ix_(group, group)] -= left[np.ix_(gi, gi)] * right[np.ix_(gj, gj)]
     return ham
+
+
+def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int):
+    """Lowest k eigenpairs of H on the kept products, solved in the two sectors of total parity.
+
+    Each cross term flips the parities of two blocks, so H conserves
+    p1[a] p2[b] p34[c] and splits exactly. The lowest k of each sector are
+    merged and the lowest k overall kept, with eigenvectors zero outside
+    their sector. Also returns the (even, odd) sector sizes.
+    """
+    p1, p2, p34 = blocks.parities
+    total = p1[a] * p2[b] * p34[c]
+    sectors = [np.flatnonzero(total == sign) for sign in (1, -1)]
+    sizes = tuple(int(rows.size) for rows in sectors)
+    if min(sizes) <= k:
+        raise SolverError(
+            f"a parity sector of the product basis holds {min(sizes)} products (even {sizes[0]}, odd {sizes[1]}), "
+            f"too few for its lowest {k} states"
+        )
+    vals, vecs = [], []
+    for rows in sectors:
+        sector_vals, sector_vecs = solve_lowest(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
+        padded = np.zeros((a.size, k))
+        padded[rows] = sector_vecs
+        vals.append(sector_vals)
+        vecs.append(padded)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")[:k]
+    return vals[order], np.hstack(vecs)[:, order], sizes
 
 
 def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray) -> np.ndarray:
@@ -397,7 +488,10 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     a, b, c = np.nonzero(kept)
 
     k = cfg.num_eigenstates
-    vals, vecs = solve_lowest(_product_hamiltonian(blocks, a, b, c), k)
+    if blocks.parities is None:
+        (vals, vecs), sectors = solve_lowest(_product_hamiltonian(blocks, a, b, c), k), None
+    else:
+        vals, vecs, sectors = _solve_by_sector(blocks, a, b, c, k)
     in_corner = (a < LABEL_LEVELS[0]) & (b < LABEL_LEVELS[1]) & (c < LABEL_LEVELS[2])
     corner = np.zeros((k, *LABEL_LEVELS))
     corner[:, a[in_corner], b[in_corner], c[in_corner]] = vecs[in_corner].T ** 2
@@ -416,6 +510,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
         backend="product",
         e_cut_ghz=float(e_cut),
         kept_states=int(a.size),
+        sector_states=sectors,
     )
     return spec, shifts
 

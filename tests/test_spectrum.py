@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from csdtc import spectrum
-from csdtc.errors import ConfigError, LabelingError, TruncationError
+from csdtc.errors import ConfigError, LabelingError, SolverError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
@@ -207,6 +207,65 @@ class TestBackends:
         oracle_khz = _zeta_from_spectrum(charge_spectrum(coupled, 0.0, cfg))
         assert abs(raw_khz - oracle_khz) > 1.0
         assert raw_khz - oracle_khz == pytest.approx(raw_khz - corrected_khz, rel=0.1)
+
+
+def solve_in_one_dense_matrix(monkeypatch):
+    """Make the product backend solve every kept set in one matrix, as it does off the symmetric fluxes."""
+    split_blocks = spectrum._product_blocks
+    monkeypatch.setattr(spectrum, "_product_blocks", lambda *args: replace(split_blocks(*args), parities=None))
+
+
+def assert_split_matches_dense(split, dense):
+    assert split.sector_states is not None and sum(split.sector_states) == split.kept_states
+    assert dense.sector_states is None
+    assert (split.e_cut_ghz, split.kept_states) == (dense.e_cut_ghz, dense.kept_states)
+    assert np.abs(split.eigenfrequencies_ghz - dense.eigenfrequencies_ghz).max() <= 1e-9
+    # label by label: two exactly degenerate levels (identical uncoupled qubits) may trade labels
+    assert {label.occupations for label in split.labels} == {label.occupations for label in dense.labels}
+    for label in split.labels:
+        freq, twin = dense.level(label.occupations)
+        assert split.level(label.occupations)[0] == pytest.approx(freq, abs=1e-9)
+        assert label.ambiguous == twin.ambiguous
+    zeta_khz = [spectrum._zeta_khz(spectrum._computational_frequencies(spec)) for spec in (split, dense)]
+    assert abs(zeta_khz[0] - zeta_khz[1]) <= 1e-6
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("n_max", [4, 7])
+    @pytest.mark.parametrize("flux", [0.0, 0.5, -0.5])
+    def test_split_matches_one_dense_solve(self, device, monkeypatch, n_max, flux):
+        cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=16)
+        split = product_spectrum(device, flux, cfg)
+        with monkeypatch.context() as patch:
+            solve_in_one_dense_matrix(patch)
+            dense = product_spectrum(device, flux, cfg)
+        assert_split_matches_dense(split, dense)
+
+    def test_no_split_at_generic_flux(self, device):
+        assert spectrum._product_blocks(device, 0.15, CFG4, 40.0).parities is None
+        assert product_spectrum(device, 0.15, CFG4).sector_states is None
+        assert charge_spectrum(device, 0.0, CFG4).sector_states is None
+
+    def test_broken_parity_refused(self, device, monkeypatch):
+        block_eigh = spectrum._block_eigh
+
+        def mixed(mode, split):
+            # rotate the two lowest levels (even and odd) into each other
+            vals, vecs, parity = block_eigh(mode, split)
+            turn = np.array([[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]])
+            vecs = vecs.copy()
+            vecs[:, :2] = vecs[:, :2] @ turn
+            return vals, vecs, parity
+
+        monkeypatch.setattr(spectrum, "_block_eigh", mixed)
+        with pytest.raises(SolverError, match=r"flux 0\.5 does not split by parity: the cross factor \w+ couples"):
+            spectrum_at(device, 0.5, CFG4)
+
+    def test_sector_too_small_refused(self, device):
+        blocks = spectrum._product_blocks(device, 0.0, CFG3, 40.0)
+        a, b, c = np.nonzero(np.ones(spectrum.LABEL_LEVELS, dtype=bool))  # the 54-product label corner
+        with pytest.raises(SolverError, match="too few for its lowest 30 states"):
+            spectrum._solve_by_sector(blocks, a, b, c, 30)
 
 
 class TestZZ:

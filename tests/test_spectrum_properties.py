@@ -24,6 +24,7 @@ from csdtc import spectrum  # noqa: E402
 from csdtc.errors import LabelingError, TruncationError  # noqa: E402
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, real_form  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
+from test_spectrum import assert_split_matches_dense, solve_in_one_dense_matrix  # noqa: E402
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=16)
 FLUXES = st.sampled_from([0.0, 0.15, 0.25])
@@ -101,3 +102,22 @@ def test_real_form_splits_into_parity_sectors_at_real_flux(params, phi):
     folded = real_form(assemble_hamiltonian(params, phi, CFG3).matrix)
     h = folded.shape[0] // 2
     assert folded[: h + 1, h + 1 :].nnz == 0  # even sector and centre | odd sector
+
+
+@PROPERTY_SETTINGS
+@given(PARAMETER_SETS)
+def test_parity_split_matches_one_dense_solve(params):
+    def outcome(solve):
+        try:
+            return solve(params, 0.0, CFG3)
+        except (LabelingError, TruncationError) as exc:
+            return type(exc)
+
+    split = outcome(spectrum.product_spectrum)
+    with pytest.MonkeyPatch.context() as patch:
+        solve_in_one_dense_matrix(patch)
+        dense = outcome(spectrum.product_spectrum)
+    if isinstance(split, type):
+        assert dense is split
+    else:
+        assert_split_matches_dense(split, dense)
