@@ -16,14 +16,7 @@ import numpy as np
 
 from . import design, rb, spectrum
 from .circuit import load_params
-from .errors import (
-    ConfigError,
-    FitError,
-    LabelingError,
-    ModelError,
-    NumericsError,
-    ParameterError,
-)
+from .errors import ConfigError, NumericsError
 from .hamiltonian import ChargeBasisConfig
 
 EXIT_OK = 0
@@ -190,9 +183,9 @@ def _run(argv) -> tuple[int, Exception | None]:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args), None
-    except (NumericsError, LabelingError, ModelError, FitError) as exc:
+    except NumericsError as exc:
         return EXIT_NUMERICAL, exc
-    except (ParameterError, ConfigError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         return EXIT_USAGE, exc
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every numerical failure derives from ``NumericsError`` (the CLI's exit 3);
+a usage, parameter or configuration error is a ``ValueError`` (exit 2).
+"""
 
 
 class ParameterError(ValueError):
@@ -25,7 +29,7 @@ class TruncationError(SolverError):
     """The product basis did not settle below its largest energy cutoff, or left out a product it must keep."""
 
 
-class LabelingError(RuntimeError):
+class LabelingError(NumericsError):
     """Dressed-state labeling could not produce the required confident labels.
 
     Carries the offending ``SpectrumResult`` (when available) as ``spectrum``
@@ -38,9 +42,9 @@ class LabelingError(RuntimeError):
         self.candidates = candidates
 
 
-class ModelError(ValueError):
+class ModelError(NumericsError):
     """The perturbative model left its domain of validity."""
 
 
-class FitError(RuntimeError):
+class FitError(NumericsError):
     """A decay fit failed or produced an invalid result."""

@@ -23,8 +23,10 @@ the first h + 1 states span the parity-even sector, the last h the odd one.
 
 One builder assembles this operator and its three blocks: node 1, node 2,
 and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
-returns the blocks, the charging matrix and the junction energies, without
-the four-node operator.
+returns the blocks with the charging matrix (``BlockHamiltonians``) and the
+junction energies, without the four-node operator; ``assemble_hamiltonian``
+returns the same blocks and the sparse four-node operator as a pair, so
+every backend consumes one block bundle.
 """
 
 from __future__ import annotations
@@ -92,27 +94,13 @@ class BlockHamiltonians:
     node 2, and the coupler block of nodes 3 and 4 with all its terms (Ec_33,
     Ec_44 and 2 Ec_34 n3 n4 charge terms, ej3, ej4 and JJ5 at the flux phase).
     The full operator is their Kronecker sum plus the cross-block charge terms
-    2 Ec_ij n_i n_j, ij in {12, 13, 14, 23, 24}, of the 4x4 ``ec``.
+    2 Ec_ij n_i n_j, ij in {12, 13, 14, 23, 24}, of the 4x4 ``ec``. The
+    product backend is built from the blocks, and both backends label
+    dressed states against them.
     """
 
     ec: np.ndarray
-    n_max: int
-    phi_ex: float
     modes: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class SparseHamiltonian(BlockHamiltonians):
-    """The assembled sparse Hermitian operator of all four nodes with its blocks.
-
-    The blocks are the references dressed states are labeled against.
-    """
-
-    matrix: sp.csr_matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def single_mode_operators(n_max: int):
@@ -193,11 +181,13 @@ def assemble_blocks(
         _build_block(ec[1:2, 1:2], (ej.ej2,), n_max, phi),
         _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
     )
-    return BlockHamiltonians(ec=ec, n_max=n_max, phi_ex=phi, modes=tuple(m.toarray() for m in modes)), ej
+    return BlockHamiltonians(ec=ec, modes=tuple(m.toarray() for m in modes)), ej
 
 
-def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisConfig) -> SparseHamiltonian:
-    """Assemble the circuit Hamiltonian and its block label references at the given reduced flux.
+def assemble_hamiltonian(
+    params: CircuitParams, flux: float, cfg: ChargeBasisConfig
+) -> tuple[BlockHamiltonians, sp.csr_matrix]:
+    """The blocks of ``assemble_blocks`` and the sparse four-node operator at the given reduced flux.
 
     Raises ``SolverError``, before allocating anything, when the four-node
     operator is larger than the supported dimension.
@@ -208,8 +198,7 @@ def assemble_hamiltonian(params: CircuitParams, flux: float, cfg: ChargeBasisCon
             f"beyond the supported {_DIMENSION_CAP}"
         )
     blocks, ej = assemble_blocks(params, flux, cfg)
-    ham = _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), blocks.n_max, blocks.phi_ex, ej.ej5)
-    return SparseHamiltonian(**vars(blocks), matrix=ham)
+    return blocks, _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), int(cfg.n_max), float(flux), ej.ej5)
 
 
 def _require_mirror_symmetry(mat) -> None:

@@ -82,7 +82,6 @@ class DecayFit:
     offset: float
     lam: float
     covariance: np.ndarray
-    residual_norm: float
     lambda_identifiable: bool = True
 
     @property
@@ -178,7 +177,6 @@ def fit_decay(trace: RBTrace) -> DecayFit:
             offset=float(y[0]),
             lam=1.0,
             covariance=np.zeros((3, 3)),
-            residual_norm=0.0,
             lambda_identifiable=False,
         )
 
@@ -210,7 +208,6 @@ def fit_decay(trace: RBTrace) -> DecayFit:
         offset=offset,
         lam=lam,
         covariance=np.asarray(pcov),
-        residual_norm=float(np.linalg.norm(residuals)),
         lambda_identifiable=bool(abs(amplitude) > _AMPLITUDE_FLOOR),
     )
 

@@ -67,7 +67,6 @@ from .hamiltonian import (
     LABEL_LEVELS,
     BlockHamiltonians,
     ChargeBasisConfig,
-    SparseHamiltonian,
     assemble_blocks,
     assemble_hamiltonian,
     from_real_form,
@@ -155,9 +154,7 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
     operator by ARPACK Lanczos from a seeded start vector, so repeated runs
     are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per pair.
     """
-    if isinstance(operator, SparseHamiltonian):
-        mat = operator.matrix
-    elif sp.issparse(operator):
+    if sp.issparse(operator):
         mat = operator.tocsr()
     else:
         mat = np.asarray(operator)
@@ -231,16 +228,12 @@ def _assign_labels(overlaps: np.ndarray):
     return tuple(labels)
 
 
-def _lowest_block_states(mode: np.ndarray, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvectors of a block; a complex block is solved in its real form."""
-    if np.iscomplexobj(mode):
-        return from_real_form(np.linalg.eigh(real_form(mode))[1][:, :count])
-    return np.linalg.eigh(mode)[1][:, :count]
+def label_states(eigvecs, blocks: BlockHamiltonians):
+    """Label charge-basis eigenstates by the overlap-maximizing unique assignment to block eigenstate products.
 
-
-def label_states(eigvecs, ham: BlockHamiltonians):
-    """Label charge-basis eigenstates by the overlap-maximizing unique assignment to block eigenstate products."""
-    bases = [_lowest_block_states(h, n) for h, n in zip(ham.modes, LABEL_LEVELS)]
+    The block eigenstates come from the product backend's ``_block_eigh``, mapped back from the real form.
+    """
+    bases = [from_real_form(_block_eigh(mode, False)[1][:, :n]) for mode, n in zip(blocks.modes, LABEL_LEVELS)]
     return _assign_labels(_product_overlaps(eigvecs, bases))
 
 
@@ -249,16 +242,14 @@ def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed
 
     A complex operator is solved in its real form and its eigenvectors mapped back.
     """
-    ham = assemble_hamiltonian(params, flux, cfg)
-    blocks = BlockHamiltonians(ec=ham.ec, n_max=ham.n_max, phi_ex=ham.phi_ex, modes=ham.modes)
-    if np.iscomplexobj(ham.matrix):
-        folded = real_form(ham.matrix)
-        del ham  # labels need only the blocks: free the complex operator before the solve
-        vals, vecs = solve_lowest(folded, cfg.num_eigenstates, seed=seed)
-        del folded
+    blocks, matrix = assemble_hamiltonian(params, flux, cfg)
+    folded = np.iscomplexobj(matrix)
+    if folded:
+        matrix = real_form(matrix)  # rebinding frees the complex operator before the solve
+    vals, vecs = solve_lowest(matrix, cfg.num_eigenstates, seed=seed)
+    del matrix  # and the solved operator before the eigenvectors are mapped back
+    if folded:
         vecs = from_real_form(vecs)
-    else:
-        vals, vecs = solve_lowest(ham, cfg.num_eigenstates, seed=seed)
     return SpectrumResult(
         flux=float(flux),
         n_max=int(cfg.n_max),
@@ -362,7 +353,7 @@ def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: 
         for e, levels in zip((e1, e2, e34), LABEL_LEVELS)
     )
     # v34 rows run over (n3, n4) in kron order
-    charges = np.arange(-blocks.n_max, blocks.n_max + 1, dtype=float)
+    charges = np.arange(-cfg.n_max, cfg.n_max + 1, dtype=float)
     n3 = _real_charge(v34, np.repeat(charges, charges.size), mc)
     n4 = _real_charge(v34, np.tile(charges, charges.size), mc)
     ec = blocks.ec

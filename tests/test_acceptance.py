@@ -198,15 +198,15 @@ def test_criterion_5_symmetry_and_oracle(device):
 
     ok_coverage = even_pairs >= 8 and periodic_pairs >= 16
 
-    ham = assemble_hamiltonian(device, 0.3, ChargeBasisConfig(n_max=5, num_eigenstates=16)).matrix
+    _, ham = assemble_hamiltonian(device, 0.3, ChargeBasisConfig(n_max=5, num_eigenstates=16))
     delta = (ham - ham.getH()).tocoo()
     hermiticity = 0.0 if delta.nnz == 0 else float(np.max(np.abs(delta.data)))
     ok_hermitian = hermiticity <= 1e-14
 
     cfg3 = ChargeBasisConfig(n_max=3, num_eigenstates=10)
-    ham3 = assemble_hamiltonian(device, 0.25, cfg3)
+    _, ham3 = assemble_hamiltonian(device, 0.25, cfg3)
     sparse_vals, _ = solve_lowest(ham3, 10)
-    dense_vals = np.linalg.eigvalsh(ham3.matrix.toarray())[:10]
+    dense_vals = np.linalg.eigvalsh(ham3.toarray())[:10]
     ok_oracle = np.allclose(sparse_vals, dense_vals, rtol=1e-9)
 
     passed = ok_even and ok_periodic and ok_coverage and ok_hermitian and ok_oracle

@@ -363,6 +363,16 @@ class TestDesignCommand:
         assert "tolerance" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unconverged_fixed_point_is_numerical_failure(self, tmp_path, params_file, monkeypatch, capsys):
+        # ModelError: the perturbative model failed, so exit 3 like every other numerical failure
+        monkeypatch.setattr("csdtc.perturbative._FIXED_POINT_MAX_ITER", 1)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--n-max", "3", "--bracket", "36:62", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: zero-coupling iteration did not converge")
+        assert not out.exists()
+
 
 def _write_bundle(tmp_path, lengths=LENGTHS, **lam_overrides):
     lam = {"x1_srb": 0.9990, "x1_irb": 0.9980, "purity_srb": 0.9960, "purity_irb": 0.9930,

@@ -79,42 +79,42 @@ class TestSingleModeOperators:
 
 class TestAssembly:
     def test_dimension_and_sparsity(self, device):
-        ham = assemble_hamiltonian(device, 0.3, CFG3)
+        _, ham = assemble_hamiltonian(device, 0.3, CFG3)
         dim = CFG3.dimension
-        assert ham.dimension == dim == 2401
-        assert ham.matrix.nnz <= 11 * dim
+        assert ham.shape == (dim, dim) == (2401, 2401)
+        assert ham.nnz <= 11 * dim
 
     def test_hermitian_to_1e14(self, device):
         for phi in (0.0, 0.3, 0.5):
-            ham = assemble_hamiltonian(device, phi, CFG3).matrix
+            ham = assemble_hamiltonian(device, phi, CFG3)[1]
             delta = (ham - ham.getH()).tocoo()
             assert delta.nnz == 0 or np.max(np.abs(delta.data)) <= 1e-14
 
     def test_real_at_integer_and_half_flux(self, device):
-        assert assemble_hamiltonian(device, 0.0, CFG3).matrix.dtype == np.float64
-        assert assemble_hamiltonian(device, 0.5, CFG3).matrix.dtype == np.float64
-        assert assemble_hamiltonian(device, 0.3, CFG3).matrix.dtype == np.complex128
+        assert assemble_hamiltonian(device, 0.0, CFG3)[1].dtype == np.float64
+        assert assemble_hamiltonian(device, 0.5, CFG3)[1].dtype == np.float64
+        assert assemble_hamiltonian(device, 0.3, CFG3)[1].dtype == np.complex128
 
     def test_jj5_flips_sign_at_half_flux(self, device):
         # the JJ5 term is the only ic5-dependent piece, so isolate it by difference
         base = replace(device, ic5=1e-9)
-        jj5_zero = (assemble_hamiltonian(device, 0.0, CFG3).matrix - assemble_hamiltonian(base, 0.0, CFG3).matrix).toarray()
-        jj5_half = (assemble_hamiltonian(device, 0.5, CFG3).matrix - assemble_hamiltonian(base, 0.5, CFG3).matrix).toarray()
+        jj5_zero = (assemble_hamiltonian(device, 0.0, CFG3)[1] - assemble_hamiltonian(base, 0.0, CFG3)[1]).toarray()
+        jj5_half = (assemble_hamiltonian(device, 0.5, CFG3)[1] - assemble_hamiltonian(base, 0.5, CFG3)[1]).toarray()
         assert np.allclose(jj5_half, -jj5_zero, atol=1e-12)
 
     def test_spectrum_periodic_in_flux(self, device):
-        vals_a, _ = solve_lowest(assemble_hamiltonian(device, 0.3, CFG3), 8)
-        vals_b, _ = solve_lowest(assemble_hamiltonian(device, 1.3, CFG3), 8)
+        vals_a, _ = solve_lowest(assemble_hamiltonian(device, 0.3, CFG3)[1], 8)
+        vals_b, _ = solve_lowest(assemble_hamiltonian(device, 1.3, CFG3)[1], 8)
         assert np.allclose(vals_a, vals_b, rtol=1e-9)
 
     def test_spectrum_even_in_flux(self, device):
-        vals_a, _ = solve_lowest(assemble_hamiltonian(device, 0.17, CFG3), 8)
-        vals_b, _ = solve_lowest(assemble_hamiltonian(device, -0.17, CFG3), 8)
+        vals_a, _ = solve_lowest(assemble_hamiltonian(device, 0.17, CFG3)[1], 8)
+        vals_b, _ = solve_lowest(assemble_hamiltonian(device, -0.17, CFG3)[1], 8)
         assert np.allclose(vals_a, vals_b, rtol=1e-9)
 
     def test_diagonal_matches_charging_quadratic(self, device):
         # spot check: the all-zero charge state has zero charging energy
-        ham = assemble_hamiltonian(device, 0.0, CFG3).matrix
+        ham = assemble_hamiltonian(device, 0.0, CFG3)[1]
         ej = derive_junction_energies(device)
         center = (2401 - 1) // 2
         # diagonal there is the JJ-constant only (cos contributes off-diagonal)
@@ -124,7 +124,7 @@ class TestAssembly:
 class TestRealForm:
     @pytest.mark.parametrize("phi", [0.3, -0.45])
     def test_eigenpairs_map_back_to_the_operator(self, device, phi):
-        ham = assemble_hamiltonian(device, phi, CFG3).matrix
+        ham = assemble_hamiltonian(device, phi, CFG3)[1]
         folded = real_form(ham)
         assert folded.dtype == np.float64
         vals, real_vecs = solve_lowest(folded, 8)
@@ -133,7 +133,7 @@ class TestRealForm:
         assert np.abs(ham @ vecs - vecs * vals).max() < 1e-8 * abs(ham).sum(axis=0).max()
 
     def test_dense_block_folds_like_the_operator(self, device):
-        coupler = assemble_hamiltonian(device, 0.3, CFG3).modes[2]
+        coupler = assemble_hamiltonian(device, 0.3, CFG3)[0].modes[2]
         folded = real_form(coupler)
         assert np.array_equal(folded, folded.T)
         assert np.allclose(np.linalg.eigvalsh(folded), np.linalg.eigvalsh(coupler), atol=1e-12)
@@ -141,10 +141,10 @@ class TestRealForm:
     def test_operator_breaking_the_reflection_is_refused(self, device, monkeypatch):
         from csdtc import spectrum
 
-        ham = assemble_hamiltonian(device, 0.3, CFG3)
+        blocks, ham = assemble_hamiltonian(device, 0.3, CFG3)
         # a charge bias on node 1 alone: odd, not even, under n -> -n
         bias = np.repeat(np.arange(-3.0, 4.0), 7**3)
-        broken = replace(ham, matrix=(ham.matrix + 0.01 * sp.diags(bias)).tocsr())
+        broken = blocks, (ham + 0.01 * sp.diags(bias)).tocsr()
         monkeypatch.setattr(spectrum, "assemble_hamiltonian", lambda *args: broken)
         with pytest.raises(SolverError, match="breaks P H P = H"):
             charge_spectrum(device, 0.3, CFG3)
@@ -152,7 +152,7 @@ class TestRealForm:
 
 class TestUncoupledReference:
     def test_mode1_transmon_transition(self, device):
-        modes = assemble_hamiltonian(device, 0.0, ChargeBasisConfig(n_max=7)).modes
+        modes = assemble_hamiltonian(device, 0.0, ChargeBasisConfig(n_max=7))[0].modes
         vals = np.linalg.eigvalsh(modes[0])
         f01 = vals[1] - vals[0]
         ec = charging_matrix(build_capacitance_matrix(device))[0, 0] / 4.0
@@ -163,7 +163,7 @@ class TestUncoupledReference:
     def test_textbook_transmon_instance(self, decoupled):
         # 100 fF node -> 4 E_C = 775 MHz; Ic = 26.7 nA -> E_J/h = 13.26 GHz
         textbook = replace(decoupled, c11=100.0)
-        modes = assemble_hamiltonian(textbook, 0.0, ChargeBasisConfig(n_max=7)).modes
+        modes = assemble_hamiltonian(textbook, 0.0, ChargeBasisConfig(n_max=7))[0].modes
         vals = np.linalg.eigvalsh(modes[0])
         f01 = vals[1] - vals[0]
         e_c = 0.7748 / 4.0
@@ -171,11 +171,11 @@ class TestUncoupledReference:
         assert f01 == pytest.approx(asymptotic, rel=0.05)
 
     def test_decoupled_ground_state_is_product(self, decoupled):
-        ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
+        blocks, ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
         _, vecs = solve_lowest(ham, 6)
         ground = vecs[:, 0]
         product = np.ones(1)
-        for block in ham.modes:
+        for block in blocks.modes:
             _, mvecs = np.linalg.eigh(block)
             product = np.kron(product, mvecs[:, 0])
         overlap = abs(np.vdot(product, ground)) ** 2

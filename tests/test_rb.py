@@ -30,7 +30,7 @@ LENGTHS = (1, 5, 10, 20, 40, 80, 120, 200, 300)
 def _fit(amplitude=0.0, offset=0.0, lam=1.0, var_lam=0.0):
     cov = np.zeros((3, 3))
     cov[2, 2] = var_lam
-    return DecayFit(amplitude=amplitude, offset=offset, lam=lam, covariance=cov, residual_norm=0.0)
+    return DecayFit(amplitude=amplitude, offset=offset, lam=lam, covariance=cov)
 
 
 class TestSynth:

@@ -43,21 +43,21 @@ class TestSolveLowest:
             solve_lowest(np.diag([1.0, 2.0]), 2)
 
     def test_sparse_matches_dense_oracle(self, device):
-        ham = assemble_hamiltonian(device, 0.25, CFG3)
+        _, ham = assemble_hamiltonian(device, 0.25, CFG3)
         sparse_vals, _ = solve_lowest(ham, 10)
-        dense_vals = np.linalg.eigvalsh(ham.matrix.toarray())[:10]
+        dense_vals = np.linalg.eigvalsh(ham.toarray())[:10]
         assert np.allclose(sparse_vals, dense_vals, rtol=1e-9)
 
     def test_orthonormal_eigenvectors(self, device):
-        ham = assemble_hamiltonian(device, 0.1, CFG3)
+        _, ham = assemble_hamiltonian(device, 0.1, CFG3)
         _, vecs = solve_lowest(ham, 8)
         gram = vecs.conj().T @ vecs
         assert np.allclose(gram, np.eye(8), atol=1e-10)
 
     def test_decoupled_eigenvalues_are_single_mode_sums(self, decoupled):
-        ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
+        blocks, ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
         vals, _ = solve_lowest(ham, 10)
-        block_vals = [np.linalg.eigvalsh(h) for h in ham.modes]
+        block_vals = [np.linalg.eigvalsh(h) for h in blocks.modes]
         sums = sorted(a + b + c for a, b, c in itertools.product(*(bv[:10] for bv in block_vals)))
         assert np.allclose(vals, sums[:10], rtol=1e-9, atol=1e-9)
 
@@ -88,10 +88,10 @@ class TestLabels:
     def test_missing_labels_reported_with_candidates(self, device):
         # at n_max=5 the coupler modes sit below |1100>, so k=6 cannot reach it
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=6)
-        ham = assemble_hamiltonian(device, 0.0, cfg)
+        blocks, ham = assemble_hamiltonian(device, 0.0, cfg)
         _, vecs = solve_lowest(ham, 6)
         with pytest.raises(LabelingError, match="1, 1, 0") as err:
-            label_states(vecs, ham)
+            label_states(vecs, blocks)
         assert err.value.candidates
 
     def test_eigenfrequencies_relative_and_sorted(self, device):
@@ -106,9 +106,9 @@ class TestLabels:
             ChargeBasisConfig(n_max=3, num_eigenstates=100)
 
     def test_label_states_beyond_label_space_rejected(self, device):
-        ham = assemble_hamiltonian(device, 0.0, CFG3)
+        blocks, _ = assemble_hamiltonian(device, 0.0, CFG3)
         with pytest.raises(LabelingError, match="label space"):
-            label_states(np.eye(CFG3.dimension)[:, :55], ham)
+            label_states(np.eye(CFG3.dimension)[:, :55], blocks)
 
 
 class TestBackends:
@@ -121,13 +121,14 @@ class TestBackends:
         assert 0.0 <= spec.truncation_khz <= spectrum._SETTLED_ZETA_KHZ
         assert spec.fallback is None
 
-    @pytest.mark.parametrize("flux", [0.0, 0.15, -0.15, 0.25])
+    @pytest.mark.parametrize("flux", [0.0, 0.15, -0.15, 0.25, 0.5])
     def test_hierarchical_matches_charge_oracle(self, device, flux):
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
         spec = spectrum_at(device, flux, cfg)
-        ham = assemble_hamiltonian(device, flux, cfg)
+        assert (spec.sector_states is not None) == (flux in (0.0, 0.5))  # the oracle checks the split too
+        blocks, ham = assemble_hamiltonian(device, flux, cfg)
         vals, vecs = solve_lowest(ham, cfg.num_eigenstates)
-        oracle = [label.occupations for label in label_states(vecs, ham)]
+        oracle = [label.occupations for label in label_states(vecs, blocks)]
         zeta_khz, oracle_zeta_khz = 0.0, 0.0
         for occ, sign in zip(COMPUTATIONAL_OCCUPATIONS, (1, -1, -1, 1)):
             state = oracle.index(occ)

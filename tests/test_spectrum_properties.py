@@ -82,7 +82,7 @@ def test_charge_basis_matches_dense_operator(params, phi):
         spec = spectrum.charge_spectrum(params, phi, CFG3)
     except LabelingError:
         assume(False)
-    ham = assemble_hamiltonian(params, phi, CFG3).matrix
+    ham = assemble_hamiltonian(params, phi, CFG3)[1]
     dense = sla.eigvalsh(ham.toarray(), subset_by_index=[0, CFG3.num_eigenstates - 1])
     assert np.abs(spec.eigenfrequencies_ghz - (dense - dense[0])).max() <= 1e-9
 
@@ -90,7 +90,7 @@ def test_charge_basis_matches_dense_operator(params, phi):
 @SPECTRUM_SETTINGS
 @given(PARAMETER_SETS, ALL_FLUXES)
 def test_real_form_is_the_operator_on_the_reflection_basis(params, phi):
-    ham = assemble_hamiltonian(params, phi, CFG3).matrix
+    ham = assemble_hamiltonian(params, phi, CFG3)[1]
     basis = _real_form_basis(ham.shape[0])
     expected = (basis.conj().T @ ham @ basis).toarray()
     assert np.abs(real_form(ham).toarray() - expected).max() <= 1e-12 * abs(ham).max()
@@ -99,7 +99,7 @@ def test_real_form_is_the_operator_on_the_reflection_basis(params, phi):
 @SPECTRUM_SETTINGS
 @given(PARAMETER_SETS, HALF_PERIOD_FLUXES)
 def test_real_form_splits_into_parity_sectors_at_real_flux(params, phi):
-    folded = real_form(assemble_hamiltonian(params, phi, CFG3).matrix)
+    folded = real_form(assemble_hamiltonian(params, phi, CFG3)[1])
     h = folded.shape[0] // 2
     assert folded[: h + 1, h + 1 :].nnz == 0  # even sector and centre | odd sector
 
