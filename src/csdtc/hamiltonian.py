@@ -6,6 +6,13 @@ on the tensor product in fixed node order (1, 2, 3, 4). H/h in GHz:
     sum_ij Ec_ij n_i n_j  -  sum_i ej_i cos(phi_i)
     -  ej5/2 (exp(-i 2 pi phi_ex) S4+ S3- + h.c.)
 
+Basis order. ``charge_grid`` lists the node charges of every basis state in
+kron (C) order, so a unit step of node j's charge moves the state index by
+its stride (2 n_max + 1)**(nodes - 1 - j). Each term is a diagonal of that
+grid: the charging form on the main one, each cosine ej_i/2 (S+ + S-) at
++-stride_i, the JJ5 hop at +-(stride_3 - stride_4). The cut at +-n_max is
+hard: a step off the grid has no entry.
+
 The external flux enters only through the phase of the JJ5 hopping term, so
 the spectrum is exactly periodic in the reduced flux, and even in it: the
 parity map n_i -> -n_i conjugates that phase.
@@ -103,67 +110,41 @@ class BlockHamiltonians:
     modes: tuple[np.ndarray, ...]
 
 
-def single_mode_operators(n_max: int):
-    """Charge, cosine and raising-shift operators for one node.
-
-    The shift S+ maps |n> to |n+1> with hard truncation at the top state;
-    cos(phi) = (S+ + S-)/2.
-    """
-    if int(n_max) != n_max or n_max < 1:
-        raise ConfigError(f"n_max must be an integer >= 1, got {n_max}")
-    size = 2 * int(n_max) + 1
-    charge = sp.diags(np.arange(-n_max, n_max + 1, dtype=float)).tocsr()
-    raise_op = sp.diags(np.ones(size - 1), -1).tocsr()
-    cosine = sp.diags([np.full(size - 1, 0.5), np.full(size - 1, 0.5)], [-1, 1]).tocsr()
-    return charge, cosine, raise_op
-
-
-def _kron(ops) -> sp.csr_matrix:
-    out = ops[0]
-    for op in ops[1:]:
-        out = sp.kron(out, op, format="csr")
-    return out
-
-
-def _charge_grid(n_max: int, nodes: int) -> np.ndarray:
-    """(size**nodes, nodes) table of charge numbers per node, kron (C) ordering."""
+def charge_grid(n_max: int, nodes: int) -> np.ndarray:
+    """(size**nodes, nodes) table of the charge numbers of each basis state, in kron (C) order."""
     nvals = np.arange(-n_max, n_max + 1, dtype=float)
     grids = np.meshgrid(*([nvals] * nodes), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | None = None) -> sp.csr_matrix:
-    """Charge quadratic form and node cosines of a block of nodes, in kron order.
+    """Charge quadratic form, node cosines and JJ5 of a block of nodes, as diagonals of its charge grid.
 
-    ``ec`` is the block's charging sub-matrix and ``node_ej`` its node
-    Josephson energies; with ``ej5`` a JJ5 joins the block's last two nodes
-    at the flux phase.
+    ``ec`` is the block's charging sub-matrix, whose form n^T ec n fills the
+    main diagonal, and ``node_ej`` its node Josephson energies: each cosine
+    sits at +-(its node's stride), on the rows whose charge on that node is
+    below n_max, the cut at +-n_max. With ``ej5`` a JJ5 joins the block's last
+    two nodes (a, b) at the flux phase.
     """
     nodes = len(node_ej)
-    size = 2 * n_max + 1
-    grid = _charge_grid(n_max, nodes)
-    diag = np.einsum("ia,ab,ib->i", grid, ec, grid)
-    ham = sp.diags(diag).tocsr()
-
-    eye = sp.identity(size, format="csr")
-    _, cosine, raise_op = single_mode_operators(n_max)
-    for slot, ej_i in enumerate(node_ej):
-        ops = [eye] * nodes
-        ops[slot] = cosine
-        ham = ham - ej_i * _kron(ops)
-
+    grid = charge_grid(n_max, nodes)
+    strides = [(2 * n_max + 1) ** (nodes - 1 - slot) for slot in range(nodes)]
+    hops = [(stride, -(ej_i / 2.0), grid[:, slot] < n_max) for slot, (stride, ej_i) in enumerate(zip(strides, node_ej))]
     if ej5 is not None:
-        # JJ5: -ej5 cos(phi_b - phi_a - 2 pi phi_ex) with S_b+ S_a- on the last two nodes (a, b)
-        hop = _kron([eye] * (nodes - 2) + [raise_op.T.tocsr(), raise_op])
+        # JJ5: -ej5 cos(phi_b - phi_a - 2 pi phi_ex) = -ej5/2 (e^{-2 pi i phi_ex} S_a- S_b+ + h.c.), whose
+        # step lowers n_a and raises n_b: offset stride_a - stride_b, on rows with n_a < n_max and n_b > -n_max
         phase = np.exp(-2j * np.pi * phi)
-        if abs(phase.imag) < _REAL_PHASE_TOL:
-            ham = ham - (ej5 * phase.real / 2.0) * (hop + hop.T)
-        else:
-            ham = ham.astype(np.complex128) - (ej5 / 2.0) * (phase * hop + np.conj(phase) * hop.T)
+        coupling = -(ej5 / 2.0) * (phase.real if abs(phase.imag) < _REAL_PHASE_TOL else phase)
+        hops.append((strides[-2] - strides[-1], coupling, (grid[:, -2] < n_max) & (grid[:, -1] > -n_max)))
 
-    ham = ham.tocsr()
-    ham.sum_duplicates()
-    return ham
+    diagonals, offsets = [np.einsum("ia,ab,ib->i", grid, ec, grid)], [0]
+    for offset, value, rows in hops:
+        # a row-indexed upper diagonal is, conjugated, the column-indexed lower one
+        upper = np.where(rows[: len(grid) - offset], value, 0.0)
+        diagonals += [upper, np.conj(upper)]
+        offsets += [offset, -offset]
+    # the conversion drops the cut entries but keeps buffers of every stored one; copy them to size
+    return sp.diags(diagonals, offsets, dtype=np.result_type(*diagonals), format="csr").copy()
 
 
 def assemble_blocks(

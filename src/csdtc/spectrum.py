@@ -69,6 +69,7 @@ from .hamiltonian import (
     ChargeBasisConfig,
     assemble_blocks,
     assemble_hamiltonian,
+    charge_grid,
     from_real_form,
     real_form,
 )
@@ -154,17 +155,12 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
     operator by ARPACK Lanczos from a seeded start vector, so repeated runs
     are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per pair.
     """
-    if sp.issparse(operator):
-        mat = operator.tocsr()
-    else:
-        mat = np.asarray(operator)
-    n = mat.shape[0]
+    n = np.shape(operator)[0]
     if not (0 < k < n):
         raise ValueError(f"need 0 < k < dimension, got k={k}, dimension={n}")
 
-    if not sp.issparse(mat):
-        vals, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
-    else:
+    if sp.issparse(operator):
+        mat = operator.tocsr()
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n).astype(mat.dtype)
         try:
@@ -175,8 +171,12 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
+        scale = spla.norm(mat, 1)
+    else:
+        mat = np.asarray(operator)
+        vals, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
+        scale = sla.norm(mat, 1)  # LAPACK's norm copies no dense matrix
 
-    scale = spla.norm(mat, 1) if sp.issparse(mat) else sla.norm(mat, 1)  # LAPACK's norm copies no dense matrix
     residuals = np.linalg.norm(mat @ vecs - vecs * vals[np.newaxis, :], axis=0)
     tol = _RESIDUAL_FACTOR * scale
     if np.any(residuals > tol):
@@ -220,9 +220,13 @@ def _assign_labels(overlaps: np.ndarray):
             product = int(np.ravel_multi_index(occ, shape))
             best = np.argsort(flat[:, product])[::-1][:3]
             candidates[occ] = [(int(s), float(flat[s, product])) for s in best]
+        # overlaps shown at three decimals, so a last-digit change leaves the message alone
+        shown = ", ".join(
+            f"{occ}: [" + ", ".join(f"({s}, {o:.3f})" for s, o in best) + "]" for occ, best in candidates.items()
+        )
         raise LabelingError(
             f"required computational labels unassigned: {missing}; "
-            f"best candidate states (index, overlap): {candidates}",
+            f"best candidate states (index, overlap): {{{shown}}}",
             candidates=candidates,
         )
     return tuple(labels)
@@ -352,10 +356,9 @@ def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: 
         max(int(np.searchsorted(e - e[0], e_max, side="right")), levels)
         for e, levels in zip((e1, e2, e34), LABEL_LEVELS)
     )
-    # v34 rows run over (n3, n4) in kron order
-    charges = np.arange(-cfg.n_max, cfg.n_max + 1, dtype=float)
-    n3 = _real_charge(v34, np.repeat(charges, charges.size), mc)
-    n4 = _real_charge(v34, np.tile(charges, charges.size), mc)
+    # the node charges, and the coupler's (n3, n4) on the rows of v34, in the builder's basis order
+    charges, (q3, q4) = charge_grid(cfg.n_max, 1)[:, 0], charge_grid(cfg.n_max, 2).T
+    n3, n4 = _real_charge(v34, q3, mc), _real_charge(v34, q4, mc)
     ec = blocks.ec
     n1, n2 = _real_charge(v1, charges, m1), _real_charge(v2, charges, m2)
     x, y = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4), 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)

@@ -11,10 +11,10 @@ from csdtc.circuit import build_capacitance_matrix, charging_matrix, derive_junc
 from csdtc.errors import ConfigError, SolverError
 from csdtc.hamiltonian import (
     ChargeBasisConfig,
+    _build_block,
     assemble_hamiltonian,
     from_real_form,
     real_form,
-    single_mode_operators,
 )
 from csdtc.spectrum import charge_spectrum, solve_lowest
 
@@ -53,28 +53,83 @@ class TestConfig:
         assert peak < 1_000_000
 
 
-class TestSingleModeOperators:
-    def test_charge_diag(self):
-        charge, _, _ = single_mode_operators(1)
-        assert np.array_equal(charge.toarray(), np.diag([-1.0, 0.0, 1.0]))
+def _kron(ops) -> sp.csr_matrix:
+    out = ops[0]
+    for op in ops[1:]:
+        out = sp.kron(out, op, format="csr")
+    return out
 
-    def test_cosine_offdiagonals(self):
-        _, cosine, _ = single_mode_operators(1)
-        expected = np.array([[0, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0]])
-        assert np.array_equal(cosine.toarray(), expected)
 
-    def test_raise_truncates_at_top(self):
-        _, _, raise_op = single_mode_operators(3)
-        top = np.zeros(7)
-        top[-1] = 1.0
-        assert np.array_equal(raise_op @ top, np.zeros(7))
-        below = np.zeros(7)
-        below[2] = 1.0
-        assert np.array_equal(raise_op @ below, np.roll(below, 1))
+def kron_reference_block(ec, node_ej, n_max, phi, ej5=None) -> sp.csr_matrix:
+    """The Kronecker construction that ``_build_block`` replaced, kept as its reference.
 
-    def test_invalid_n_max(self):
-        with pytest.raises(ConfigError):
-            single_mode_operators(0)
+    Each term is a Kronecker product of sparse single-node operators, the
+    cosine (S+ + S-)/2 and the raising shift S+ truncated at the top state,
+    subtracted from the charging diagonal one term at a time.
+    """
+    nodes, size = len(node_ej), 2 * n_max + 1
+    nvals = np.arange(-n_max, n_max + 1, dtype=float)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*([nvals] * nodes), indexing="ij")], axis=1)
+    ham = sp.diags(np.einsum("ia,ab,ib->i", grid, ec, grid)).tocsr()
+
+    eye = sp.identity(size, format="csr")
+    cosine = sp.diags([np.full(size - 1, 0.5), np.full(size - 1, 0.5)], [-1, 1]).tocsr()
+    raise_op = sp.diags(np.ones(size - 1), -1).tocsr()
+    for slot, ej_i in enumerate(node_ej):
+        ops = [eye] * nodes
+        ops[slot] = cosine
+        ham = ham - ej_i * _kron(ops)
+
+    if ej5 is not None:
+        hop = _kron([eye] * (nodes - 2) + [raise_op.T.tocsr(), raise_op])
+        phase = np.exp(-2j * np.pi * phi)
+        if abs(phase.imag) < 1e-15:
+            ham = ham - (ej5 * phase.real / 2.0) * (hop + hop.T)
+        else:
+            ham = ham.astype(np.complex128) - (ej5 / 2.0) * (phase * hop + np.conj(phase) * hop.T)
+
+    ham = ham.tocsr()
+    ham.sum_duplicates()
+    return ham
+
+
+def block_cases(params, n_max, phi) -> dict:
+    """``_build_block`` arguments of node 1, node 2, the coupler block and the four-node operator."""
+    ec = charging_matrix(build_capacitance_matrix(params))
+    ej = derive_junction_energies(params)
+    return {
+        "node 1": (ec[:1, :1], (ej.ej1,), n_max, phi),
+        "node 2": (ec[1:2, 1:2], (ej.ej2,), n_max, phi),
+        "coupler": (ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
+        "four-node": (ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), n_max, phi, ej.ej5),
+    }
+
+
+def csr_bytes(mat) -> list:
+    return [(array.dtype.str, array.tobytes()) for array in (mat.indptr, mat.indices, mat.data)]
+
+
+class TestKroneckerReference:
+    """The charge-grid diagonals give the Kronecker construction's operators byte for byte.
+
+    This covers the cosine off-diagonals, the JJ5 hopping and the hard
+    truncation at +-n_max: a wrong stride, mask or phase moves an entry.
+    """
+
+    @pytest.mark.parametrize("n_max", [3, 4])
+    @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5, 0.15, 0.3, -0.45, 1.0])
+    def test_every_block_matches_byte_for_byte(self, device, n_max, phi):
+        for name, args in block_cases(device, n_max, phi).items():
+            assert csr_bytes(_build_block(*args)) == csr_bytes(kron_reference_block(*args)), name
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    def test_assembly_returns_the_reference_blocks(self, device, phi):
+        cfg = ChargeBasisConfig(n_max=4)
+        blocks, ham = assemble_hamiltonian(device, phi, cfg)
+        *modes, full = (kron_reference_block(*args) for args in block_cases(device, 4, phi).values())
+        assert csr_bytes(ham) == csr_bytes(full)
+        for mode, reference in zip(blocks.modes, modes):
+            assert np.array_equal(mode, reference.toarray())
 
 
 class TestAssembly:

@@ -14,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian  # noqa: E402
+from csdtc.hamiltonian import ChargeBasisConfig, _build_block, assemble_hamiltonian  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
+from test_hamiltonian import block_cases, csr_bytes, kron_reference_block  # noqa: E402
 
 CFG3 = ChargeBasisConfig(n_max=3)
 FLUXES = st.floats(-1.0, 1.0)
@@ -75,3 +76,10 @@ def test_operator_without_cross_block_capacitance_is_sum_of_references(params, p
     expected = expected + sp.kron(sp.kron(eye, eye), h34)
     assert len(refs.modes) == 3
     assert abs(ham - expected).max() <= 1e-12 * abs(ham).max()
+
+
+@OPERATOR_SETTINGS
+@given(PARAMETER_SETS, FLUXES)
+def test_blocks_match_the_kronecker_reference_byte_for_byte(params, phi):
+    for name, args in block_cases(params, CFG3.n_max, phi).items():
+        assert csr_bytes(_build_block(*args)) == csr_bytes(kron_reference_block(*args)), name

@@ -92,7 +92,12 @@ class TestLabels:
         _, vecs = solve_lowest(ham, 6)
         with pytest.raises(LabelingError, match="1, 1, 0") as err:
             label_states(vecs, blocks)
-        assert err.value.candidates
+        candidates = err.value.candidates[(1, 1, 0)]
+        assert len(candidates) == 3
+        # the payload keeps full precision; the message prints each overlap at three decimals
+        assert any(overlap != round(overlap, 3) for _, overlap in candidates)
+        shown = ", ".join(f"({state}, {overlap:.3f})" for state, overlap in candidates)
+        assert f"(1, 1, 0): [{shown}]" in str(err.value)
 
     def test_eigenfrequencies_relative_and_sorted(self, device):
         spec = spectrum_at(device, 0.0, CFG4)
