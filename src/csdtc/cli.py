@@ -52,6 +52,12 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _basis_config(args) -> ChargeBasisConfig:
     return ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k)
 
@@ -61,7 +67,7 @@ def _add_common(parser, *, out_required: bool = True):
     parser.add_argument("--out", required=out_required, help="output path")
     parser.add_argument("--n-max", type=int, default=7, dest="n_max")
     parser.add_argument("--k", type=int, default=16, help="eigenstate count, 6 to 54")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0, help="charge-basis eigensolver seed, >= 0")
 
 
 def _report_sweep(points, label: str, attr: str) -> int:
@@ -165,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="decoupling C34 from the fixed point and from |zeta| argmin")
     _add_common(p_design, out_required=False)
     p_design.add_argument("--bracket", default="10:90", help="C34 bracket 'lo:hi' in fF for the argmin search")
-    p_design.add_argument("--bracket-tol", type=float, default=0.05, dest="bracket_tol")
+    p_design.add_argument("--bracket-tol", type=float, default=0.05, dest="bracket_tol", help="argmin tolerance in fF")
     p_design.add_argument("--formula-only", action="store_true", help="closed form 1/(LJ5 w1 w2) only")
     p_design.set_defaults(func=cmd_design)
 

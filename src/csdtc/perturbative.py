@@ -24,8 +24,7 @@ from .errors import ModelError
 
 _TWO_PI = 2.0 * math.pi
 _G12_RESIDUAL_FACTOR = 1e-5
-_FIXED_POINT_TOL_FF = 0.01
-_FIXED_POINT_MAX_ITER = 100
+_C34_XTOL_FF = 1e-6  # brentq's absolute tolerance on the fixed point and on the g12 zero
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class PerturbativeResult:
 
 @dataclass(frozen=True)
 class ZeroCouplingResult:
-    """Fixed point of C34 = 1/(L_J5 w1 w2) with the residual coupling there."""
+    """Fixed point of C34 = 1/(L_J5 w1 w2), the residual coupling there and brentq's iteration count."""
 
     c34_star_ff: float
     g12_residual: float
@@ -237,29 +236,22 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     """Self-consistent decoupling shunt capacitance.
 
     The mode frequencies depend on C34 through the block matrices, so the
-    closed form is iterated to a fixed point: C34 <- 1/(L_J5 w1(C34) w2(C34))
-    until the step drops below 0.01 fF. The residual |g12| at the fixed
-    point is checked against 1e-5 sqrt(w1 w2); the closed form carries a
+    fixed point of closed(C) = 1/(L_J5 w1(C) w2(C)) is found by brentq on
+    [0, 2 closed(params.c34)]; closed(0) > 0, and a closed form not below C at
+    the upper bound raises ModelError. The residual |g12| at the fixed point
+    is checked against 1e-5 sqrt(w1 w2); the closed form carries a
     weak-coupling shorthand, so for strongly coupled circuits the result is
     polished against the exact g12 zero before the check.
     """
     def reduce(c34_ff: float) -> PerturbativeResult:
         return two_mode_reduction(params.with_c34(c34_ff))
 
-    c34 = float(params.c34)
-    trace = []
-    for iteration in range(1, _FIXED_POINT_MAX_ITER + 1):
-        c34_new = reduce(c34).c34_closed_ff
-        delta = abs(c34_new - c34)
-        trace.append((iteration, c34_new, delta))
-        c34 = c34_new
-        if delta < _FIXED_POINT_TOL_FF:
-            break
-    else:
+    upper = 2.0 * reduce(params.c34).c34_closed_ff
+    if not reduce(upper).c34_closed_ff < upper:
         raise ModelError(
-            "zero-coupling iteration did not converge; trace (iteration, C34_fF, delta_fF): "
-            + ", ".join(f"({i}, {c:.4f}, {d:.2e})" for i, c, d in trace[-5:])
+            f"no zero-coupling fixed point in [0, {upper:.3f}] fF: 1/(L_J5 w1 w2) is not below C34 at the upper bound"
         )
+    c34, root = brentq(lambda c: reduce(c).c34_closed_ff - c, 0.0, upper, xtol=_C34_XTOL_FF, full_output=True)
 
     def g12_at(c34_ff: float) -> float:
         return reduce(c34_ff).system.g12
@@ -278,7 +270,7 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
             raise ModelError(
                 f"cannot bracket the g12 zero around the fixed point {c34:.3f} fF"
             )
-        c34 = float(brentq(g12_at, lo, hi, xtol=1e-6))
+        c34 = float(brentq(g12_at, lo, hi, xtol=_C34_XTOL_FF))
         final = reduce(c34).system
         residual_tol = _G12_RESIDUAL_FACTOR * math.sqrt(final.omega1 * final.omega2)
         if abs(final.g12) >= residual_tol:
@@ -291,5 +283,5 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
         g12_residual=final.g12,
         omega1=final.omega1,
         omega2=final.omega2,
-        iterations=len(trace),
+        iterations=root.iterations,
     )

@@ -22,7 +22,7 @@ from csdtc import (
     zz_interaction,
 )
 from csdtc.circuit import derive_junction_energies
-from csdtc.design import golden_section_min
+from csdtc.design import bounded_argmin
 from csdtc.errors import LabelingError
 from csdtc.perturbative import block_normal_modes, two_mode_reduction, zero_coupling_c34
 from csdtc.rb import (
@@ -137,7 +137,7 @@ def test_criterion_4_design_condition(device):
     def abs_zeta(c34_ff):
         return abs(zz_interaction(bare.with_c34(c34_ff), 0.0, cfg))
 
-    argmin, _ = golden_section_min(abs_zeta, 34.0, 58.0, tol=1.2)
+    argmin = bounded_argmin(abs_zeta, 34.0, 58.0, tol=1.2)
     ok_argmin = abs(argmin - c34_star) <= 0.20 * c34_star
 
     window = np.linspace(0.8 * c34_star, 1.2 * c34_star, 5)

@@ -1,15 +1,16 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csdtc import spectrum
+from csdtc import perturbative, spectrum
 from csdtc.circuit import CircuitParams, params_to_dict, reference_device, save_params
 from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid
-from csdtc.design import golden_section_min
+from csdtc.design import bounded_argmin
 from csdtc.errors import BracketError, ConfigError
 from csdtc.hamiltonian import ChargeBasisConfig
 from csdtc.rb import (
@@ -52,21 +53,35 @@ class TestParseGrid:
 
 
 class TestGoldenSection:
+    """``bounded_argmin``: Brent's bounded search, golden-section steps sped up by parabolic ones."""
+
     def test_parabola(self):
-        x, fx = golden_section_min(lambda x: (x - 3.2) ** 2, 0.0, 10.0, tol=1e-5)
+        x = bounded_argmin(lambda x: (x - 3.2) ** 2, 0.0, 10.0, tol=1e-5)
         assert x == pytest.approx(3.2, abs=1e-3)
 
     def test_v_shape(self):
-        x, _ = golden_section_min(lambda x: abs(x - 7.0), 0.0, 10.0, tol=1e-5)
+        x = bounded_argmin(lambda x: abs(x - 7.0), 0.0, 10.0, tol=1e-5)
         assert x == pytest.approx(7.0, abs=1e-3)
 
     def test_bracket_excluding_minimum(self):
         with pytest.raises(BracketError):
-            golden_section_min(lambda x: (x - 30.0) ** 2, 0.0, 10.0, tol=1e-4)
+            bounded_argmin(lambda x: (x - 30.0) ** 2, 0.0, 10.0, tol=1e-4)
 
     def test_invalid_bracket(self):
         with pytest.raises(ConfigError):
-            golden_section_min(lambda x: x, 5.0, 1.0)
+            bounded_argmin(lambda x: x, 5.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(34.0, float("inf")), (float("-inf"), 58.0), (float("nan"), 58.0)])
+    def test_non_finite_bracket(self, lo, hi):
+        calls = []
+
+        def parabola(x):
+            calls.append(x)
+            return (x - 50.0) ** 2
+
+        with pytest.raises(ConfigError, match="bracket must be finite"):
+            bounded_argmin(parabola, lo, hi)
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
     def test_invalid_tolerance(self, tol):
@@ -77,7 +92,7 @@ class TestGoldenSection:
             return (x - 50.0) ** 2
 
         with pytest.raises(ConfigError, match="tolerance"):
-            golden_section_min(parabola, 10.0, 90.0, tol=tol)
+            bounded_argmin(parabola, 10.0, 90.0, tol=tol)
         assert calls == []
 
 
@@ -156,6 +171,20 @@ class TestZZCommand:
         assert len(lines) == 2
         zeta = float(lines[1].split(",")[1])
         assert -150.0 < zeta < 0.0
+
+    def test_negative_seed_refused_before_solving(self, tmp_path, params_file, capsys, monkeypatch):
+        # the product basis answers at this point and ignores the seed; a charge-basis fall-back would seed ARPACK
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("spectrum_at called")
+
+        monkeypatch.setattr("csdtc.spectrum.spectrum_at", no_eigensolve)
+        out = tmp_path / "zz.csv"
+        code = main(["zz", "--params", params_file, "--n-max", "3", "--flux-grid", "0.3", "--seed", "-1",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: csdtc zz: argument --seed: expected a non-negative integer, got '-1'\n"
+        assert not out.exists()
 
     def test_requires_exactly_one_grid(self, tmp_path, params_file):
         out = str(tmp_path / "zz.csv")
@@ -363,14 +392,31 @@ class TestDesignCommand:
         assert "tolerance" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unconverged_fixed_point_is_numerical_failure(self, tmp_path, params_file, monkeypatch, capsys):
+    def test_non_finite_bracket_is_usage_error_naming_it(self, tmp_path, params_file, monkeypatch, capsys):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("zz_interaction called")
+
+        monkeypatch.setattr("csdtc.spectrum.zz_interaction", no_eigensolve)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--n-max", "3", "--bracket", "34:inf", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: bracket must be finite with lo < hi, got [34.0, inf]\n"
+        assert not out.exists()
+
+    def test_fixed_point_outside_its_bracket_is_numerical_failure(self, tmp_path, params_file, monkeypatch, capsys):
+        # a closed form above every C34 leaves closed(C) - C without a sign change on the fixed-point bracket;
         # ModelError: the perturbative model failed, so exit 3 like every other numerical failure
-        monkeypatch.setattr("csdtc.perturbative._FIXED_POINT_MAX_ITER", 1)
+        reduction = perturbative.two_mode_reduction
+        monkeypatch.setattr(
+            perturbative, "two_mode_reduction", lambda p: replace(reduction(p), c34_closed_ff=2.0 * p.c34 + 1.0)
+        )
         out = tmp_path / "design.json"
         code = main(["design", "--params", params_file, "--n-max", "3", "--bracket", "36:62", "--out", str(out)])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and err.startswith("error: zero-coupling iteration did not converge")
+        assert err.count("error:") == 1 and err.startswith("error: no zero-coupling fixed point in [0, ")
+        assert "upper bound" in err
         assert not out.exists()
 
 

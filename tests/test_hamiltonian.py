@@ -168,12 +168,17 @@ class TestAssembly:
         assert np.allclose(vals_a, vals_b, rtol=1e-9)
 
     def test_diagonal_matches_charging_quadratic(self, device):
-        # spot check: the all-zero charge state has zero charging energy
-        ham = assemble_hamiltonian(device, 0.0, CFG3)[1]
-        ej = derive_junction_energies(device)
-        center = (2401 - 1) // 2
-        # diagonal there is the JJ-constant only (cos contributes off-diagonal)
-        assert ham[center, center] == pytest.approx(0.0, abs=1e-12)
+        # n^T Ec n, read off charging_matrix: 0 with no charge, Ec_ii with one pair on node i,
+        # Ec_ii + Ec_jj + 2 Ec_ij with one pair on each of nodes i and j
+        diagonal = assemble_hamiltonian(device, 0.0, CFG3)[1].diagonal()
+        ec = charging_matrix(build_capacitance_matrix(device))
+        center, strides = (7**4 - 1) // 2, (7**3, 7**2, 7, 1)
+        assert diagonal[center] == 0.0
+        for i in range(4):
+            assert diagonal[center + strides[i]] == pytest.approx(ec[i, i], rel=1e-12)
+            for j in range(i + 1, 4):
+                pair = ec[i, i] + ec[j, j] + 2.0 * ec[i, j]
+                assert diagonal[center + strides[i] + strides[j]] == pytest.approx(pair, rel=1e-12)
 
 
 class TestRealForm:

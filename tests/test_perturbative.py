@@ -1,11 +1,13 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from csdtc import perturbative
-from csdtc.circuit import derive_junction_energies
+from csdtc.circuit import CircuitParams, derive_junction_energies
 from csdtc.constants import E_CHARGE, FF, GHZ, HBAR, NH, PLANCK_H
 from csdtc.errors import ModelError
 from csdtc.perturbative import (
@@ -193,23 +195,29 @@ class TestZeroCoupling:
         again = shunt_capacitance_for(ej.lj5_nh * 1e-9, result.omega1, result.omega2) / FF
         assert again == pytest.approx(result.c34_star_ff, abs=0.02)
 
-    def test_non_convergence_carries_trace(self, device, monkeypatch):
-        monkeypatch.setattr(perturbative, "_FIXED_POINT_TOL_FF", 1e-12)
-        monkeypatch.setattr(perturbative, "_FIXED_POINT_MAX_ITER", 1)
-        with pytest.raises(ModelError, match="iteration"):
+    def test_no_fixed_point_below_upper_bound_names_it(self, device, monkeypatch):
+        # a closed form above every C34: closed(C) - C has no sign change on [0, 2 closed(C34)]
+        reduction = perturbative.two_mode_reduction
+        monkeypatch.setattr(
+            perturbative, "two_mode_reduction", lambda p: replace(reduction(p), c34_closed_ff=2.0 * p.c34 + 1.0)
+        )
+        upper = 2.0 * (2.0 * device.c34 + 1.0)
+        with pytest.raises(ModelError, match=re.escape(f"in [0, {upper:.3f}] fF") + ".*upper bound"):
             zero_coupling_c34(device)
 
     def test_strongly_coupled_circuit_polished_to_tolerance(self):
-        # large C13/C24 mixing: the closed form alone leaves an MHz-scale
-        # residual, so the exact-g12 polish has to kick in
-        from csdtc.circuit import CircuitParams
-
+        # strong C13/C24 mixing and a large shunt: the closed form's fixed point leaves |g12| above the
+        # 1e-5 sqrt(w1 w2) tolerance, so the result comes from the exact-g12 polish
         strong = CircuitParams(
-            c11=120.0, c22=110.0, c33=150.0, c44=140.0,
-            c12=0.1, c13=28.0, c14=0.1, c23=0.1, c24=25.0, c34=79.0,
-            ic1=20.0, ic2=22.0, ic3=70.0, ic4=65.0, ic5=21.0,
+            c11=183.15, c22=107.63, c33=134.32, c44=43.92,
+            c12=0.0, c13=40.41, c14=0.0, c23=0.0, c24=55.15, c34=124.20,
+            ic1=53.70, ic2=41.32, ic3=44.38, ic4=117.59, ic5=14.28,
         )
+        fixed = brentq(lambda c: two_mode_reduction(strong.with_c34(c)).c34_closed_ff - c, 0.0, 500.0, xtol=1e-6)
+        unpolished = two_mode_reduction(strong.with_c34(fixed)).system
+        assert abs(unpolished.g12) > 1e-5 * math.sqrt(unpolished.omega1 * unpolished.omega2)
+
         result = zero_coupling_c34(strong)
         tol = 1e-5 * math.sqrt(result.omega1 * result.omega2)
         assert abs(result.g12_residual) < tol
-        assert result.c34_star_ff > 0
+        assert result.c34_star_ff == pytest.approx(63.84, abs=0.01)
