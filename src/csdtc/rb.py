@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import minimize_scalar
 
 from .errors import FitError
 
@@ -143,73 +143,80 @@ def _exponent_scale(kind: str) -> int:
     return 2 if kind == KIND_PURITY else 1
 
 
-def _initial_guess(m, y, scale):
-    offset0 = float(np.mean(y[-2:]))
-    amp0 = float(y[0] - offset0)
-    lam0 = 0.95
-    j = len(y) // 2
-    denom = y[0] - offset0
-    if denom != 0.0:
-        ratio = (y[j] - offset0) / denom
-        span = scale * (m[j] - m[0])
-        if ratio > 0 and span > 0:
-            lam0 = float(ratio ** (1.0 / span))
-    lam0 = min(max(lam0, 1e-6), 1.0)
-    return amp0, offset0, lam0
+def _projection(rates, scaled_m, y, weights):
+    """Amplitude, offset and chi^2 of the fit at each decay rate r = -ln(lam), in closed form.
+
+    The offset is eliminated by centring decay and data on their weighted
+    means; a rate whose decay underflows at every length fits the offset alone.
+    """
+    decay = np.exp(-np.multiply.outer(rates, scaled_m))
+    y_mean = (weights @ y) / weights.sum()
+    decay_mean = (decay @ weights) / weights.sum()
+    decay_c = decay - decay_mean[..., None]
+    y_c = y - y_mean
+    amplitude = ((decay_c * weights) @ y_c) / np.maximum((decay_c * decay_c) @ weights, np.finfo(float).tiny)
+    # chi^2 from the residuals themselves: the expanded sums cancel near lam = 1
+    residuals = y_c - amplitude[..., None] * decay_c
+    return amplitude, y_mean - amplitude * decay_mean, (residuals * residuals) @ weights
 
 
 def fit_decay(trace: RBTrace) -> DecayFit:
-    """Weighted nonlinear least squares of offset + amplitude * lam^(scale*m).
+    """Weighted least squares of offset + amplitude * lam^(scale*m), by variable projection.
 
-    The trace kind fixes scale (2 for purity, 1 otherwise). Weights are
-    1/std^2 when standard errors are present (unit weights otherwise); lam is
-    constrained to (0, 1]; the covariance comes from the fit Jacobian.
+    scale is 2 for purity traces, 1 otherwise; weights are 1/std^2 (unit
+    without standard errors). At fixed lam, amplitude and offset are linear,
+    so only the rate -ln(lam) is searched, with lam in [1e-12, 1]: a log-spaced
+    grid brackets the best cell, scipy's bounded Brent method refines it, and
+    two Gauss-Newton steps on (amplitude, offset, lam), each kept only if it
+    lowers chi^2, polish it. The covariance is (J^T W J)^-1 of the analytic
+    Jacobian, scaled by chi^2/(n-3) without standard errors. ``FitError`` if it
+    is singular to rounding or non-finite.
     """
     scale = _exponent_scale(trace.kind)
     m = np.asarray(trace.lengths, dtype=float)
     y = np.asarray(trace.values, dtype=float)
-    sigma = None if trace.std_errs is None else np.asarray(trace.std_errs, dtype=float)
+    absolute = trace.std_errs is not None
+    weights = np.asarray(trace.std_errs, dtype=float) ** -2 if absolute else np.ones_like(y)
 
     if np.ptp(y) == 0.0:
         # constant trace: amplitude 0, decay constant unidentifiable
-        return DecayFit(
-            amplitude=0.0,
-            offset=float(y[0]),
-            lam=1.0,
-            covariance=np.zeros((3, 3)),
-            lambda_identifiable=False,
-        )
+        return DecayFit(amplitude=0.0, offset=float(y[0]), lam=1.0, covariance=np.zeros((3, 3)),
+                        lambda_identifiable=False)
 
-    def model(mm, amplitude, offset, lam):
-        return offset + amplitude * lam ** (scale * mm)
-
-    p0 = _initial_guess(m, y, scale)
+    scaled_m = scale * m
+    # rates r = -ln(lam) from a 1e-6 decay over the trace (slower is a straight line to rounding) to the floor
+    rates = np.geomspace(1e-6 / scaled_m[-1], -math.log(_LAMBDA_FLOOR), 64)
+    best = int(np.argmin(_projection(rates, scaled_m, y, weights)[2]))
+    bracket = (rates[max(best - 1, 0)], rates[min(best + 1, rates.size - 1)])
+    rate = minimize_scalar(lambda r: _projection(r, scaled_m, y, weights)[2], bounds=bracket,
+                           method="bounded", options={"xatol": 1e-12}).x
+    amplitude, offset, chi2 = _projection(rate, scaled_m, y, weights)
+    theta = np.array([amplitude, offset, math.exp(-rate)])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            popt, pcov = curve_fit(
-                model,
-                m,
-                y,
-                p0=p0,
-                sigma=sigma,
-                absolute_sigma=sigma is not None,
-                bounds=([-np.inf, -np.inf, _LAMBDA_FLOOR], [np.inf, np.inf, 1.0]),
-                maxfev=20000,
-            )
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"decay fit failed (initial guess {p0}): {exc}") from exc
-    residuals = y - model(m, *popt)
-    if not np.all(np.isfinite(pcov)):
+        for _ in range(2):
+            decay = theta[2] ** scaled_m
+            jac = np.column_stack([decay, np.ones_like(m), theta[0] * scaled_m * theta[2] ** (scaled_m - 1)])
+            residuals = y - theta[1] - theta[0] * decay
+            # (J^T W J)^-1 from the SVD of W^(1/2) J with unit columns: positive definite, or singular to rounding
+            weighted_jac = np.sqrt(weights)[:, None] * jac
+            norms = np.maximum(np.linalg.norm(weighted_jac, axis=0), np.finfo(float).tiny)
+            _, sv, vt = np.linalg.svd(weighted_jac / norms, full_matrices=False)
+            if not sv[-1] > np.finfo(float).eps * m.size * sv[0]:
+                raise np.linalg.LinAlgError(f"column-scaled Jacobian has singular values {sv}")
+            covariance = (vt.T / sv**2) @ vt / np.outer(norms, norms)
+            trial = theta + covariance @ (jac.T @ (weights * residuals))
+            trial[2] = min(max(trial[2], _LAMBDA_FLOOR), 1.0)
+            trial_chi2 = weights @ (y - trial[1] - trial[0] * trial[2] ** scaled_m) ** 2
+            if not trial_chi2 <= chi2:
+                break
+            theta, chi2 = trial, trial_chi2
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"decay fit is singular at lam {theta[2]:.6g}: lam is not identifiable ({exc})") from exc
+    if not absolute:
+        covariance = covariance * chi2 / (y.size - 3)
+    if not np.all(np.isfinite(covariance)):
         raise FitError(f"decay fit produced a non-finite covariance; residuals {residuals}")
-    amplitude, offset, lam = (float(v) for v in popt)
-    return DecayFit(
-        amplitude=amplitude,
-        offset=offset,
-        lam=lam,
-        covariance=np.asarray(pcov),
-        lambda_identifiable=bool(abs(amplitude) > _AMPLITUDE_FLOOR),
-    )
+    return DecayFit(*map(float, theta), covariance, lambda_identifiable=bool(abs(theta[0]) > _AMPLITUDE_FLOOR))
 
 
 def _leakage_rate(fit: DecayFit) -> tuple[float, float]:
@@ -385,8 +392,11 @@ def full_budget(traces: dict, *, allow_partial: bool = False) -> ErrorBudget:
 
 
 def _slot_fit(slots: str, trace: RBTrace) -> DecayFit:
-    """``fit_decay`` of the trace in ``slots``; ``FitError`` naming them if it does not decay."""
-    fit = fit_decay(trace)
+    """``fit_decay`` of the trace in ``slots``; ``FitError`` naming them if it fails or does not decay."""
+    try:
+        fit = fit_decay(trace)
+    except FitError as exc:
+        raise FitError(f"trace {slots}: {exc}") from exc
     if not fit.lambda_identifiable:
         raise FitError(f"trace {slots} does not decay (fitted amplitude {fit.amplitude}): lambda is not identifiable")
     return fit

@@ -572,6 +572,21 @@ class TestRBBudgetCommand:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_singular_fit_is_not_a_crash(self, tmp_path, capsys):
+        # pure noise: no decay to fit, so the fit's Jacobian can be singular
+        paths = _write_bundle(tmp_path)
+        noise = synth_trace(offset=0.5, amplitude=0.0, lam=0.9, kind=KIND_POPULATION_X1, lengths=LENGTHS,
+                            noise_sigma=0.005, seed=3)
+        write_trace_csv(noise, paths["x1_srb"])
+        out = tmp_path / "budget.json"
+        code = main(["rb-budget", "--partial", "--x1-srb", paths["x1_srb"], "--x1-irb", paths["x1_irb"],
+                     "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
+        if code == EXIT_NUMERICAL:
+            err = capsys.readouterr().err
+            assert err.startswith("error: trace x1_srb") and len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
 from csdtc.errors import FitError
 from csdtc.rb import (
@@ -140,6 +141,95 @@ class TestFitDecay:
         fit = fit_decay(trace)
         eigs = np.linalg.eigvalsh((fit.covariance + fit.covariance.T) / 2.0)
         assert eigs.min() > -1e-15
+
+    @pytest.mark.parametrize("kind", [KIND_POPULATION_X1, KIND_PURITY])
+    @pytest.mark.parametrize("lam", [0.3, 0.9, 0.999, 0.99999])
+    def test_noiseless_lambda_range(self, kind, lam):
+        # 1e-12, not 1e-9: the Gauss-Newton polish takes the bounded search's ~1e-10 to rounding
+        trace = synth_trace(offset=0.1, amplitude=0.8, lam=lam, kind=kind, lengths=LENGTHS)
+        assert fit_decay(trace).lam == pytest.approx(lam, abs=1e-12)
+
+    def test_lengths_past_the_underflow_of_the_fastest_rate(self):
+        # at lam = 1e-12 the purity decay underflows to 0 at every one of these lengths
+        lengths = (30, 60, 100, 200, 300)
+        trace = synth_trace(offset=0.05, amplitude=0.9, lam=0.99, kind=KIND_PURITY, lengths=lengths)
+        assert fit_decay(trace).lam == pytest.approx(0.99, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "offset, amplitude, lam, noise_sigma, seed",
+        [(0.5, 0.0, 0.9, 0.005, 3), (0.78, 0.15, 0.998, 0.005, 0), (0.5, 0.1, 0.3, 0.001, 2)],
+        ids=["noise", "decay_too_slow_to_see", "decay_gone_after_one_length"],
+    )
+    def test_degenerate_fit_raises_or_has_positive_variances(self, offset, amplitude, lam, noise_sigma, seed):
+        trace = synth_trace(offset=offset, amplitude=amplitude, lam=lam, kind=KIND_POPULATION_X1,
+                            lengths=LENGTHS, noise_sigma=noise_sigma, seed=seed)
+        try:
+            fit = fit_decay(trace)
+        except FitError:
+            return
+        assert np.all(np.isfinite(fit.covariance))
+        assert np.all(np.diag(fit.covariance) > 0)
+
+    @pytest.mark.parametrize(
+        "kind, lam, amplitude, noise_sigma, seed",
+        [
+            (KIND_PURITY, 0.99999, 0.1, 1e-3, 0),
+            (KIND_PURITY, 0.99, 0.01, 1e-2, 9),
+            (KIND_PURITY, 0.9, 0.0, 1e-3, 1),
+            (KIND_POPULATION_X1, 0.9999, 0.1, 1e-2, 4),
+            (KIND_POPULATION_X1, 0.999, 0.01, 1e-3, 7),
+            (KIND_POPULATION_X1, 0.99999, 0.1, 1e-2, 19),
+        ],
+    )
+    def test_fit_no_worse_than_a_straight_line(self, kind, lam, amplitude, noise_sigma, seed):
+        # lam -> 1 with amplitude ~ 1/(1 - lam) turns the model into a straight line, so no fit
+        # it returns may leave a larger chi^2 than the best line; on these noisy traces it comes close
+        trace = synth_trace(offset=0.5, amplitude=amplitude, lam=lam, kind=kind, lengths=LENGTHS,
+                            noise_sigma=noise_sigma, seed=seed)
+        try:
+            fit = fit_decay(trace)
+        except FitError:
+            return
+        m, y = np.asarray(LENGTHS, dtype=float), np.asarray(trace.values)
+        scale = 2 if kind == KIND_PURITY else 1
+        chi2 = np.sum((y - fit.offset - fit.amplitude * fit.lam ** (scale * m)) ** 2)
+        assert chi2 <= np.sum((y - np.polyval(np.polyfit(m, y, 1), m)) ** 2) * (1 + 1e-6)
+
+
+def _curve_fit_oracle(trace, p0):
+    """The decay fit as scipy's trust-region curve_fit: lam bounded to [1e-12, 1], absolute sigma with std_errs."""
+    scale = 2 if trace.kind == KIND_PURITY else 1
+    sigma = None if trace.std_errs is None else np.asarray(trace.std_errs)
+    popt, pcov = curve_fit(
+        lambda m, amplitude, offset, lam: offset + amplitude * lam ** (scale * m),
+        np.asarray(trace.lengths, dtype=float), np.asarray(trace.values), p0=p0, sigma=sigma,
+        absolute_sigma=sigma is not None, bounds=([-np.inf, -np.inf, 1e-12], [np.inf, np.inf, 1.0]),
+    )
+    return popt[2], math.sqrt(pcov[2, 2])
+
+
+class TestAgainstCurveFit:
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize(
+        "kind, offset, amplitude, lo, hi",
+        [
+            (KIND_POPULATION_X1, 0.78, 0.15, 0.994, 0.997),
+            (KIND_PURITY, -0.02, 0.95, 0.994, 0.997),
+            (KIND_SUBTRACTED, 0.07, 0.60, 0.989, 0.996),
+        ],
+    )
+    def test_lambda_and_its_error_match(self, kind, offset, amplitude, lo, hi, weighted):
+        rng = np.random.default_rng(17)
+        for seed in range(6):
+            lam = rng.uniform(lo, hi)
+            trace = synth_trace(offset=offset, amplitude=amplitude, lam=lam, kind=kind, lengths=LENGTHS,
+                                noise_sigma=0.005, seed=seed)
+            if not weighted:
+                trace = RBTrace(trace.lengths, trace.values, None, trace.kind, trace.variant)
+            lam_ref, sigma_ref = _curve_fit_oracle(trace, (amplitude, offset, lam))
+            fit = fit_decay(trace)
+            assert abs(fit.lam - lam_ref) <= 1e-3 * sigma_ref
+            assert math.sqrt(fit.lam_variance) == pytest.approx(sigma_ref, rel=1e-3)
 
 
 class TestLeakage:
