@@ -187,10 +187,10 @@ def params_from_dict(doc: dict) -> CircuitParams:
     entries += [(f"critical_currents_nA[{i}]", field, currents[i]) for i, field in enumerate(_CURRENT_FIELDS)]
     kwargs = {}
     for key, field, value in entries:
-        try:
-            kwargs[field] = float(value)
-        except (TypeError, ValueError):
-            raise ParameterError(f"{key} must be a number, got {value!r}") from None
+        # a JSON number only: bool is an int subclass, and float() would also take "108"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParameterError(f"{key} must be a number, got {value!r}")
+        kwargs[field] = float(value)
     return CircuitParams(**kwargs)
 
 

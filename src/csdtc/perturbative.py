@@ -25,6 +25,7 @@ from .errors import ModelError
 _TWO_PI = 2.0 * math.pi
 _G12_RESIDUAL_FACTOR = 1e-5
 _C34_XTOL_FF = 1e-6  # brentq's absolute tolerance on the fixed point and on the g12 zero
+_MODE_SWAP_PROBE_FF = 1e-3  # a failed polish root is probed this far on either side for a sign flip of k_Ur
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,10 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     the upper bound raises ModelError. The residual |g12| at the fixed point
     is checked against 1e-5 sqrt(w1 w2); the closed form carries a
     weak-coupling shorthand, so for strongly coupled circuits the result is
-    polished against the exact g12 zero before the check.
+    polished against the exact g12 zero before the check. Where
+    ``block_normal_modes`` swaps a block's qubit-like column, k_Ur and g12
+    jump sign; a polish that fails the check there raises ``ModelError``
+    naming that C34 and the values on either side.
     """
     def reduce(c34_ff: float) -> PerturbativeResult:
         return two_mode_reduction(params.with_c34(c34_ff))
@@ -274,6 +278,13 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
         final = reduce(c34).system
         residual_tol = _G12_RESIDUAL_FACTOR * math.sqrt(final.omega1 * final.omega2)
         if abs(final.g12) >= residual_tol:
+            below, above = reduce(max(c34 - _MODE_SWAP_PROBE_FF, 0.0)), reduce(c34 + _MODE_SWAP_PROBE_FF)
+            if below.eff.k_ur * above.eff.k_ur < 0:
+                raise ModelError(
+                    f"the g12 polish converged onto C34 = {c34:.3f} fF, where a block swaps its qubit-like mode: "
+                    f"across it k_Ur goes {below.eff.k_ur:+.4f} -> {above.eff.k_ur:+.4f} and g12 "
+                    f"{below.system.g12:+.3e} -> {above.system.g12:+.3e} rad/s, a jump and not a zero"
+                )
             raise ModelError(
                 f"residual coupling |g12|={abs(final.g12):.3e} rad/s remains above "
                 f"tolerance {residual_tol:.3e} after polishing"

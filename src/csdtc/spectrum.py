@@ -392,40 +392,41 @@ def _product_hamiltonian(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c
         (a, b, c, blocks.n2, blocks.y),
     )
     for shared, i, j, left, right in terms:
-        order = np.argsort(shared, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(shared[order])) + 1):
+        for value in np.unique(shared):
+            group = np.flatnonzero(shared == value)
             gi, gj = i[group], j[group]
-            ham[np.ix_(group, group)] -= left[np.ix_(gi, gi)] * right[np.ix_(gj, gj)]
+            ham[group[:, None], group] -= left[gi[:, None], gi] * right[gj[:, None], gj]
     return ham
 
 
 def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int):
-    """Lowest k eigenpairs of H on the kept products, solved in the two sectors of total parity.
+    """Lowest k eigenpairs of H on the kept products, solved one sector of total parity at a time.
 
-    Each cross term flips the parities of two blocks, so H conserves
-    p1[a] p2[b] p34[c] and splits exactly. The lowest k of each sector are
-    merged and the lowest k overall kept, with eigenvectors zero outside
-    their sector. Also returns the (even, odd) sector sizes.
+    Where the blocks carry parities, each cross term flips two of them, so H
+    conserves p1[a] p2[b] p34[c] and splits exactly into an even and an odd
+    sector; elsewhere the kept products are one sector. The lowest k of each
+    sector are merged and the lowest k overall kept, with eigenvectors zero
+    outside their sector. Also returns the (even, odd) sector sizes, or None
+    for one sector.
     """
-    p1, p2, p34 = blocks.parities
-    total = p1[a] * p2[b] * p34[c]
-    sectors = [np.flatnonzero(total == sign) for sign in (1, -1)]
-    sizes = tuple(int(rows.size) for rows in sectors)
-    if min(sizes) <= k:
-        raise SolverError(
-            f"a parity sector of the product basis holds {min(sizes)} products (even {sizes[0]}, odd {sizes[1]}), "
-            f"too few for its lowest {k} states"
-        )
-    vals, vecs = [], []
-    for rows in sectors:
-        sector_vals, sector_vecs = solve_lowest(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
-        padded = np.zeros((a.size, k))
-        padded[rows] = sector_vecs
-        vals.append(sector_vals)
-        vecs.append(padded)
-    vals = np.concatenate(vals)
+    if blocks.parities is None:
+        sectors, sizes = [np.arange(a.size)], None
+    else:
+        p1, p2, p34 = blocks.parities
+        total = p1[a] * p2[b] * p34[c]
+        sectors = [np.flatnonzero(total == sign) for sign in (1, -1)]
+        sizes = tuple(int(rows.size) for rows in sectors)
+        if min(sizes) <= k:
+            raise SolverError(
+                f"a parity sector of the product basis holds {min(sizes)} products (even {sizes[0]}, "
+                f"odd {sizes[1]}), too few for its lowest {k} states"
+            )
+    vals, vecs = np.empty(len(sectors) * k), np.zeros((a.size, len(sectors) * k))
+    for sector, rows in enumerate(sectors):
+        found = slice(sector * k, (sector + 1) * k)
+        vals[found], vecs[rows, found] = solve_lowest(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
     order = np.argsort(vals, kind="stable")[:k]
-    return vals[order], np.hstack(vecs)[:, order], sizes
+    return vals[order], vecs[:, order], sizes
 
 
 def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray) -> np.ndarray:
@@ -464,8 +465,9 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
 
     ``e_cut`` is at most the ``e_max`` the blocks were built for. The label
     corner is always kept. The computational levels carry their
-    second-order shifts from the products left out, which are returned too,
-    in ``COMPUTATIONAL_OCCUPATIONS`` order.
+    second-order shifts from the products left out. Also returns, in
+    ``COMPUTATIONAL_OCCUPATIONS`` order, their corrected frequencies and
+    the shifts.
     """
     e1, e2, e34 = blocks.energies
     excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
@@ -481,20 +483,15 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     kept[: LABEL_LEVELS[0], : LABEL_LEVELS[1], : LABEL_LEVELS[2]] = True
     a, b, c = np.nonzero(kept)
 
-    k = cfg.num_eigenstates
-    if blocks.parities is None:
-        (vals, vecs), sectors = solve_lowest(_product_hamiltonian(blocks, a, b, c), k), None
-    else:
-        vals, vecs, sectors = _solve_by_sector(blocks, a, b, c, k)
-    in_corner = (a < LABEL_LEVELS[0]) & (b < LABEL_LEVELS[1]) & (c < LABEL_LEVELS[2])
-    corner = np.zeros((k, *LABEL_LEVELS))
-    corner[:, a[in_corner], b[in_corner], c[in_corner]] = vecs[in_corner].T ** 2
-    labels = _assign_labels(corner)
+    vals, vecs, sectors = _solve_by_sector(blocks, a, b, c, cfg.num_eigenstates)
+    # each eigenvector as a coefficient tensor over the levels of blocks.reach
+    tensor = np.zeros((vals.size, *blocks.reach))
+    tensor[:, a, b, c] = vecs.T
+    labels = _assign_labels(tensor[:, : LABEL_LEVELS[0], : LABEL_LEVELS[1], : LABEL_LEVELS[2]] ** 2)
 
     computational = [[label.occupations for label in labels].index(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
-    states = np.zeros((len(computational), *blocks.reach))
-    states[:, a, b, c] = vecs[:, computational].T
-    shifts = _left_out_shifts(states, vals[computational], blocks, kept)
+    tensor = tensor[computational]  # rebinding frees the other rows before the correction
+    shifts = _left_out_shifts(tensor, vals[computational], blocks, kept)
     vals[computational] += shifts
     spec = SpectrumResult(
         flux=float(flux),
@@ -506,12 +503,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
         kept_states=int(a.size),
         sector_states=sectors,
     )
-    return spec, shifts
-
-
-def _computational_frequencies(spec: SpectrumResult) -> np.ndarray:
-    """Frequencies of the labeled computational levels, in ``COMPUTATIONAL_OCCUPATIONS`` order."""
-    return np.array([spec.level(occ)[0] for occ in COMPUTATIONAL_OCCUPATIONS])
+    return spec, vals[computational] - vals[0], shifts
 
 
 def _zeta_khz(energies) -> float:
@@ -544,16 +536,16 @@ def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> Spe
     ``TruncationError`` names the last cutoff when no rung is accepted.
     """
     blocks = _product_blocks(params, flux, cfg, _E_CUT_LADDER_GHZ[-1])
-    previous, _ = _product_solve(blocks, _E_CUT_LADDER_GHZ[0], flux, cfg)
+    _, previous, _ = _product_solve(blocks, _E_CUT_LADDER_GHZ[0], flux, cfg)
     settled_below = False
     for e_cut in _E_CUT_LADDER_GHZ[1:]:
-        current, shifts = _product_solve(blocks, e_cut, flux, cfg)
-        moved = _zeta_and_level_change(_computational_frequencies(current) - _computational_frequencies(previous))
+        current, levels, shifts = _product_solve(blocks, e_cut, flux, cfg)
+        moved = _zeta_and_level_change(levels - previous)
         correction = _zeta_and_level_change(shifts)
         settled = _within_tolerance(*moved)
         if settled and (settled_below or _within_tolerance(*correction, factor=_SMALL_CORRECTION)):
             return replace(current, truncation_khz=moved[0])
-        previous, settled_below = current, settled
+        previous, settled_below = levels, settled
     raise TruncationError(
         f"product basis not settled at E_cut = {e_cut:g} GHz: from {_E_CUT_LADDER_GHZ[-2]:g} GHz the corrected "
         f"zeta moved {moved[0]:.3g} kHz and the computational levels up to {moved[1]:.3g} GHz, with a "

@@ -180,6 +180,29 @@ class TestJsonDocument:
         with pytest.raises(ParameterError, match=re.escape(key)):
             params_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, index, key",
+        [
+            ("node_caps_fF", 1, "node_caps_fF[1]"),
+            ("mutual_caps_fF", "C34", "mutual_caps_fF.C34"),
+            ("critical_currents_nA", 4, "critical_currents_nA[4]"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, "108", " 1e2 "], ids=["bool", "string", "padded_string"])
+    def test_only_json_numbers(self, device, section, index, key, value):
+        # float() would take each of these: true as a 1 fF shunt, "108" as 108 fF
+        doc = params_to_dict(device)
+        doc[section][index] = value
+        with pytest.raises(ParameterError) as info:
+            params_from_dict(doc)
+        assert str(info.value) == f"{key} must be a number, got {value!r}"
+
+    def test_json_integers_accepted(self, device):
+        doc = params_to_dict(device)
+        doc["node_caps_fF"][0] = 108
+        params = params_from_dict(doc)
+        assert params.c11 == 108.0 and isinstance(params.c11, float)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

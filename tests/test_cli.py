@@ -52,7 +52,7 @@ class TestParseGrid:
         assert np.array_equal(parse_grid("0.25:0.25:1"), np.array([0.25]))
 
 
-class TestGoldenSection:
+class TestBoundedArgmin:
     """``bounded_argmin``: Brent's bounded search, golden-section steps sped up by parabolic ones."""
 
     def test_parabola(self):
@@ -132,6 +132,17 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "node_caps_fF[0]" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", [True, "108"], ids=["bool", "string"])
+    def test_non_number_params_value_names_file_and_key(self, tmp_path, capsys, params_file, value):
+        doc = json.loads(Path(params_file).read_text())
+        doc["mutual_caps_fF"]["C34"] = value
+        bad = tmp_path / "not_a_number.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["spectrum", "--params", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: parameter file {bad}: mutual_caps_fF.C34 must be a number, got {value!r}\n"
 
 
 @pytest.mark.parametrize(

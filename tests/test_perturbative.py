@@ -221,3 +221,24 @@ class TestZeroCoupling:
         tol = 1e-5 * math.sqrt(result.omega1 * result.omega2)
         assert abs(result.g12_residual) < tol
         assert result.c34_star_ff == pytest.approx(63.84, abs=0.01)
+
+    def test_polish_onto_mode_swap_names_it(self):
+        # the fixed point (214.25 fF) leaves |g12| above tolerance, and the polish's brentq converges onto
+        # the C34 where block_normal_modes swaps a block's qubit-like column: k_Ur and g12 jump sign there
+        swapping = CircuitParams(
+            c11=112.51, c22=139.72, c33=127.57, c44=72.52,
+            c12=9.0, c13=26.21, c14=0.16, c23=24.64, c24=23.91, c34=14.04,
+            ic1=28.18, ic2=26.71, ic3=25.29, ic4=36.7, ic5=40.27,
+        )
+        fixed = brentq(lambda c: two_mode_reduction(swapping.with_c34(c)).c34_closed_ff - c, 0.0, 500.0, xtol=1e-6)
+        assert fixed == pytest.approx(214.25, abs=0.01)
+        below, above = (two_mode_reduction(swapping.with_c34(168.948 + step)) for step in (-1e-3, 1e-3))
+        assert below.eff.k_ur > 0 > above.eff.k_ur
+        assert below.system.g12 < 0 < above.system.g12
+        expected = (
+            "the g12 polish converged onto C34 = 168.948 fF, where a block swaps its qubit-like mode: "
+            "across it k_Ur goes +0.0523 -> -0.0523 and g12 -2.428e+08 -> +1.726e+08 rad/s, a jump and not a zero"
+        )
+        with pytest.raises(ModelError) as info:
+            zero_coupling_c34(swapping)
+        assert str(info.value) == expected

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from csdtc import spectrum
@@ -232,7 +233,8 @@ def assert_split_matches_dense(split, dense):
         freq, twin = dense.level(label.occupations)
         assert split.level(label.occupations)[0] == pytest.approx(freq, abs=1e-9)
         assert label.ambiguous == twin.ambiguous
-    zeta_khz = [spectrum._zeta_khz(spectrum._computational_frequencies(spec)) for spec in (split, dense)]
+    levels = [[spec.level(occ)[0] for occ in COMPUTATIONAL_OCCUPATIONS] for spec in (split, dense)]
+    zeta_khz = [spectrum._zeta_khz(energies) for energies in levels]
     assert abs(zeta_khz[0] - zeta_khz[1]) <= 1e-6
 
 
@@ -272,6 +274,44 @@ class TestParitySectors:
         a, b, c = np.nonzero(np.ones(spectrum.LABEL_LEVELS, dtype=bool))  # the 54-product label corner
         with pytest.raises(SolverError, match="too few for its lowest 30 states"):
             spectrum._solve_by_sector(blocks, a, b, c, 30)
+
+
+def _kron_product_hamiltonian(blocks):
+    """diag(E) - kron(2 Ec12 N1, N2, I) - kron(N1, I, X) - kron(I, N2, Y) on the whole reach grid, in CSR."""
+    m1, m2, mc = blocks.reach
+    e1, e2, e34 = (e[:m] for e, m in zip(blocks.energies, blocks.reach))
+    n1, n2, x, y = blocks.n1[:m1], blocks.n2[:m2], blocks.x[:mc], blocks.y[:mc]
+    diagonal = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :]).ravel()
+    return (
+        sp.diags(diagonal)
+        - sp.kron(sp.kron(2.0 * blocks.ec12 * n1, n2), sp.identity(mc))
+        - sp.kron(sp.kron(n1, sp.identity(m2)), x)
+        - sp.kron(sp.kron(sp.identity(m1), n2), y)
+    ).tocsr()
+
+
+class TestProductHamiltonian:
+    @pytest.mark.parametrize("e_cut", [40.0, 60.0])
+    @pytest.mark.parametrize("flux", [0.0, 0.3])
+    def test_matches_kronecker_reference(self, device, flux, e_cut):
+        blocks = spectrum._product_blocks(device, flux, CFG3, e_cut)
+        e1, e2, e34 = blocks.energies
+        excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
+        kept = excitation <= e_cut
+        kept[: spectrum.LABEL_LEVELS[0], : spectrum.LABEL_LEVELS[1], : spectrum.LABEL_LEVELS[2]] = True
+        a, b, c = np.nonzero(kept)
+        if blocks.parities is None:
+            sectors = [np.arange(a.size)]
+        else:
+            p1, p2, p34 = blocks.parities
+            sectors = [np.flatnonzero(p1[a] * p2[b] * p34[c] == sign) for sign in (1, -1)]
+        assert (blocks.parities is None) == (flux == 0.3) and sum(rows.size for rows in sectors) == a.size
+        reference = _kron_product_hamiltonian(blocks)
+        for rows in sectors:
+            ham = spectrum._product_hamiltonian(blocks, a[rows], b[rows], c[rows])
+            index = np.ravel_multi_index((a[rows], b[rows], c[rows]), blocks.reach)
+            expected = reference[index][:, index].toarray()
+            assert np.abs(ham - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestZZ:
