@@ -7,14 +7,17 @@ One backend answers at every n_max, with the charge basis as its oracle:
   their eigenstates whose summed excitation energy
   (e1[a] - e1[0]) + (e2[b] - e2[0]) + (e34[c] - e34[0]) is at most a cutoff
   E_cut: block energies on the diagonal, minus the cross-block charge terms
-  2 Ec_ij N_i N_j, solved densely. Each computational level then gets its
-  second-order shift from every product left out (hierarchical
-  diagonalization with a Loewdin-partitioning correction). E_cut is raised
-  in 5 GHz steps from 40 GHz until the corrected zeta and computational
-  frequencies stop moving (0.01 kHz, 1e-5 GHz), up to 60 GHz; the first
-  answer is at 45 GHz. The four-node operator is never built, and ``seed``
-  has no effect. Where every block is real (flux 0 or 1/2) the kept
-  products split into two parity sectors, solved apart (below).
+  2 Ec_ij N_i N_j. A sector of at most ``_SPARSE_MIN_PRODUCTS`` kept
+  products is solved densely by LAPACK, a larger one by ARPACK Lanczos on a
+  CSR copy from the fixed start vector of seed 0. Each computational level
+  then gets its second-order shift from every product left out
+  (hierarchical diagonalization with a Loewdin-partitioning correction).
+  E_cut is raised in 5 GHz steps from 40 GHz until the corrected zeta and
+  computational frequencies stop moving (0.01 kHz, 1e-5 GHz), up to
+  60 GHz; the first answer is at 45 GHz. The four-node operator is never
+  built, and ``seed`` has no effect. Where every block is real (flux 0 or
+  1/2) the kept products split into two parity sectors, solved apart
+  (below); elsewhere they are one sector.
 - charge basis (the oracle, and the fall-back where the cutoffs do not
   settle): the four-node operator on (2 n_max + 1)^4 states, solved by
   seeded ARPACK Lanczos. It is never split by parity, so it stays an
@@ -81,6 +84,9 @@ _E_CUT_LADDER_GHZ = (40.0, 45.0, 50.0, 55.0, 60.0)
 # a rung settles when its corrected result moved from the rung below by no more than these
 _SETTLED_ZETA_KHZ = 0.01
 _SETTLED_LEVEL_GHZ = 1e-5
+# a sector of more kept products than this is solved by ARPACK on a CSR copy (at n_max 7, 16-18 % of
+# its entries are non-zero), a smaller one by dense LAPACK, which is the faster below about 400 products
+_SPARSE_MIN_PRODUCTS = 500
 # a rung whose second-order correction is at most this many times those is accepted on one agreeing
 # pair of rungs; a larger correction needs two (at n_max 5 one pair read 0.006 kHz against a 0.012 kHz error)
 _SMALL_CORRECTION = 5.0
@@ -406,8 +412,10 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     conserves p1[a] p2[b] p34[c] and splits exactly into an even and an odd
     sector; elsewhere the kept products are one sector. The lowest k of each
     sector are merged and the lowest k overall kept, with eigenvectors zero
-    outside their sector. Also returns the (even, odd) sector sizes, or None
-    for one sector.
+    outside their sector. A sector of more than ``_SPARSE_MIN_PRODUCTS``
+    products is solved by ARPACK on a CSR copy, always from the start vector
+    of seed 0, and a smaller one densely by LAPACK. Also returns the (even,
+    odd) sector sizes, or None for one sector.
     """
     if blocks.parities is None:
         sectors, sizes = [np.arange(a.size)], None
@@ -424,7 +432,11 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     vals, vecs = np.empty(len(sectors) * k), np.zeros((a.size, len(sectors) * k))
     for sector, rows in enumerate(sectors):
         found = slice(sector * k, (sector + 1) * k)
-        vals[found], vecs[rows, found] = solve_lowest(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
+        ham = _product_hamiltonian(blocks, a[rows], b[rows], c[rows])
+        if rows.size > _SPARSE_MIN_PRODUCTS:
+            ham = sp.csr_matrix(ham)  # rebinding frees the dense matrix before the solve
+        vals[found], vecs[rows, found] = solve_lowest(ham, k)
+        del ham  # before the next sector's matrix is built
     order = np.argsort(vals, kind="stable")[:k]
     return vals[order], vecs[:, order], sizes
 

@@ -7,8 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from csdtc import spectrum
-from csdtc.errors import ConfigError, LabelingError, SolverError, TruncationError
+from csdtc import CircuitParams, spectrum
+from csdtc.errors import ConfigError, LabelingError, NumericsError, SolverError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
@@ -176,7 +176,7 @@ class TestBackends:
             solver = getattr(module, name)
 
             def solve(matrix, *args, **kwargs):
-                seen.append((f"{module.__name__}.{name}", matrix.dtype))
+                seen.append((f"{module.__name__}.{name}", matrix.dtype, matrix.shape[0]))
                 return solver(matrix, *args, **kwargs)
 
             monkeypatch.setattr(module, name, solve)
@@ -186,9 +186,19 @@ class TestBackends:
         solve = charge_spectrum if backend == "charge" else spectrum_at
         spec = solve(device, 0.3, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
         assert spec.backend == backend
-        operator_solver = "scipy.sparse.linalg.eigsh" if backend == "charge" else "scipy.linalg.eigh"
-        assert {name for name, _ in seen} == {operator_solver, "numpy.linalg.eigh"}
-        assert all(dtype == np.float64 for _, dtype in seen)
+        assert all(dtype == np.float64 for _, dtype, _ in seen)
+        operator_solves = [(name, rows) for name, _, rows in seen if name != "numpy.linalg.eigh"]
+        assert 0 < len(operator_solves) < len(seen)  # the rest are the blocks' eigensolves
+        if backend == "charge":
+            assert [name for name, _ in operator_solves] == ["scipy.sparse.linalg.eigsh"]
+        else:
+            # ARPACK on CSR exactly for a kept set above the limit, dense LAPACK below it; both occur here
+            expected = [
+                "scipy.sparse.linalg.eigsh" if rows > spectrum._SPARSE_MIN_PRODUCTS else "scipy.linalg.eigh"
+                for _, rows in operator_solves
+            ]
+            assert [name for name, _ in operator_solves] == expected
+            assert len(set(expected)) == 2
 
     def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device, monkeypatch):
         # a 5 fF direct qubit-qubit capacitance needs the products up to 50 GHz; stop the ladder at 45
@@ -216,10 +226,25 @@ class TestBackends:
         assert raw_khz - oracle_khz == pytest.approx(raw_khz - corrected_khz, rel=0.1)
 
 
+def solve_densely(monkeypatch):
+    """Make the product backend solve every sector by dense LAPACK, whatever its size.
+
+    Where a circuit is exactly degenerate (identical qubits, say), label overlaps can tie to rounding,
+    and which state wins then follows the solver: compare split and unsplit solves on one solver.
+    """
+    monkeypatch.setattr(spectrum, "_SPARSE_MIN_PRODUCTS", np.inf)
+
+
 def solve_in_one_dense_matrix(monkeypatch):
-    """Make the product backend solve every kept set in one matrix, as it does off the symmetric fluxes."""
+    """Make the product backend solve every kept set in one dense matrix, unsplit by parity."""
     split_blocks = spectrum._product_blocks
     monkeypatch.setattr(spectrum, "_product_blocks", lambda *args: replace(split_blocks(*args), parities=None))
+    solve_densely(monkeypatch)
+
+
+def computational_zeta_khz(spec) -> float:
+    """zeta (kHz) of a spectrum's computational levels, read whether or not their labels are ambiguous."""
+    return spectrum._zeta_khz([spec.level(occ)[0] for occ in COMPUTATIONAL_OCCUPATIONS])
 
 
 def assert_split_matches_dense(split, dense):
@@ -233,9 +258,7 @@ def assert_split_matches_dense(split, dense):
         freq, twin = dense.level(label.occupations)
         assert split.level(label.occupations)[0] == pytest.approx(freq, abs=1e-9)
         assert label.ambiguous == twin.ambiguous
-    levels = [[spec.level(occ)[0] for occ in COMPUTATIONAL_OCCUPATIONS] for spec in (split, dense)]
-    zeta_khz = [spectrum._zeta_khz(energies) for energies in levels]
-    assert abs(zeta_khz[0] - zeta_khz[1]) <= 1e-6
+    assert abs(computational_zeta_khz(split) - computational_zeta_khz(dense)) <= 1e-6
 
 
 class TestParitySectors:
@@ -274,6 +297,69 @@ class TestParitySectors:
         a, b, c = np.nonzero(np.ones(spectrum.LABEL_LEVELS, dtype=bool))  # the 54-product label corner
         with pytest.raises(SolverError, match="too few for its lowest 30 states"):
             spectrum._solve_by_sector(blocks, a, b, c, 30)
+
+
+# exactly degenerate circuits: uncoupled qubit nodes, and in the second identical ones
+DEGENERATE_CIRCUITS = (
+    CircuitParams(
+        c11=50, c22=50, c33=50, c44=50, c12=0, c13=0, c14=0, c23=0, c24=0, c34=2,
+        ic1=13, ic2=10, ic3=10, ic4=12, ic5=33,
+    ),
+    CircuitParams(
+        c11=50, c22=50, c33=50, c44=50, c12=0, c13=0, c14=0, c23=0, c24=0, c34=0,
+        ic1=10, ic2=10, ic3=10, ic4=11, ic5=19,
+    ),
+)
+
+
+class TestSparseSectors:
+    @pytest.mark.parametrize("flux", [0.3, 0.45])
+    def test_sparse_solve_matches_dense(self, device, monkeypatch, flux):
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        blocks = spectrum._product_blocks(device, flux, cfg, 45.0)
+        sparse = spectrum._product_solve(blocks, 45.0, flux, cfg)[0]
+        assert sparse.kept_states > spectrum._SPARSE_MIN_PRODUCTS
+        with monkeypatch.context() as patch:
+            solve_densely(patch)
+            dense = spectrum._product_solve(blocks, 45.0, flux, cfg)[0]
+        assert np.abs(sparse.eigenfrequencies_ghz - dense.eigenfrequencies_ghz).max() <= 1e-9
+        assert [(label.occupations, label.ambiguous) for label in sparse.labels] == [
+            (label.occupations, label.ambiguous) for label in dense.labels
+        ]
+        assert [label.overlap for label in sparse.labels] == pytest.approx([label.overlap for label in dense.labels])
+        assert abs(computational_zeta_khz(sparse) - computational_zeta_khz(dense)) <= 1e-6
+
+    def test_product_backend_ignores_seed_above_the_limit(self, device):
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        first, second = (spectrum_at(device, 0.15, cfg, seed=seed) for seed in (0, 7))
+        assert first.kept_states > spectrum._SPARSE_MIN_PRODUCTS
+        assert np.array_equal(first.eigenfrequencies_ghz, second.eigenfrequencies_ghz)
+        assert first.labels == second.labels
+
+    @pytest.mark.parametrize("n_max", [3, 5])
+    @pytest.mark.parametrize("flux", [0.2, 0.35])
+    @pytest.mark.parametrize("params", DEGENERATE_CIRCUITS)
+    def test_degenerate_circuit_matches_dense(self, monkeypatch, params, flux, n_max):
+        # ARPACK mixes eigenvectors inside the degenerate subspaces; zeta, exactly 0, must not see it.
+        # Both paths round it at 1e-9-1e-7 kHz: zeta is a difference of 20-40 GHz eigenvalues
+        cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=16)
+
+        def outcome():
+            try:
+                spec = product_spectrum(params, flux, cfg)
+                return spec.kept_states, _zeta_from_spectrum(spec)
+            except NumericsError as exc:
+                return type(exc)
+
+        sparse = outcome()
+        with monkeypatch.context() as patch:
+            solve_densely(patch)
+            dense = outcome()
+        if isinstance(dense, type):
+            assert sparse is dense
+        else:
+            assert sparse[0] == dense[0] and sparse[0] > spectrum._SPARSE_MIN_PRODUCTS
+            assert abs(sparse[1]) <= 1e-6 and abs(dense[1]) <= 1e-6
 
 
 def _kron_product_hamiltonian(blocks):
