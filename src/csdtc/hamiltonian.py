@@ -23,11 +23,10 @@ and for each block alike. The antiunitary P K (K complex conjugation)
 squares to one, so it fixes a real basis in which H is real symmetric:
 (e_i + e_Pi)/sqrt2 for i < h = dim // 2, the centre e_h (all charges zero)
 and i (e_i - e_Pi)/sqrt2. ``real_form`` writes H on that basis from the top
-h + 1 rows of H alone (a CSR operator straight from their arrays), and
-``from_real_form`` maps eigenvectors back. The transformation is unitary,
-so the eigenvalues are those of H exactly. Where H is real (flux 0 or 1/2)
-the real form is block-diagonal: the first h + 1 states span the
-parity-even sector, the last h the odd one.
+h rows of H alone, with real slices, and ``from_real_form`` maps eigenvectors
+back. The transformation is unitary, so the eigenvalues are those of H
+exactly. Where H is real (flux 0 or 1/2) the real form is block-diagonal:
+the first h + 1 states span the parity-even sector, the last h the odd one.
 
 One builder assembles this operator and its three blocks: node 1, node 2,
 and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
@@ -227,58 +226,20 @@ def real_form(mat):
     read, so the symmetry is checked first: ``SolverError`` if it fails.
     """
     _require_mirror_symmetry(mat)
-    if sp.issparse(mat):
-        rows, cols, values = _real_form_triplets(mat)  # only the triplets outlive the helper's arrays
-        folded = sp.csr_matrix((values, (rows, cols)), shape=mat.shape)
-        folded.eliminate_zeros()
-        return folded
     h = mat.shape[0] // 2
     a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
     mixed = b.imag - a.imag
     even, odd = _SQRT2 * c.real, _SQRT2 * c.imag
-    return np.block(
-        [
-            [a.real + b.real, even, mixed],
-            [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
-            [mixed.T, odd, a.real - b.real],
-        ]
-    )
-
-
-def _real_form_triplets(mat: sp.csr_matrix):
-    """(rows, columns, values) of the real form, read from the arrays of a canonical CSR operator's top h + 1 rows.
-
-    An entry H[i, j] of the top h rows off the centre column folds onto
-    column f = j of A (j < h) or f = dim - 1 - j of B (j > h). Its real part
-    goes to [i, f] and, negated for B, to [h+1+i, h+1+f]; its imaginary part,
-    negated for A, to [i, h+1+f] and to the mirror [h+1+f, i]. The centre
-    column c fills row and column h. A zero part makes no triplet. At most one
-    A and one B entry meet at a place, and the CSR conversion sums them, so
-    each entry is the two-term sum of the block formula, bit for bit.
-    """
-    h = mat.shape[0] // 2
-    end = mat.indptr[h]
-    rows = np.repeat(np.arange(h, dtype=mat.indices.dtype), np.diff(mat.indptr[: h + 1]))
-    cols, data = mat.indices[:end], mat.data[:end]
-    centre, in_b = cols == h, cols > h
-    fold = np.where(in_b, mat.shape[0] - 1 - cols, cols)
-    real, imag = (data.real != 0) & ~centre, (data.imag != 0) & ~centre
-    re_rows, re_fold, re_vals = rows[real], fold[real], data.real[real]
-    im_rows, im_fold, im_vals = rows[imag], fold[imag], np.where(in_b[imag], data.imag[imag], -data.imag[imag])
-    c_rows, c_real, c_imag = rows[centre], _SQRT2 * data.real[centre], _SQRT2 * data.imag[centre]
-    at_h = np.full(c_rows.size, h)
-    del rows, fold  # freed before the concatenations below, which set the peak with their parts
-    # blocks of the formula: Re A + Re B, Re A - Re B, Im B - Im A, its transpose, c and c^T twice, H_hh
-    index = mat.indices.dtype
-    all_rows = np.concatenate(
-        [re_rows, h + 1 + re_rows, im_rows, h + 1 + im_fold, c_rows, at_h, h + 1 + c_rows, at_h, [h]], dtype=index
-    )
-    all_cols = np.concatenate(
-        [re_fold, h + 1 + re_fold, h + 1 + im_fold, im_rows, at_h, c_rows, at_h, h + 1 + c_rows, [h]], dtype=index
-    )
-    re_diff = np.where(in_b[real], -re_vals, re_vals)
-    values = np.concatenate([re_vals, re_diff, im_vals, im_vals, c_real, c_real, c_imag, c_imag, [mat[h, h].real]])
-    return all_rows, all_cols, values
+    blocks = [
+        [a.real + b.real, even, mixed],
+        [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
+        [mixed.T, odd, a.real - b.real],
+    ]
+    if not sp.issparse(mat):
+        return np.block(blocks)
+    folded = sp.bmat(blocks, format="csr")
+    folded.eliminate_zeros()
+    return folded
 
 
 def from_real_form(vectors: np.ndarray) -> np.ndarray:

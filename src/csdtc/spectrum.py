@@ -84,7 +84,7 @@ _E_CUT_LADDER_GHZ = (40.0, 45.0, 50.0, 55.0, 60.0)
 # a rung settles when its corrected result moved from the rung below by no more than these
 _SETTLED_ZETA_KHZ = 0.01
 _SETTLED_LEVEL_GHZ = 1e-5
-# a sector of more kept products than this is solved by ARPACK on a CSR copy (at n_max 7, 16-18 % of
+# a sector of more kept products than this is solved by ARPACK on a CSR copy (at n_max 7, 12-18 % of
 # its entries are non-zero), a smaller one by dense LAPACK, which is the faster below about 400 products
 _SPARSE_MIN_PRODUCTS = 500
 # a rung whose second-order correction is at most this many times those is accepted on one agreeing
@@ -479,7 +479,11 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     corner is always kept. The computational levels carry their
     second-order shifts from the products left out. Also returns, in
     ``COMPUTATIONAL_OCCUPATIONS`` order, their corrected frequencies and
-    the shifts.
+    the shifts, except that the single-excitation pair |1,0,0>, |0,1,0> is
+    in ascending order. zeta is symmetric in the two, and where their
+    labels tie (identical qubits coupled by C12 hold each at overlap 0.5)
+    which state takes which follows the solver's rounding; a swap between
+    rungs is then no movement of the levels.
     """
     e1, e2, e34 = blocks.energies
     excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
@@ -505,6 +509,8 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     tensor = tensor[computational]  # rebinding frees the other rows before the correction
     shifts = _left_out_shifts(tensor, vals[computational], blocks, kept)
     vals[computational] += shifts
+    levels = vals[computational] - vals[0]
+    levels[1:3].sort()
     spec = SpectrumResult(
         flux=float(flux),
         n_max=int(cfg.n_max),
@@ -515,7 +521,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
         kept_states=int(a.size),
         sector_states=sectors,
     )
-    return spec, vals[computational] - vals[0], shifts
+    return spec, levels, shifts
 
 
 def _zeta_khz(energies) -> float:

@@ -181,22 +181,6 @@ class TestAssembly:
                 assert diagonal[center + strides[i] + strides[j]] == pytest.approx(pair, rel=1e-12)
 
 
-def _block_formula_real_form(ham: sp.csr_matrix) -> sp.csr_matrix:
-    """The real form of a CSR operator from sliced blocks by ``sp.bmat``: the reference for its triplet build."""
-    h = ham.shape[0] // 2
-    a, b, c = ham[:h, :h], ham[:h, h + 1 :][:, ::-1], ham[:h, h : h + 1]
-    mixed = b.imag - a.imag
-    even, odd = np.sqrt(2.0) * c.real, np.sqrt(2.0) * c.imag
-    blocks = [
-        [a.real + b.real, even, mixed],
-        [even.T, ham[h : h + 1, h : h + 1].real, odd.T],
-        [mixed.T, odd, a.real - b.real],
-    ]
-    folded = sp.bmat(blocks, format="csr")
-    folded.eliminate_zeros()
-    return folded
-
-
 class TestRealForm:
     @pytest.mark.parametrize("phi", [0.3, -0.45])
     def test_eigenpairs_map_back_to_the_operator(self, device, phi):
@@ -213,14 +197,6 @@ class TestRealForm:
         folded = real_form(coupler)
         assert np.array_equal(folded, folded.T)
         assert np.allclose(np.linalg.eigvalsh(folded), np.linalg.eigvalsh(coupler), atol=1e-12)
-
-    @pytest.mark.parametrize("phi", [0.3, 0.45])
-    @pytest.mark.parametrize("n_max", [3, 5, 7])
-    def test_csr_arrays_match_the_block_formula(self, device, n_max, phi):
-        ham = assemble_hamiltonian(device, phi, ChargeBasisConfig(n_max=n_max))[1]
-        folded, expected = real_form(ham), _block_formula_real_form(ham)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(folded, name), getattr(expected, name))
 
     def test_operator_breaking_the_reflection_is_refused(self, device, monkeypatch):
         from csdtc import spectrum

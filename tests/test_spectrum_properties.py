@@ -24,7 +24,7 @@ from csdtc import spectrum  # noqa: E402
 from csdtc.errors import LabelingError, TruncationError  # noqa: E402
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, real_form  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
-from test_spectrum import assert_split_matches_dense, solve_densely, solve_in_one_dense_matrix  # noqa: E402
+from test_spectrum import assert_split_matches_dense, solve_in_one_dense_matrix  # noqa: E402
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=16)
 FLUXES = st.sampled_from([0.0, 0.15, 0.25])
@@ -113,10 +113,8 @@ def test_parity_split_matches_one_dense_solve(params):
         except (LabelingError, TruncationError) as exc:
             return type(exc)
 
-    # both sides dense: on exactly degenerate circuits labels follow the solver's rounding (see solve_densely)
+    split = outcome(spectrum.product_spectrum)
     with pytest.MonkeyPatch.context() as patch:
-        solve_densely(patch)
-        split = outcome(spectrum.product_spectrum)
         solve_in_one_dense_matrix(patch)
         dense = outcome(spectrum.product_spectrum)
     if isinstance(split, type):
