@@ -52,14 +52,8 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
 def _basis_config(args) -> ChargeBasisConfig:
-    return ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k)
+    return ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k, seed=args.seed)
 
 
 def _add_common(parser, *, out_required: bool = True):
@@ -67,7 +61,7 @@ def _add_common(parser, *, out_required: bool = True):
     parser.add_argument("--out", required=out_required, help="output path")
     parser.add_argument("--n-max", type=int, default=7, dest="n_max")
     parser.add_argument("--k", type=int, default=16, help="eigenstate count, 6 to 54")
-    parser.add_argument("--seed", type=_seed, default=0, help="charge-basis eigensolver seed, >= 0")
+    parser.add_argument("--seed", type=int, default=0, help="charge-basis eigensolver seed, >= 0")
 
 
 def _report_sweep(points, label: str, attr: str) -> int:
@@ -92,7 +86,7 @@ def _write_json(doc: dict, out) -> None:
 
 def cmd_flux_sweep(args) -> int:
     params = load_params(args.params)
-    points = spectrum.sweep_flux(params, parse_grid(args.flux_grid), _basis_config(args), seed=args.seed)
+    points = spectrum.sweep_flux(params, parse_grid(args.flux_grid), _basis_config(args))
     args.write_csv(points, args.out)
     return _report_sweep(points, "phi_ex", "phi_ex")
 
@@ -101,18 +95,18 @@ def cmd_pert_compare(args) -> int:
     params = load_params(args.params)
     if args.zero_parasitics:
         params = params.without_parasitics()
-    points = spectrum.sweep_c34(params, parse_grid(args.c34_grid), _basis_config(args), seed=args.seed)
+    points = spectrum.sweep_c34(params, parse_grid(args.c34_grid), _basis_config(args))
     spectrum.write_c34_zz_csv(points, args.out)
     return _report_sweep(points, "C34_fF", "c34_ff")
 
 
 def cmd_design(args) -> int:
     params = load_params(args.params)
+    cfg = _basis_config(args)  # checked with --formula-only too, like every eigensolver command
     if args.formula_only:
         doc = design.closed_form_design(params)
     else:
-        bracket = _parse_bracket(args.bracket)
-        doc = design.search_design(params, bracket, _basis_config(args), tol=args.bracket_tol, seed=args.seed)
+        doc = design.search_design(params, _parse_bracket(args.bracket), cfg, tol=args.bracket_tol)
     _write_json(doc, args.out)
     return EXIT_OK
 

@@ -55,7 +55,6 @@ def search_design(
     cfg: ChargeBasisConfig,
     *,
     tol: float = 0.05,
-    seed: int = 0,
 ) -> dict:
     """Zero-coupling fixed point, zeta there, and the C34 in ``bracket`` (fF) minimizing |zeta|.
 
@@ -66,10 +65,10 @@ def search_design(
     fixed_point = perturbative.zero_coupling_c34(bare)
 
     def abs_zeta(c34_ff: float) -> float:
-        return abs(spectrum.zz_interaction(bare.with_c34(c34_ff), 0.0, cfg, seed=seed))
+        return abs(spectrum.zz_interaction(bare.with_c34(c34_ff), 0.0, cfg))
 
     argmin = bounded_argmin(abs_zeta, *bracket, tol=tol)
-    zeta_at_star = spectrum.zz_interaction(bare.with_c34(fixed_point.c34_star_ff), 0.0, cfg, seed=seed)
+    zeta_at_star = spectrum.zz_interaction(bare.with_c34(fixed_point.c34_star_ff), 0.0, cfg)
     return {
         "c34_star_fF": fixed_point.c34_star_ff,
         "g12_residual": fixed_point.g12_residual,

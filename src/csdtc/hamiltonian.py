@@ -65,10 +65,14 @@ _MAX_EIGENSTATES = int(np.prod(LABEL_LEVELS))
 
 @dataclass(frozen=True)
 class ChargeBasisConfig:
-    """Charge-basis truncation (per-node -n_max..n_max) and eigenstate count."""
+    """Charge-basis truncation (per-node -n_max..n_max), eigenstate count and Lanczos seed, stored as ints.
+
+    ``seed`` seeds the start vector of the four-node charge-basis solve only.
+    """
 
     n_max: int = 7
     num_eigenstates: int = 16
+    seed: int = 0
 
     def __post_init__(self):
         if int(self.n_max) != self.n_max or self.n_max < 3:
@@ -78,6 +82,10 @@ class ChargeBasisConfig:
                 f"num_eigenstates must be an integer from 6 to {_MAX_EIGENSTATES}, the number of dressed "
                 f"labels, got {self.num_eigenstates}"
             )
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("n_max", "num_eigenstates", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.states_per_node**2 > _BLOCK_DIMENSION_CAP:
             raise ConfigError(
                 f"n_max={self.n_max} gives a coupler block of dimension {self.states_per_node**2} "
@@ -86,7 +94,7 @@ class ChargeBasisConfig:
 
     @property
     def states_per_node(self) -> int:
-        return 2 * int(self.n_max) + 1
+        return 2 * self.n_max + 1
 
     @property
     def dimension(self) -> int:
@@ -154,13 +162,12 @@ def assemble_blocks(
     phi = float(flux)
     if not np.isfinite(phi):
         raise ConfigError(f"flux must be finite, got {phi}")
-    n_max = int(cfg.n_max)
     ec = charging_matrix(build_capacitance_matrix(params))
     ej = derive_junction_energies(params)
     modes = (
-        _build_block(ec[:1, :1], (ej.ej1,), n_max, phi),
-        _build_block(ec[1:2, 1:2], (ej.ej2,), n_max, phi),
-        _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), n_max, phi, ej.ej5),
+        _build_block(ec[:1, :1], (ej.ej1,), cfg.n_max, phi),
+        _build_block(ec[1:2, 1:2], (ej.ej2,), cfg.n_max, phi),
+        _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), cfg.n_max, phi, ej.ej5),
     )
     return BlockHamiltonians(ec=ec, modes=tuple(m.toarray() for m in modes)), ej
 
@@ -179,7 +186,7 @@ def assemble_hamiltonian(
             f"beyond the supported {_DIMENSION_CAP}"
         )
     blocks, ej = assemble_blocks(params, flux, cfg)
-    return blocks, _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), int(cfg.n_max), float(flux), ej.ej5)
+    return blocks, _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), cfg.n_max, float(flux), ej.ej5)
 
 
 def _require_mirror_symmetry(mat) -> None:

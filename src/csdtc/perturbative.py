@@ -101,8 +101,8 @@ def block_normal_modes(
     sqrt((EJc + EJ5)/EJ); EJ is an arbitrary normalization energy that
     cancels in every observable.
     """
-    if e_norm_ghz <= 0:
-        raise ModelError(f"normalization energy must be positive, got {e_norm_ghz}")
+    if not 0 < e_norm_ghz < math.inf:  # NaN fails the comparison too
+        raise ModelError(f"normalization energy must be finite and positive, got {e_norm_ghz}")
     blocks = []
     for block, c_node_q, c_node_c, c_m, ej_q, ej_c in (
         (13, params.c11, params.c33, params.c13, ej.ej1, ej.ej3),

@@ -15,13 +15,13 @@ One backend answers at every n_max, with the charge basis as its oracle:
   E_cut is raised in 5 GHz steps from 40 GHz until the corrected zeta and
   computational frequencies stop moving (0.01 kHz, 1e-5 GHz), up to
   60 GHz; the first answer is at 45 GHz. The four-node operator is never
-  built, and ``seed`` has no effect. Where every block is real (flux 0 or
-  1/2) the kept products split into two parity sectors, solved apart
-  (below); elsewhere they are one sector.
+  built, and ``ChargeBasisConfig.seed`` has no effect. Where every block
+  is real (flux 0 or 1/2) the kept products split into two parity sectors,
+  solved apart (below); elsewhere they are one sector.
 - charge basis (the oracle, and the fall-back where the cutoffs do not
   settle): the four-node operator on (2 n_max + 1)^4 states, solved by
-  seeded ARPACK Lanczos. It is never split by parity, so it stays an
-  independent check of the split.
+  ARPACK Lanczos from the start vector of ``ChargeBasisConfig.seed``. It
+  is never split by parity, so it stays an independent check of the split.
 
 Every eigensolve is real. The charge reflection n -> -n conjugates every
 operator here (P H P = H*), so each has a real symmetric form on a fixed
@@ -167,8 +167,7 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
 
     if sp.issparse(operator):
         mat = operator.tocsr()
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n).astype(mat.dtype)
+        v0 = np.random.default_rng(seed).standard_normal(n).astype(mat.dtype)
         try:
             vals, vecs = spla.eigsh(mat, k=k, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
@@ -247,8 +246,8 @@ def label_states(eigvecs, blocks: BlockHamiltonians):
     return _assign_labels(_product_overlaps(eigvecs, bases))
 
 
-def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> SpectrumResult:
-    """The oracle: solve the four-node charge-basis operator and label against its blocks.
+def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
+    """The oracle: solve the four-node charge-basis operator from the start vector of ``cfg.seed`` and label it.
 
     A complex operator is solved in its real form and its eigenvectors mapped back.
     """
@@ -256,13 +255,13 @@ def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed
     folded = np.iscomplexobj(matrix)
     if folded:
         matrix = real_form(matrix)  # rebinding frees the complex operator before the solve
-    vals, vecs = solve_lowest(matrix, cfg.num_eigenstates, seed=seed)
+    vals, vecs = solve_lowest(matrix, cfg.num_eigenstates, seed=cfg.seed)
     del matrix  # and the solved operator before the eigenvectors are mapped back
     if folded:
         vecs = from_real_form(vecs)
     return SpectrumResult(
         flux=float(flux),
-        n_max=int(cfg.n_max),
+        n_max=cfg.n_max,
         eigenfrequencies_ghz=vals - vals[0],
         labels=label_states(vecs, blocks),
         backend="charge",
@@ -513,7 +512,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     levels[1:3].sort()
     spec = SpectrumResult(
         flux=float(flux),
-        n_max=int(cfg.n_max),
+        n_max=cfg.n_max,
         eigenfrequencies_ghz=vals - vals[0],
         labels=labels,
         backend="product",
@@ -571,17 +570,17 @@ def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> Spe
     )
 
 
-def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> SpectrumResult:
+def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
     """Solve, label and ground-reference the spectrum at one flux.
 
-    The product backend, which ignores ``seed``, answers unless it raises
-    ``TruncationError``; then the charge-basis oracle solves the point and
-    the result records why in ``fallback``.
+    The product backend, which ignores ``cfg.seed``, answers unless it raises
+    ``TruncationError``; then the seeded charge-basis oracle solves the point
+    and the result records why in ``fallback``.
     """
     try:
         return product_spectrum(params, flux, cfg)
     except TruncationError as exc:
-        return replace(charge_spectrum(params, flux, cfg, seed=seed), fallback=str(exc))
+        return replace(charge_spectrum(params, flux, cfg), fallback=str(exc))
 
 
 def _zeta_from_spectrum(spec: SpectrumResult) -> float:
@@ -597,17 +596,17 @@ def _zeta_from_spectrum(spec: SpectrumResult) -> float:
     return _zeta_khz(energies)
 
 
-def zz_interaction(params: CircuitParams, flux, cfg: ChargeBasisConfig, *, seed: int = 0) -> float:
+def zz_interaction(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> float:
     """ZZ interaction zeta/2pi (kHz) at one flux, from the labeled eigenenergies of ``spectrum_at``.
 
     An ambiguous computational label raises ``LabelingError`` with the
     spectrum attached. The value is for ``cfg.n_max`` alone; whether that
     basis is large enough is what ``convergence_study`` answers.
     """
-    return _zeta_from_spectrum(spectrum_at(params, flux, cfg, seed=seed))
+    return _zeta_from_spectrum(spectrum_at(params, flux, cfg))
 
 
-def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int = 0):
+def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig):
     """Independent per-point spectra and zeta over a flux grid in [-0.5, 0.5].
 
     Per-point failures are recorded in the row and the sweep continues.
@@ -615,12 +614,12 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("flux grid must be non-empty")
-    if np.any(np.abs(grid) > 0.5 + 1e-12):
+    if not np.all(np.abs(grid) <= 0.5 + 1e-12):  # NaN fails the comparison too
         raise ValueError("flux grid must lie within [-0.5, 0.5]")
     points = []
     for phi in grid:
         try:
-            spec = spectrum_at(params, phi, cfg, seed=seed)
+            spec = spectrum_at(params, phi, cfg)
             zeta = _zeta_from_spectrum(spec)
             points.append(FluxSweepPoint(float(phi), zeta, spec, None))
         except (LabelingError, SolverError) as exc:
@@ -628,7 +627,7 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig, *, seed: int
     return points
 
 
-def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig, *, seed: int = 0):
+def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig):
     """zeta versus the shunt capacitance at zero flux, with the two-mode prediction (which assumes it) alongside."""
     grid = np.asarray(c34_grid_ff, dtype=float)
     if grid.size == 0:
@@ -638,25 +637,26 @@ def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig, *, see
     for trial in trials:
         pert = perturbative.two_mode_reduction(trial)
         try:
-            zeta = zz_interaction(trial, 0.0, cfg, seed=seed)
+            zeta = zz_interaction(trial, 0.0, cfg)
             points.append(C34SweepPoint(trial.c34, zeta, pert.zeta_pert_khz, pert.system.g12, None))
         except (LabelingError, SolverError) as exc:
             points.append(C34SweepPoint(trial.c34, None, pert.zeta_pert_khz, pert.system.g12, str(exc)))
     return points
 
 
-def convergence_study(params: CircuitParams, flux, cfg: ChargeBasisConfig, n_max_values, *, seed: int = 0):
+def convergence_study(params: CircuitParams, flux, cfg: ChargeBasisConfig, n_max_values):
     """``zz_interaction`` at each n_max, with everything else of ``cfg`` kept, and the successive deltas.
 
-    The basis counts as converged when the last delta is below
-    ``ZETA_GATE_KHZ``, the 0.1 kHz oracle gate.
+    Every n_max is checked before the first solve. The basis counts as
+    converged when the last delta is below ``ZETA_GATE_KHZ``, the 0.1 kHz gate.
     """
-    values = [int(n) for n in n_max_values]
+    configs = [replace(cfg, n_max=n_max) for n_max in n_max_values]
+    values = [config.n_max for config in configs]
     if len(values) < 2:
         raise ValueError("need at least two n_max values")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("n_max values must be strictly ascending")
-    zetas = [zz_interaction(params, flux, replace(cfg, n_max=n_max), seed=seed) for n_max in values]
+    zetas = [zz_interaction(params, flux, config) for config in configs]
     deltas = tuple(abs(b - a) for a, b in zip(zetas, zetas[1:]))
     return ConvergenceStudy(tuple(values), tuple(zetas), deltas, converged=bool(deltas[-1] < ZETA_GATE_KHZ))
 

@@ -184,7 +184,7 @@ class TestZZCommand:
         assert -150.0 < zeta < 0.0
 
     def test_negative_seed_refused_before_solving(self, tmp_path, params_file, capsys, monkeypatch):
-        # the product basis answers at this point and ignores the seed; a charge-basis fall-back would seed ARPACK
+        # ChargeBasisConfig refuses the seed before the sweep starts, whichever basis would solve the point
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("spectrum_at called")
 
@@ -194,7 +194,7 @@ class TestZZCommand:
                      "--out", str(out)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "error: csdtc zz: argument --seed: expected a non-negative integer, got '-1'\n"
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
     def test_requires_exactly_one_grid(self, tmp_path, params_file):
@@ -313,11 +313,12 @@ class TestPertCompareCommand:
         (["pert-compare", "--flux", "0.2"], "--c34-grid"),
         (["pert-compare", "--c34-grid", "30", "--flux", "0.2"], "--flux"),
         (["zz", "--flux-grid", "0", "--n-max", "x"], "--n-max"),
+        (["zz", "--flux-grid", "0", "--seed", "1.5"], "--seed"),
         (["design", "--formula"], "--formula"),
         (["frobnicate"], "frobnicate"),
     ],
     ids=["zz_c34_grid", "zz_without_flux_grid", "spectrum_flux", "pert_compare_without_c34_grid", "pert_compare_flux",
-         "n_max_not_int", "design_abbreviated_formula_only", "unknown_command"],
+         "n_max_not_int", "seed_not_int", "design_abbreviated_formula_only", "unknown_command"],
 )
 def test_usage_error_is_one_line_naming_it(tmp_path, capsys, params_file, argv, named):
     out = tmp_path / "out"
@@ -377,6 +378,13 @@ class TestDesignCommand:
         assert set(doc) == {"c34_star_fF", "g12_residual", "zeta_at_star_kHz", "argmin_c34_exact_fF"}
         assert 40.0 < doc["c34_star_fF"] < 55.0
         assert doc["argmin_c34_exact_fF"] is None
+
+    def test_formula_only_checks_the_run_settings(self, tmp_path, params_file, capsys):
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--formula-only", "--n-max", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: n_max must be an integer >= 3, got 2\n"
+        assert not out.exists()
 
     def test_full_design(self, tmp_path, params_file):
         out = tmp_path / "design.json"

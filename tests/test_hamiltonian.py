@@ -16,7 +16,7 @@ from csdtc.hamiltonian import (
     from_real_form,
     real_form,
 )
-from csdtc.spectrum import charge_spectrum, solve_lowest
+from csdtc.spectrum import charge_spectrum, solve_lowest, spectrum_at
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=8)
 
@@ -31,10 +31,24 @@ class TestConfig:
     def test_dimension(self):
         assert ChargeBasisConfig(n_max=7).dimension == 15**4
 
-    @pytest.mark.parametrize("kwargs", [dict(n_max=2), dict(num_eigenstates=5), dict(n_max=40), dict(num_eigenstates=55)])
+    @pytest.mark.parametrize("kwargs", [dict(n_max=2), dict(num_eigenstates=5), dict(n_max=40), dict(num_eigenstates=55),
+                                        dict(seed=-1), dict(seed=1.5)])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ChargeBasisConfig(**kwargs)
+
+    def test_replacing_the_seed_keeps_the_rest(self):
+        cfg = replace(ChargeBasisConfig(n_max=4, num_eigenstates=12), seed=7)
+        assert (cfg.n_max, cfg.num_eigenstates, cfg.seed) == (4, 12, 7)
+
+    @pytest.mark.parametrize("solve", [charge_spectrum, spectrum_at])
+    def test_integral_floats_stored_as_ints(self, device, solve):
+        # LAPACK's subset_by_index and ARPACK's k take an int only, so an integral float must arrive as one
+        cfg = ChargeBasisConfig(n_max=3.0, num_eigenstates=16.0, seed=7.0)
+        assert [type(v) for v in (cfg.n_max, cfg.num_eigenstates, cfg.seed)] == [int, int, int]
+        spec, exact = solve(device, 0.3, cfg), solve(device, 0.3, ChargeBasisConfig(n_max=3, num_eigenstates=16, seed=7))
+        assert np.array_equal(spec.eigenfrequencies_ghz, exact.eigenfrequencies_ghz)
+        assert spec.labels == exact.labels
 
     def test_basis_beyond_four_node_cap_constructs(self):
         # the product backend never builds the 39**4-state operator, only 1521-state coupler blocks

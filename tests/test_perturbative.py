@@ -162,6 +162,11 @@ class TestNormalizationInvariance:
         assert b.system.g12 == pytest.approx(a.system.g12, rel=1e-10)
         assert b.zeta_pert_khz == pytest.approx(a.zeta_pert_khz, rel=1e-10)
 
+    @pytest.mark.parametrize("e_norm", [0.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_norm_refused(self, device, e_norm):
+        with pytest.raises(ModelError, match="normalization energy must be finite and positive"):
+            two_mode_reduction(device, e_norm_ghz=e_norm)
+
     def test_intermediates_scale_with_norm(self, device):
         # k_Ur, eigen-capacitances and W deliberately carry the normalization
         ej = derive_junction_energies(device)

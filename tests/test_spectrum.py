@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -340,7 +341,7 @@ class TestSparseSectors:
 
     def test_product_backend_ignores_seed_above_the_limit(self, device):
         cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
-        first, second = (spectrum_at(device, 0.15, cfg, seed=seed) for seed in (0, 7))
+        first, second = (spectrum_at(device, 0.15, replace(cfg, seed=seed)) for seed in (0, 7))
         assert first.kept_states > spectrum._SPARSE_MIN_PRODUCTS
         assert np.array_equal(first.eigenfrequencies_ghz, second.eigenfrequencies_ghz)
         assert first.labels == second.labels
@@ -461,6 +462,14 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_flux(device, [0.7], CFG4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_flux_refused_before_solving(self, device, monkeypatch, bad):
+        solved = []
+        monkeypatch.setattr(spectrum, "spectrum_at", lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match=re.escape("flux grid must lie within [-0.5, 0.5]")):
+            sweep_flux(device, [0.1, bad], CFG4)
+        assert solved == []
+
     def test_failures_recorded_and_sweep_continues(self, device):
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=6)  # cannot label |1100>
         points = sweep_flux(device, [0.0, 0.1], cfg)
@@ -533,11 +542,61 @@ class TestConvergenceStudy:
         assert study.deltas_khz[-1] < 0.01
         assert study.converged
 
+    def test_non_integer_n_max_refused_before_solving(self, device, monkeypatch):
+        solved = []
+        monkeypatch.setattr(spectrum, "zz_interaction", lambda *args: solved.append(args))
+        with pytest.raises(ConfigError, match="n_max must be an integer >= 3, got 3.9"):
+            convergence_study(device, 0.0, CFG4, [3.9, 4.2])
+        assert solved == []
+
     def test_requires_two_ascending(self, decoupled):
         with pytest.raises(ValueError):
             convergence_study(decoupled, 0.0, CFG3, [5])
         with pytest.raises(ValueError):
             convergence_study(decoupled, 0.0, CFG3, [5, 5])
+
+
+# its product ladder does not settle by 60 GHz at n_max 3 and flux 0.15, so the charge basis solves that point
+FALLBACK_CIRCUIT = CircuitParams(
+    c11=112.51, c22=139.721, c33=127.569, c44=72.521,
+    c12=9.005, c13=26.207, c14=0.158, c23=24.637, c24=23.912, c34=14.038,
+    ic1=28.182, ic2=26.706, ic3=25.292, ic4=36.705, ic5=40.273,
+)
+
+
+class TestSeedRouting:
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """(dimension, seed) of every ``solve_lowest`` call."""
+        calls, solve = [], spectrum.solve_lowest
+
+        def spy(operator, k, *, seed=0):
+            calls.append((operator.shape[0], seed))
+            return solve(operator, k, seed=seed)
+
+        monkeypatch.setattr(spectrum, "solve_lowest", spy)
+        return calls
+
+    def test_config_seed_starts_the_charge_basis_and_zero_every_product_sector(self, starts):
+        cfg = ChargeBasisConfig(n_max=3, num_eigenstates=16, seed=7)
+        assert spectrum_at(FALLBACK_CIRCUIT, 0.15, cfg).backend == "charge"
+        charge = [seed for dim, seed in starts if dim == cfg.dimension]
+        products = [seed for dim, seed in starts if dim != cfg.dimension]
+        assert charge == [7]
+        assert products and set(products) == {0}
+
+    def test_convergence_study_keeps_the_seed_at_each_n_max(self, starts, monkeypatch):
+        configs, zz = [], spectrum.zz_interaction
+
+        def spy(params, flux, cfg):
+            configs.append(cfg)
+            return zz(params, flux, cfg)
+
+        monkeypatch.setattr(spectrum, "zz_interaction", spy)
+        convergence_study(FALLBACK_CIRCUIT, 0.15, ChargeBasisConfig(n_max=3, num_eigenstates=16, seed=7), [3, 4])
+        assert [(cfg.n_max, cfg.seed) for cfg in configs] == [(3, 7), (4, 7)]
+        charge = [seed for dim, seed in starts if dim in (7**4, 9**4)]
+        assert charge and set(charge) == {7}
 
 
 class TestCsvWriters:
