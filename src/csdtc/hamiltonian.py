@@ -63,6 +63,14 @@ LABEL_LEVELS = (3, 3, 6)
 _MAX_EIGENSTATES = int(np.prod(LABEL_LEVELS))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` equals an integer; False, not an exception, for None, NaN or infinity."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ChargeBasisConfig:
     """Charge-basis truncation (per-node -n_max..n_max), eigenstate count and Lanczos seed, stored as ints.
@@ -75,14 +83,14 @@ class ChargeBasisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_max) != self.n_max or self.n_max < 3:
+        if not _is_integer(self.n_max) or self.n_max < 3:
             raise ConfigError(f"n_max must be an integer >= 3, got {self.n_max}")
-        if int(self.num_eigenstates) != self.num_eigenstates or not 6 <= self.num_eigenstates <= _MAX_EIGENSTATES:
+        if not _is_integer(self.num_eigenstates) or not 6 <= self.num_eigenstates <= _MAX_EIGENSTATES:
             raise ConfigError(
                 f"num_eigenstates must be an integer from 6 to {_MAX_EIGENSTATES}, the number of dressed "
                 f"labels, got {self.num_eigenstates}"
             )
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("n_max", "num_eigenstates", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))

@@ -12,14 +12,15 @@ One backend answers at every n_max, with the charge basis as its oracle:
   CSR copy from the fixed start vector of seed 0. Each computational level
   then gets its second-order shift from every product left out
   (hierarchical diagonalization with a Loewdin-partitioning correction).
-  E_cut is raised in 5 GHz steps from 40 GHz until the corrected zeta and
-  computational frequencies stop moving (0.01 kHz, 1e-5 GHz), up to
-  60 GHz; the first answer is at 45 GHz. The four-node operator is never
+  E_cut is tried at 45, 50, 55 and 60 GHz, and the first is accepted on its
+  own correction: at most 0.05 kHz on zeta at 45 GHz, where the correction
+  can understate the remainder, at most 0.5 kHz above it, and at most
+  1e-5 GHz on every computational frequency. The four-node operator is never
   built, and ``ChargeBasisConfig.seed`` has no effect. Where every block
   is real (flux 0 or 1/2) the kept products split into two parity sectors,
   solved apart (below); elsewhere they are one sector.
-- charge basis (the oracle, and the fall-back where the cutoffs do not
-  settle): the four-node operator on (2 n_max + 1)^4 states, solved by
+- charge basis (the oracle, and the fall-back where no cutoff is
+  accepted): the four-node operator on (2 n_max + 1)^4 states, solved by
   ARPACK Lanczos from the start vector of ``ChargeBasisConfig.seed``. It
   is never split by parity, so it stays an independent check of the split.
 
@@ -79,17 +80,15 @@ from .hamiltonian import (
 
 AMBIGUITY_THRESHOLD = 0.5
 _RESIDUAL_FACTOR = 1e-8
-# product backend: cutoffs (GHz) on the summed block excitation energy of a kept product, tried in order
-_E_CUT_LADDER_GHZ = (40.0, 45.0, 50.0, 55.0, 60.0)
-# a rung settles when its corrected result moved from the rung below by no more than these
-_SETTLED_ZETA_KHZ = 0.01
-_SETTLED_LEVEL_GHZ = 1e-5
+# product backend: each cutoff (GHz) on the summed block excitation energy of a kept product, tried in order,
+# with the largest second-order correction to zeta (kHz) it accepts; the first is stricter because at 45 GHz
+# the correction can understate what is left out (at n_max 5 a 0.098 kHz correction left 0.0115 kHz)
+_E_CUT_LADDER = ((45.0, 0.05), (50.0, 0.5), (55.0, 0.5), (60.0, 0.5))
+# and the largest second-order correction to a computational frequency (GHz) that any cutoff accepts
+_MAX_LEVEL_CORRECTION_GHZ = 1e-5
 # a sector of more kept products than this is solved by ARPACK on a CSR copy (at n_max 7, 12-18 % of
 # its entries are non-zero), a smaller one by dense LAPACK, which is the faster below about 400 products
 _SPARSE_MIN_PRODUCTS = 500
-# a rung whose second-order correction is at most this many times those is accepted on one agreeing
-# pair of rungs; a larger correction needs two (at n_max 5 one pair read 0.006 kHz against a 0.012 kHz error)
-_SMALL_CORRECTION = 5.0
 
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 # the oracle gate: successive basis sizes whose zetas differ by less than this count as converged
@@ -116,7 +115,7 @@ class SpectrumResult:
     backend: str  # "product" or "charge"
     e_cut_ghz: float | None = None  # product backend: the accepted cutoff,
     kept_states: int | None = None  # the number of products kept below it,
-    truncation_khz: float | None = None  # and the zeta change from the cutoff below
+    truncation_khz: float | None = None  # and the |second-order correction| to zeta at it
     sector_states: tuple[int, int] | None = None  # at flux 0 or 1/2: the kept products of even and odd parity
     fallback: str | None = None  # charge backend: why the product backend refused the point
 
@@ -476,13 +475,8 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
 
     ``e_cut`` is at most the ``e_max`` the blocks were built for. The label
     corner is always kept. The computational levels carry their
-    second-order shifts from the products left out. Also returns, in
-    ``COMPUTATIONAL_OCCUPATIONS`` order, their corrected frequencies and
-    the shifts, except that the single-excitation pair |1,0,0>, |0,1,0> is
-    in ascending order. zeta is symmetric in the two, and where their
-    labels tie (identical qubits coupled by C12 hold each at overlap 0.5)
-    which state takes which follows the solver's rounding; a swap between
-    rungs is then no movement of the levels.
+    second-order shifts from the products left out, which are also
+    returned, in ``COMPUTATIONAL_OCCUPATIONS`` order.
     """
     e1, e2, e34 = blocks.energies
     excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
@@ -508,8 +502,6 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     tensor = tensor[computational]  # rebinding frees the other rows before the correction
     shifts = _left_out_shifts(tensor, vals[computational], blocks, kept)
     vals[computational] += shifts
-    levels = vals[computational] - vals[0]
-    levels[1:3].sort()
     spec = SpectrumResult(
         flux=float(flux),
         n_max=cfg.n_max,
@@ -520,7 +512,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
         kept_states=int(a.size),
         sector_states=sectors,
     )
-    return spec, levels, shifts
+    return spec, shifts
 
 
 def _zeta_khz(energies) -> float:
@@ -529,44 +521,28 @@ def _zeta_khz(energies) -> float:
     return (e110 - e100 - e010 + e000) * 1e6
 
 
-def _zeta_and_level_change(energies: np.ndarray) -> tuple[float, float]:
-    """|zeta| (kHz) and the largest |frequency| (GHz) of a change of the four computational energies."""
-    return abs(_zeta_khz(energies)), float(np.abs(energies[1:] - energies[0]).max())
-
-
-def _within_tolerance(zeta_khz: float, level_ghz: float, factor: float = 1.0) -> bool:
-    return zeta_khz <= factor * _SETTLED_ZETA_KHZ and level_ghz <= factor * _SETTLED_LEVEL_GHZ
-
-
 def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
-    """Spectrum on the block-product basis below an energy cutoff, raised until the result settles.
+    """Spectrum on the block-product basis below the first cutoff whose own correction is small enough.
 
-    The blocks are diagonalized once. Each rung of ``_E_CUT_LADDER_GHZ``
-    solves the products up to its cutoff with the second-order correction,
-    and the first answer is at the second rung. A rung settles when its
-    corrected zeta and computational frequencies moved from the rung below
-    by at most ``_SETTLED_ZETA_KHZ`` and ``_SETTLED_LEVEL_GHZ``. It is
-    accepted when it settles and either its correction is at most
-    ``_SMALL_CORRECTION`` times those tolerances or the rung below settled
-    too: a large correction leaves a remainder that one agreeing pair of
-    rungs can miss. The last change is recorded as ``truncation_khz``;
-    ``TruncationError`` names the last cutoff when no rung is accepted.
+    The blocks are diagonalized once, for the largest cutoff. Each cutoff of
+    ``_E_CUT_LADDER`` in turn solves the products up to it with the
+    second-order correction from those left out, and the first is accepted
+    whose correction is at most its bound on zeta and at most
+    ``_MAX_LEVEL_CORRECTION_GHZ`` on every computational frequency. Nothing
+    is compared between cutoffs. The accepted |zeta correction| is recorded
+    as ``truncation_khz``; ``TruncationError`` names the last cutoff, its
+    correction and its bound when none is accepted.
     """
-    blocks = _product_blocks(params, flux, cfg, _E_CUT_LADDER_GHZ[-1])
-    _, previous, _ = _product_solve(blocks, _E_CUT_LADDER_GHZ[0], flux, cfg)
-    settled_below = False
-    for e_cut in _E_CUT_LADDER_GHZ[1:]:
-        current, levels, shifts = _product_solve(blocks, e_cut, flux, cfg)
-        moved = _zeta_and_level_change(levels - previous)
-        correction = _zeta_and_level_change(shifts)
-        settled = _within_tolerance(*moved)
-        if settled and (settled_below or _within_tolerance(*correction, factor=_SMALL_CORRECTION)):
-            return replace(current, truncation_khz=moved[0])
-        previous, settled_below = levels, settled
+    blocks = _product_blocks(params, flux, cfg, _E_CUT_LADDER[-1][0])
+    for e_cut, max_zeta_khz in _E_CUT_LADDER:
+        spec, shifts = _product_solve(blocks, e_cut, flux, cfg)
+        zeta_khz, level_ghz = abs(_zeta_khz(shifts)), float(np.abs(shifts[1:] - shifts[0]).max())
+        if zeta_khz <= max_zeta_khz and level_ghz <= _MAX_LEVEL_CORRECTION_GHZ:
+            return replace(spec, truncation_khz=zeta_khz)
     raise TruncationError(
-        f"product basis not settled at E_cut = {e_cut:g} GHz: from {_E_CUT_LADDER_GHZ[-2]:g} GHz the corrected "
-        f"zeta moved {moved[0]:.3g} kHz and the computational levels up to {moved[1]:.3g} GHz, with a "
-        f"second-order correction of {correction[0]:.3g} kHz on zeta"
+        f"product basis not settled at E_cut = {e_cut:g} GHz: its second-order correction is {zeta_khz:.3g} kHz "
+        f"on zeta (bound {max_zeta_khz:g} kHz) and up to {level_ghz:.3g} GHz on the computational frequencies "
+        f"(bound {_MAX_LEVEL_CORRECTION_GHZ:g} GHz)"
     )
 
 

@@ -32,7 +32,8 @@ class TestConfig:
         assert ChargeBasisConfig(n_max=7).dimension == 15**4
 
     @pytest.mark.parametrize("kwargs", [dict(n_max=2), dict(num_eigenstates=5), dict(n_max=40), dict(num_eigenstates=55),
-                                        dict(seed=-1), dict(seed=1.5)])
+                                        dict(seed=-1), dict(seed=1.5), dict(n_max=float("inf")),
+                                        dict(seed=float("nan")), dict(num_eigenstates=None)])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ChargeBasisConfig(**kwargs)

@@ -44,12 +44,6 @@ class TestSolveLowest:
         with pytest.raises(ValueError):
             solve_lowest(np.diag([1.0, 2.0]), 2)
 
-    def test_sparse_matches_dense_oracle(self, device):
-        _, ham = assemble_hamiltonian(device, 0.25, CFG3)
-        sparse_vals, _ = solve_lowest(ham, 10)
-        dense_vals = np.linalg.eigvalsh(ham.toarray())[:10]
-        assert np.allclose(sparse_vals, dense_vals, rtol=1e-9)
-
     def test_orthonormal_eigenvectors(self, device):
         _, ham = assemble_hamiltonian(device, 0.1, CFG3)
         _, vecs = solve_lowest(ham, 8)
@@ -121,12 +115,28 @@ class TestLabels:
 class TestBackends:
     @pytest.mark.parametrize("n_max", [3, 4, 5, 7])
     def test_product_backend_at_every_n_max(self, device, n_max):
-        spec = spectrum_at(device, 0.0, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
+        cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=16)
+        spec = spectrum_at(device, 0.0, cfg)
         assert spec.backend == "product"
-        assert spec.e_cut_ghz in spectrum._E_CUT_LADDER_GHZ[1:]
+        bounds = dict(spectrum._E_CUT_LADDER)
+        assert spec.e_cut_ghz in bounds
         assert LABEL_CORNER_STATES < spec.kept_states < (2 * n_max + 1) ** 4
-        assert 0.0 <= spec.truncation_khz <= spectrum._SETTLED_ZETA_KHZ
+        _, shifts = spectrum._product_solve(spectrum._product_blocks(device, 0.0, cfg, 60.0), spec.e_cut_ghz, 0.0, cfg)
+        assert spec.truncation_khz == abs(spectrum._zeta_khz(shifts)) <= bounds[spec.e_cut_ghz]
         assert spec.fallback is None
+
+    def test_cutoff_accepted_on_its_own_correction(self, device):
+        # at n_max 5 and flux 0 the 45 GHz correction (0.098 kHz) passes the bound of every higher cutoff but
+        # not the stricter one of 45 GHz, so 50 GHz answers, as solved alone
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        blocks = spectrum._product_blocks(device, 0.0, cfg, 60.0)
+        _, shifts = spectrum._product_solve(blocks, 45.0, 0.0, cfg)
+        assert 0.05 < abs(spectrum._zeta_khz(shifts)) < 0.5
+        alone, shifts = spectrum._product_solve(blocks, 50.0, 0.0, cfg)
+        spec = product_spectrum(device, 0.0, cfg)
+        assert spec.e_cut_ghz == 50.0
+        assert np.array_equal(spec.eigenfrequencies_ghz, alone.eigenfrequencies_ghz) and spec.labels == alone.labels
+        assert spec.truncation_khz == abs(spectrum._zeta_khz(shifts))
 
     @pytest.mark.parametrize("flux", [0.0, 0.15, -0.15, 0.25, 0.5])
     def test_hierarchical_matches_charge_oracle(self, device, flux):
@@ -169,7 +179,7 @@ class TestBackends:
             with pytest.raises(LabelingError, match="ambiguous"):
                 _zeta_from_spectrum(spec)
 
-    @pytest.mark.parametrize("n_max, backend", [(3, "charge"), (5, "product")])
+    @pytest.mark.parametrize("n_max, backend", [(3, "charge"), (4, "product")])
     def test_every_eigensolve_is_real_at_complex_flux(self, device, monkeypatch, n_max, backend):
         seen = []
 
@@ -185,7 +195,7 @@ class TestBackends:
         for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
             recording(module, name)
         solve = charge_spectrum if backend == "charge" else spectrum_at
-        spec = solve(device, 0.3, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
+        spec = solve(device, 0.25, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
         assert spec.backend == backend
         assert all(dtype == np.float64 for _, dtype, _ in seen)
         operator_solves = [(name, rows) for name, _, rows in seen if name != "numpy.linalg.eigh"]
@@ -193,7 +203,8 @@ class TestBackends:
         if backend == "charge":
             assert [name for name, _ in operator_solves] == ["scipy.sparse.linalg.eigsh"]
         else:
-            # ARPACK on CSR exactly for a kept set above the limit, dense LAPACK below it; both occur here
+            # ARPACK on CSR exactly for a kept set above the limit, dense LAPACK below it; both occur here,
+            # since 45 GHz keeps 476 products, refused, and 50 and 55 GHz keep 649 and 843
             expected = [
                 "scipy.sparse.linalg.eigsh" if rows > spectrum._SPARSE_MIN_PRODUCTS else "scipy.linalg.eigh"
                 for _, rows in operator_solves
@@ -202,14 +213,13 @@ class TestBackends:
             assert len(set(expected)) == 2
 
     def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device, monkeypatch):
-        # a 5 fF direct qubit-qubit capacitance needs the products up to 50 GHz; stop the ladder at 45
-        coupled = replace(device, c12=5.0)
+        # at n_max 5 the device needs the products up to 50 GHz (0.098 kHz correction at 45); stop the ladder at 45
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
-        monkeypatch.setattr(spectrum, "_E_CUT_LADDER_GHZ", (40.0, 45.0))
-        with pytest.raises(TruncationError, match="not settled at E_cut = 45 GHz"):
-            product_spectrum(coupled, 0.0, cfg)
-        spec = spectrum_at(coupled, 0.0, cfg)
-        oracle = charge_spectrum(coupled, 0.0, cfg)
+        monkeypatch.setattr(spectrum, "_E_CUT_LADDER", spectrum._E_CUT_LADDER[:1])
+        with pytest.raises(TruncationError, match=r"not settled at E_cut = 45 GHz: .* kHz on zeta \(bound 0\.05 kHz\)"):
+            product_spectrum(device, 0.0, cfg)
+        spec = spectrum_at(device, 0.0, cfg)
+        oracle = charge_spectrum(device, 0.0, cfg)
         assert spec.backend == "charge"
         assert "E_cut = 45 GHz" in spec.fallback
         assert np.array_equal(spec.eigenfrequencies_ghz, oracle.eigenfrequencies_ghz)
@@ -375,7 +385,7 @@ class TestSparseSectors:
     @pytest.mark.parametrize("c12", [1.0, 8.0])
     def test_identical_coupled_qubits_settle_as_dense(self, monkeypatch, c12):
         # |1,0,0> and |0,1,0> tie at overlap 0.5, and which state takes which label follows the solver:
-        # the cutoff ladder must not read that as movement, nor the labels as anything but ambiguous
+        # the accepted cutoff must not depend on it, and the labels must read as ambiguous
         params = CircuitParams(
             c11=50, c22=50, c33=50, c44=50, c12=c12, c13=0, c14=0, c23=0, c24=0, c34=0,
             ic1=10, ic2=10, ic3=10, ic4=10, ic5=10,
@@ -556,12 +566,26 @@ class TestConvergenceStudy:
             convergence_study(decoupled, 0.0, CFG3, [5, 5])
 
 
-# its product ladder does not settle by 60 GHz at n_max 3 and flux 0.15, so the charge basis solves that point
+# at n_max 3 and flux 0.15 every cutoff's correction is 13-78 times its bound, so the charge basis solves that point
 FALLBACK_CIRCUIT = CircuitParams(
+    c11=99.178, c22=105.321, c33=60.626, c44=136.438,
+    c12=8.361, c13=13.414, c14=1.718, c23=0.082, c24=5.855, c34=10.25,
+    ic1=65.687, ic2=63.384, ic3=38.83, ic4=37.286, ic5=50.02,
+)
+# strongly coupled, yet at n_max 3 and flux 0.15 settled at 55 GHz
+SETTLING_CIRCUIT = CircuitParams(
     c11=112.51, c22=139.721, c33=127.569, c44=72.521,
     c12=9.005, c13=26.207, c14=0.158, c23=24.637, c24=23.912, c34=14.038,
     ic1=28.182, ic2=26.706, ic3=25.292, ic4=36.705, ic5=40.273,
 )
+
+
+def test_strongly_coupled_circuit_settles_near_the_oracle():
+    cfg = ChargeBasisConfig(n_max=3, num_eigenstates=16)
+    spec = spectrum_at(SETTLING_CIRCUIT, 0.15, cfg)
+    assert spec.backend == "product"
+    oracle = _zeta_from_spectrum(charge_spectrum(SETTLING_CIRCUIT, 0.15, cfg))
+    assert _zeta_from_spectrum(spec) == pytest.approx(oracle, abs=ZETA_GATE_KHZ)
 
 
 class TestSeedRouting:
