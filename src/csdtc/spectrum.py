@@ -583,23 +583,43 @@ def zz_interaction(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> float
 
 
 def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig):
-    """Independent per-point spectra and zeta over a flux grid in [-0.5, 0.5].
+    """Spectra and zeta over a flux grid in [-0.5, 0.5], one solve per distinct |phi|.
 
-    Per-point failures are recorded in the row and the sweep continues.
+    H(-phi) = H(phi)*, so both fluxes have one spectrum. The grid is grouped
+    by |phi| rounded to 12 decimals, since a linspace mirror is often not
+    bit-exact. Each group is solved once, at its smallest non-negative member
+    or, when it has none, at minus its largest, so the result does not depend
+    on grid order. Every row of the group gets that result, with its own
+    ``phi_ex`` and ``spectrum.flux``: a row at -phi copies the row at +phi.
+
+    Per-point failures are recorded in the row and the sweep continues. A
+    failed group copies its error text to each of its rows; where that text
+    names a flux, as the parity-split ``SolverError`` does, it names the
+    solved |phi|.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("flux grid must be non-empty")
     if not np.all(np.abs(grid) <= 0.5 + 1e-12):  # NaN fails the comparison too
         raise ValueError("flux grid must lie within [-0.5, 0.5]")
-    points = []
-    for phi in grid:
+    fluxes = grid.tolist()
+    keys = [round(abs(phi), 12) for phi in fluxes]
+    groups = {}
+    for key, phi in zip(keys, fluxes):
+        groups.setdefault(key, []).append(phi)
+    solved = {}
+    for key, members in groups.items():
+        non_negative = [phi for phi in members if phi >= 0.0]
+        phi = min(non_negative) if non_negative else -max(members)
         try:
             spec = spectrum_at(params, phi, cfg)
-            zeta = _zeta_from_spectrum(spec)
-            points.append(FluxSweepPoint(float(phi), zeta, spec, None))
+            solved[key] = (_zeta_from_spectrum(spec), spec, None)
         except (LabelingError, SolverError) as exc:
-            points.append(FluxSweepPoint(float(phi), None, None, str(exc)))
+            solved[key] = (None, None, str(exc))
+    points = []
+    for key, phi in zip(keys, fluxes):
+        zeta, spec, error = solved[key]
+        points.append(FluxSweepPoint(phi, zeta, spec if spec is None else replace(spec, flux=phi), error))
     return points
 
 

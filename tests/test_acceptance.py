@@ -165,6 +165,8 @@ def test_criterion_4_design_condition(device):
 def test_criterion_5_symmetry_and_oracle(device):
     cfg = ChargeBasisConfig(n_max=4, num_eigenstates=16)
 
+    # zz_interaction per point on purpose, not sweep_flux: a sweep solves -phi as +phi and copies the
+    # row, so only independent solves of -phi and phi + 1 check evenness and periodicity
     def zeta_or_none(phi):
         try:
             return zz_interaction(device, phi, cfg)

@@ -246,6 +246,17 @@ class TestZZCommand:
                      "--flux-grid", "0", "--out", str(tmp_path / "zz.csv")])
         assert code == EXIT_NUMERICAL
 
+    def test_failures_counted_per_row_not_per_solve(self, tmp_path, params_file, capsys):
+        # at n_max 4 only |phi| = 0.45 fails on this grid: one of 10 solves, but 2 of 19 rows, past 10 %
+        code = main(["zz", "--params", params_file, "--n-max", "4", "--k", "12",
+                     "--flux-grid=-0.45:0.45:19", "--out", str(tmp_path / "zz.csv")])
+        assert code == EXIT_NUMERICAL
+        failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed at")]
+        assert [line.split(":")[0] for line in failed] == ["failed at phi_ex=-0.45", "failed at phi_ex=0.45"]
+        assert failed[0].split(":", 1)[1] == failed[1].split(":", 1)[1]
+        flags = [line.rsplit(",", 1)[1] for line in (tmp_path / "zz.csv").read_text().splitlines()[1:]]
+        assert flags == ["1"] + ["0"] * 17 + ["1"]
+
     @pytest.mark.parametrize("n_max, k", [(4, 100), (5, 1080)])
     def test_k_beyond_label_space_refused_before_solving(self, tmp_path, params_file, capsys, monkeypatch, n_max, k):
         def no_eigensolve(*args, **kwargs):

@@ -503,6 +503,52 @@ class TestSweeps:
         backward = sweep_flux(device, [0.1, 0.0], CFG4)
         assert forward[0].zeta_khz == backward[1].zeta_khz
         assert forward[1].zeta_khz == backward[0].zeta_khz
+        # a shuffled grid of mirrors, negative members first: each |phi| is still solved at +|phi|
+        grid = np.linspace(-0.3, 0.3, 7)
+        order = [0, 5, 3, 1, 6, 2, 4]
+        ordered = sweep_flux(device, grid, CFG4)
+        shuffled = sweep_flux(device, grid[order], CFG4)
+        for point, i in zip(shuffled, order):
+            assert point.phi_ex == ordered[i].phi_ex == grid[i]
+            assert point.zeta_khz == ordered[i].zeta_khz
+            assert np.array_equal(point.spectrum.eigenfrequencies_ghz, ordered[i].spectrum.eigenfrequencies_ghz)
+
+    @pytest.mark.parametrize(
+        "grid, cfg, solves",
+        [(np.linspace(-0.45, 0.45, 4), CFG4, 2), (np.linspace(-0.5, 0.5, 101), CFG3, 51)],
+        ids=["bench-grid", "fig2-grid"],
+    )
+    def test_each_distinct_abs_flux_solved_once(self, device, monkeypatch, grid, cfg, solves):
+        solved = []
+        solve = spectrum.spectrum_at
+
+        def spy(params, flux, config):
+            solved.append(flux)
+            return solve(params, flux, config)
+
+        monkeypatch.setattr(spectrum, "spectrum_at", spy)
+        points = sweep_flux(device, grid, cfg)
+        assert len(solved) == solves
+        assert all(flux >= 0.0 for flux in solved)
+        assert [p.phi_ex for p in points] == grid.tolist()
+        for point, mirror in zip(points, points[::-1]):
+            assert point.phi_ex == pytest.approx(-mirror.phi_ex, abs=1e-12)
+            assert point.zeta_khz == mirror.zeta_khz
+            assert point.error == mirror.error
+            if point.spectrum is not None:
+                assert point.spectrum.flux == point.phi_ex
+                assert np.array_equal(point.spectrum.eigenfrequencies_ghz, mirror.spectrum.eigenfrequencies_ghz)
+
+    def test_mirrored_row_matches_its_own_solve(self, device, monkeypatch):
+        # the only member of its group is negative, so the row copies the solve at +0.2
+        solved = []
+        solve = spectrum.spectrum_at
+        monkeypatch.setattr(spectrum, "spectrum_at", lambda *args: solved.append(args[1]) or solve(*args))
+        (point,) = sweep_flux(device, [-0.2], CFG4)
+        assert solved == [0.2]
+        assert point.phi_ex == point.spectrum.flux == -0.2
+        monkeypatch.undo()
+        assert point.zeta_khz == pytest.approx(zz_interaction(device, -0.2, CFG4), rel=1e-6)
 
 
 class TestLevelContinuity:
