@@ -157,16 +157,18 @@ _JSON_KEYS = {"node_caps_fF", "mutual_caps_fF", "critical_currents_nA"}
 _JSON_MUTUAL_KEYS = {"C12": "c12", "C13": "c13", "C14": "c14", "C23": "c23", "C24": "c24", "C34": "c34"}
 
 
+def _require_keys(found, expected, where: str) -> None:
+    """Reject unknown keys, then missing ones, naming ``where`` they were looked for."""
+    for problem, keys in (("unknown", set(found) - set(expected)), ("missing", set(expected) - set(found))):
+        if keys:
+            raise ParameterError(f"{problem} keys in {where}: {sorted(keys)}")
+
+
 def params_from_dict(doc: dict) -> CircuitParams:
     """Parse the JSON parameter document; unknown keys are rejected."""
     if not isinstance(doc, dict):
         raise ParameterError("parameter document must be a JSON object")
-    unknown = set(doc) - _JSON_KEYS
-    if unknown:
-        raise ParameterError(f"unknown keys in parameter document: {sorted(unknown)}")
-    missing = _JSON_KEYS - set(doc)
-    if missing:
-        raise ParameterError(f"missing keys in parameter document: {sorted(missing)}")
+    _require_keys(doc, _JSON_KEYS, "parameter document")
     node = doc["node_caps_fF"]
     if not isinstance(node, (list, tuple)) or len(node) != 4:
         raise ParameterError("node_caps_fF must be a list of 4 values")
@@ -176,12 +178,7 @@ def params_from_dict(doc: dict) -> CircuitParams:
     mutual = doc["mutual_caps_fF"]
     if not isinstance(mutual, dict):
         raise ParameterError("mutual_caps_fF must be an object")
-    unknown = set(mutual) - set(_JSON_MUTUAL_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown keys in mutual_caps_fF: {sorted(unknown)}")
-    missing = set(_JSON_MUTUAL_KEYS) - set(mutual)
-    if missing:
-        raise ParameterError(f"missing keys in mutual_caps_fF: {sorted(missing)}")
+    _require_keys(mutual, _JSON_MUTUAL_KEYS, "mutual_caps_fF")
     entries = [(f"node_caps_fF[{i}]", field, node[i]) for i, field in enumerate(_NODE_FIELDS)]
     entries += [(f"mutual_caps_fF.{key}", field, mutual[key]) for key, field in _JSON_MUTUAL_KEYS.items()]
     entries += [(f"critical_currents_nA[{i}]", field, currents[i]) for i, field in enumerate(_CURRENT_FIELDS)]

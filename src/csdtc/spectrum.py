@@ -38,10 +38,10 @@ Where every block is real (flux 0 or 1/2), each block's real form is
 block-diagonal in its even sector (the first dim // 2 + 1 states) and its odd
 one. The product backend solves the two sectors apart, so each block level
 has a parity p = +-1, and N, odd under the reflection, is exactly 0 between
-levels of equal parity (``SolverError`` otherwise). Every cross term then
-flips two block parities, so H conserves p1 p2 p34: the kept products split
-exactly into an even and an odd sector, and the lowest k of each, solved
-apart, are merged. ``SpectrumResult.sector_states`` holds the two sizes.
+levels of equal parity. Every cross term then flips two block parities, so
+H conserves p1 p2 p34: the kept products split exactly into an even and an
+odd sector, and the lowest k of each, solved apart, are merged.
+``SpectrumResult.sector_states`` holds the two sizes.
 
 Dressed states are labeled |Q1, Q2, c> against the three blocks of
 ``BlockHamiltonians.modes``: Q1 and Q2 are the qubit-node occupations and c
@@ -329,29 +329,11 @@ def _block_eigh(mode: np.ndarray, split: bool):
     return vals[order], sla.block_diag(even_vecs, odd_vecs)[:, order], parity[order]
 
 
-def _require_exact_split(flux, factors) -> None:
-    """Raise ``SolverError`` unless each cross factor is exactly 0 between two levels of equal parity.
-
-    ``factors`` holds (name, matrix, parities of its block's levels), the
-    parities labeling both the rows and the columns.
-    """
-    worst = (0.0, "")
-    for name, factor, parity in factors:
-        same = parity[:, None] == parity[None, : factor.shape[1]]
-        worst = max(worst, (float(np.abs(factor[same]).max(initial=0.0)), name))
-    if worst[0] > 0.0:
-        raise SolverError(
-            f"the product basis at flux {float(flux):g} does not split by parity: the cross factor {worst[1]} "
-            f"couples two levels of equal charge-reflection parity by {worst[0]:.3e}"
-        )
-
-
 def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: float) -> _ProductBlocks:
     """Diagonalize the blocks for products up to ``e_max`` GHz of summed excitation.
 
     Where every block is real (flux 0 or 1/2) each is solved by parity
-    sector, and ``SolverError`` is raised unless the cross factors then
-    vanish exactly between levels of equal parity.
+    sector, so the cross factors are exactly 0 between levels of equal parity.
     """
     blocks, _ = assemble_blocks(params, flux, cfg)
     split = not any(np.iscomplexobj(mode) for mode in blocks.modes)
@@ -366,8 +348,6 @@ def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: 
     ec = blocks.ec
     n1, n2 = _real_charge(v1, charges, m1), _real_charge(v2, charges, m2)
     x, y = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4), 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)
-    if split:
-        _require_exact_split(flux, (("n1", n1, p1), ("n2", n2, p2), ("x", x, p34), ("y", y, p34)))
     return _ProductBlocks(
         energies=(e1, e2, e34),
         n1=n1,
@@ -593,9 +573,7 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig):
     ``phi_ex`` and ``spectrum.flux``: a row at -phi copies the row at +phi.
 
     Per-point failures are recorded in the row and the sweep continues. A
-    failed group copies its error text to each of its rows; where that text
-    names a flux, as the parity-split ``SolverError`` does, it names the
-    solved |phi|.
+    failed group copies its error text to each of its rows.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -666,47 +644,44 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_spectrum_csv(points, path) -> None:
-    """Flux sweep of the four computational levels with label overlaps."""
-    tags = ["0000", "1000", "0100", "1100"]  # q1, q2, then "00" for the coupler ground state
+def _write_csv(path, header, rows) -> None:
+    """One header row, then one row per point."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["phi_ex"]
-            + [f"E_{tag}_GHz" for tag in tags]
-            + [f"overlap_{tag}" for tag in tags]
-        )
-        for point in points:
-            row = [_fmt(point.phi_ex)]
-            if point.spectrum is None:
-                row += [""] * 8
-            else:
-                freqs, overlaps = [], []
-                for occ in COMPUTATIONAL_OCCUPATIONS:
-                    freq, label = point.spectrum.level(occ)
-                    freqs.append(_fmt(freq))
-                    overlaps.append(_fmt(label.overlap))
-                row += freqs + overlaps
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_spectrum_csv(points, path) -> None:
+    """Flux sweep of the four computational levels with label overlaps."""
+    # q1, q2, then "00" for the coupler ground state
+    tags = [f"{q1}{q2}00" for q1, q2, _ in COMPUTATIONAL_OCCUPATIONS]
+    header = ["phi_ex"] + [f"E_{tag}_GHz" for tag in tags] + [f"overlap_{tag}" for tag in tags]
+
+    def row(point):
+        if point.spectrum is None:
+            return [_fmt(point.phi_ex)] + [""] * 2 * len(tags)
+        levels = [point.spectrum.level(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
+        return [_fmt(point.phi_ex)] + [_fmt(freq) for freq, _ in levels] + [_fmt(label.overlap) for _, label in levels]
+
+    _write_csv(path, header, map(row, points))
 
 
 def write_flux_zz_csv(points, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["phi_ex", "zeta_kHz", "ambiguous_flag"])
-        for point in points:
-            flag = 1 if point.zeta_khz is None else 0
-            writer.writerow([_fmt(point.phi_ex), _fmt(point.zeta_khz), flag])
+    rows = ([_fmt(point.phi_ex), _fmt(point.zeta_khz), int(point.zeta_khz is None)] for point in points)
+    _write_csv(path, ["phi_ex", "zeta_kHz", "ambiguous_flag"], rows)
 
 
 def write_c34_zz_csv(points, path) -> None:
     """Shunt-capacitance sweep with both exact and two-mode zeta columns."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["C34_fF", "zeta_exact_kHz", "zeta_pert_kHz", "g12_MHz", "ambiguous_flag"])
-        for point in points:
-            flag = 1 if point.zeta_khz is None else 0
-            g12_mhz = point.g12_rad_s / (2.0 * np.pi * 1e6)
-            writer.writerow(
-                [_fmt(point.c34_ff), _fmt(point.zeta_khz), _fmt(point.zeta_pert_khz), _fmt(g12_mhz), flag]
-            )
+    rows = (
+        [
+            _fmt(point.c34_ff),
+            _fmt(point.zeta_khz),
+            _fmt(point.zeta_pert_khz),
+            _fmt(point.g12_rad_s / (2.0 * np.pi * 1e6)),
+            int(point.zeta_khz is None),
+        ]
+        for point in points
+    )
+    _write_csv(path, ["C34_fF", "zeta_exact_kHz", "zeta_pert_kHz", "g12_MHz", "ambiguous_flag"], rows)

@@ -164,6 +164,23 @@ class TestJsonDocument:
         with pytest.raises(ParameterError, match="missing"):
             params_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(extra=1), "unknown keys in parameter document: ['extra']"),
+            (lambda doc: doc.pop("node_caps_fF"), "missing keys in parameter document: ['node_caps_fF']"),
+            (lambda doc: doc["mutual_caps_fF"].update(C15=0.0), "unknown keys in mutual_caps_fF: ['C15']"),
+            (lambda doc: doc["mutual_caps_fF"].pop("C34"), "missing keys in mutual_caps_fF: ['C34']"),
+        ],
+        ids=["unknown-top", "missing-top", "unknown-mutual", "missing-mutual"],
+    )
+    def test_key_messages(self, device, edit, message):
+        doc = params_to_dict(device)
+        edit(doc)
+        with pytest.raises(ParameterError) as info:
+            params_from_dict(doc)
+        assert str(info.value) == message
+
     def test_wrong_list_lengths(self, device):
         doc = params_to_dict(device)
         doc["node_caps_fF"] = [1.0, 2.0]

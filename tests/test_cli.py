@@ -257,6 +257,15 @@ class TestZZCommand:
         flags = [line.rsplit(",", 1)[1] for line in (tmp_path / "zz.csv").read_text().splitlines()[1:]]
         assert flags == ["1"] + ["0"] * 17 + ["1"]
 
+    def test_failed_points_named_to_12_decimals(self, tmp_path, params_file, capsys):
+        # np.linspace gives 0.43000000000000005 here; the CSV keeps that text, stderr reads 0.43
+        out = tmp_path / "zz.csv"
+        code = main(["zz", "--params", params_file, "--n-max", "4", "--flux-grid=0.4:0.46:7", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        failed = [line.split(":")[0] for line in capsys.readouterr().err.splitlines() if line.startswith("failed at")]
+        assert failed == ["failed at phi_ex=0.43", "failed at phi_ex=0.44", "failed at phi_ex=0.45"]
+        assert out.read_text().splitlines()[4].split(",")[0] == "0.43000000000000005"
+
     @pytest.mark.parametrize("n_max, k", [(4, 100), (5, 1080)])
     def test_k_beyond_label_space_refused_before_solving(self, tmp_path, params_file, capsys, monkeypatch, n_max, k):
         def no_eigensolve(*args, **kwargs):

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from csdtc import CircuitParams, spectrum
 from csdtc.errors import ConfigError, LabelingError, NumericsError, SolverError, TruncationError
-from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian
+from csdtc.hamiltonian import ChargeBasisConfig, assemble_blocks, assemble_hamiltonian
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
     ZETA_GATE_KHZ,
@@ -281,6 +281,23 @@ def assert_split_matches_dense(split, dense):
     assert abs(computational_zeta_khz(split) - computational_zeta_khz(dense)) <= 1e-6
 
 
+def assert_split_exact(params, flux, cfg):
+    """Nothing couples the two parity sectors of the product basis.
+
+    Split by parity, each block eigenvector is exactly 0 outside its sector, and so each cross factor is
+    exactly 0 between two levels of equal parity.
+    """
+    for mode in assemble_blocks(params, flux, cfg)[0].modes:
+        _, vecs, parity = spectrum._block_eigh(mode, True)
+        even = vecs.shape[0] // 2 + 1
+        assert not vecs[even:, parity == 1].any() and not vecs[:even, parity == -1].any()
+    blocks = spectrum._product_blocks(params, flux, cfg, 60.0)
+    p1, p2, p34 = blocks.parities
+    for factor, parity in ((blocks.n1, p1), (blocks.n2, p2), (blocks.x, p34), (blocks.y, p34)):
+        same = parity[:, None] == parity[None, : factor.shape[1]]
+        assert not factor[same].any()
+
+
 class TestParitySectors:
     @pytest.mark.parametrize("n_max", [4, 7])
     @pytest.mark.parametrize("flux", [0.0, 0.5, -0.5])
@@ -297,20 +314,10 @@ class TestParitySectors:
         assert product_spectrum(device, 0.15, CFG4).sector_states is None
         assert charge_spectrum(device, 0.0, CFG4).sector_states is None
 
-    def test_broken_parity_refused(self, device, monkeypatch):
-        block_eigh = spectrum._block_eigh
-
-        def mixed(mode, split):
-            # rotate the two lowest levels (even and odd) into each other
-            vals, vecs, parity = block_eigh(mode, split)
-            turn = np.array([[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]])
-            vecs = vecs.copy()
-            vecs[:, :2] = vecs[:, :2] @ turn
-            return vals, vecs, parity
-
-        monkeypatch.setattr(spectrum, "_block_eigh", mixed)
-        with pytest.raises(SolverError, match=r"flux 0\.5 does not split by parity: the cross factor \w+ couples"):
-            spectrum_at(device, 0.5, CFG4)
+    @pytest.mark.parametrize("n_max", [4, 7])
+    @pytest.mark.parametrize("flux", [0.0, 0.5, -0.5])
+    def test_split_is_exact(self, device, n_max, flux):
+        assert_split_exact(device, flux, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
 
     def test_sector_too_small_refused(self, device):
         blocks = spectrum._product_blocks(device, 0.0, CFG3, 40.0)

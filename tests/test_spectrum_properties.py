@@ -24,7 +24,7 @@ from csdtc import spectrum  # noqa: E402
 from csdtc.errors import LabelingError, TruncationError  # noqa: E402
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, real_form  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
-from test_spectrum import assert_split_matches_dense, solve_in_one_dense_matrix  # noqa: E402
+from test_spectrum import assert_split_exact, assert_split_matches_dense, solve_in_one_dense_matrix  # noqa: E402
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=16)
 FLUXES = st.sampled_from([0.0, 0.15, 0.25])
@@ -102,6 +102,12 @@ def test_real_form_splits_into_parity_sectors_at_real_flux(params, phi):
     folded = real_form(assemble_hamiltonian(params, phi, CFG3)[1])
     h = folded.shape[0] // 2
     assert folded[: h + 1, h + 1 :].nnz == 0  # even sector and centre | odd sector
+
+
+@PROPERTY_SETTINGS
+@given(PARAMETER_SETS, HALF_PERIOD_FLUXES)
+def test_parity_split_is_exact(params, phi):
+    assert_split_exact(params, phi, CFG3)
 
 
 @PROPERTY_SETTINGS
