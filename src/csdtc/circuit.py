@@ -187,7 +187,11 @@ def params_from_dict(doc: dict) -> CircuitParams:
         # a JSON number only: bool is an int subclass, and float() would also take "108"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"{key} must be a number, got {value!r}")
-        kwargs[field] = float(value)
+        try:
+            kwargs[field] = float(value)
+        except OverflowError:  # a JSON integer has no size limit, a float does
+            digits = len(str(abs(value)))
+            raise ParameterError(f"{key} must fit in a float, got an integer of {digits} digits") from None
     return CircuitParams(**kwargs)
 
 
@@ -204,7 +208,7 @@ def load_params(path: str | Path) -> CircuitParams:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return params_from_dict(json.load(handle))
-        except (json.JSONDecodeError, ParameterError) as exc:
+        except ValueError as exc:  # malformed JSON, bytes that are not UTF-8, or a ParameterError
             raise ParameterError(f"parameter file {path}: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ class NumericsError(RuntimeError):
 
 
 class SolverError(NumericsError):
-    """An eigensolve failed its residual contract, or its operator is too large or lacks the symmetry it needs."""
+    """An eigensolve failed its residual contract, or its operator is too large."""
 
 
 class TruncationError(SolverError):

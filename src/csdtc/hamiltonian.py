@@ -19,12 +19,15 @@ parity map n_i -> -n_i conjugates that phase.
 
 Real form. In kron order that parity map is the index reflection
 P: i -> dim - 1 - i, and P H P = H* at every flux, for the four-node operator
-and for each block alike. The antiunitary P K (K complex conjugation)
-squares to one, so it fixes a real basis in which H is real symmetric:
-(e_i + e_Pi)/sqrt2 for i < h = dim // 2, the centre e_h (all charges zero)
-and i (e_i - e_Pi)/sqrt2. ``real_form`` writes H on that basis from the top
-h rows of H alone, with real slices, and ``from_real_form`` maps eigenvectors
-back. The transformation is unitary, so the eigenvalues are those of H
+and for each block alike. It holds bit for bit by construction: the charging
+form on the main diagonal is even under n -> -n, each hop's row mask is
+mirror-symmetric, and each lower diagonal is the conjugate of its upper one.
+So ``real_form`` does not check it; the tests do. The antiunitary P K
+(K complex conjugation) squares to one, so it fixes a real basis in which H
+is real symmetric: (e_i + e_Pi)/sqrt2 for i < h = dim // 2, the centre e_h
+(all charges zero) and i (e_i - e_Pi)/sqrt2. ``real_form`` writes H on that
+basis from the top h rows of H alone, with real slices, and
+``from_real_form`` maps eigenvectors back. The transformation is unitary, so the eigenvalues are those of H
 exactly. Where H is real (flux 0 or 1/2) the real form is block-diagonal:
 the first h + 1 states span the parity-even sector, the last h the odd one.
 
@@ -55,7 +58,6 @@ from .errors import ConfigError, SolverError
 _DIMENSION_CAP = 2_000_000  # four-node operator, built by the charge basis only
 _BLOCK_DIMENSION_CAP = 2_500  # the coupler block, solved densely by every backend
 _REAL_PHASE_TOL = 1e-15
-_MIRROR_TOL = 1e-12  # relative departure from P H P = H* that the real form accepts
 _SQRT2 = np.sqrt(2.0)
 # dressed labels |Q1, Q2, c>: qubit occupations 0..2, coupler levels 0..5 (ground, the two single-
 # and the three double-excitation levels), so at most 3 * 3 * 6 = 54 eigenstates can be labeled
@@ -197,36 +199,6 @@ def assemble_hamiltonian(
     return blocks, _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), cfg.n_max, float(flux), ej.ej5)
 
 
-def _require_mirror_symmetry(mat) -> None:
-    """Raise ``SolverError`` unless P H P = H*, entry by entry, in O(nnz).
-
-    Reversing the flat entries of a dense matrix, or the data and index
-    arrays of a canonical CSR matrix, applies P on both sides; each entry of
-    the first half is compared with its conjugated mirror in the second.
-    """
-    if sp.issparse(mat):
-        mat.sum_duplicates()
-        dim = mat.shape[1]
-        if not (
-            np.array_equal(mat.indptr, mat.nnz - mat.indptr[::-1])
-            and np.array_equal(mat.indices, (dim - 1) - mat.indices[::-1])
-        ):
-            raise SolverError("operator sparsity is not symmetric under the charge reflection n -> -n")
-        data = mat.data
-    else:
-        data = mat.ravel()
-    half = (data.size + 1) // 2
-    top, mirror = data[:half], data[::-1][:half]
-    scale = _MIRROR_TOL * np.abs(top).max(initial=0.0)
-    real_gap = np.abs(top.real - mirror.real).max(initial=0.0)
-    imag_gap = np.abs(top.imag + mirror.imag).max(initial=0.0) if np.iscomplexobj(data) else 0.0
-    if max(real_gap, imag_gap) > scale:
-        raise SolverError(
-            f"operator breaks P H P = H* under the charge reflection n -> -n by {max(real_gap, imag_gap):.3e} "
-            f"(> {scale:.3e}); its real form would not represent it"
-        )
-
-
 def real_form(mat):
     """The real symmetric matrix of a dense or CSR operator H with P H P = H* on the basis of the module docstring.
 
@@ -238,9 +210,9 @@ def real_form(mat):
          [(Im B - Im A)^T, sqrt2 Im c, Re A - Re B ]],
 
     in the operator's own kind (CSR or dense). Only the top h + 1 rows are
-    read, so the symmetry is checked first: ``SolverError`` if it fails.
+    read, so the result represents H only where P H P = H* holds, which
+    ``_build_block`` makes exact for every operator and block it builds.
     """
-    _require_mirror_symmetry(mat)
     h = mat.shape[0] // 2
     a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
     mixed = b.imag - a.imag

@@ -200,15 +200,13 @@ def _product_overlaps(vecs: np.ndarray, bases) -> np.ndarray:
 
 
 def _assign_labels(overlaps: np.ndarray):
-    """Labels from |<product|eigenstate>|^2 of shape (k, 3, 3, 6) by the overlap-maximizing unique assignment."""
+    """Labels from |<product|eigenstate>|^2 of shape (k, 3, 3, 6) by the overlap-maximizing unique assignment.
+
+    ``ChargeBasisConfig`` bounds k to the 54 products, so every eigenstate gets its own label.
+    """
     k = overlaps.shape[0]
     shape = overlaps.shape[1:]
     flat = overlaps.reshape(k, -1)
-    if flat.shape[1] < k:
-        raise LabelingError(
-            f"label space holds qubit occupations 0..{LABEL_LEVELS[0] - 1} and coupler levels "
-            f"0..{LABEL_LEVELS[2] - 1} ({flat.shape[1]} products) and cannot uniquely label {k} eigenstates"
-        )
     _, products = linear_sum_assignment(flat, maximize=True)
     labels = []
     for state, product in enumerate(products):

@@ -133,8 +133,16 @@ class TestSpectrumCommand:
         assert str(bad) in err and "node_caps_fF[0]" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("value", [True, "108"], ids=["bool", "string"])
-    def test_non_number_params_value_names_file_and_key(self, tmp_path, capsys, params_file, value):
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (True, "must be a number, got True"),
+            ("108", "must be a number, got '108'"),
+            (10**400, "must fit in a float, got an integer of 401 digits"),  # float() overflows on it
+        ],
+        ids=["bool", "string", "oversized_integer"],
+    )
+    def test_non_number_params_value_names_file_and_key(self, tmp_path, capsys, params_file, value, problem):
         doc = json.loads(Path(params_file).read_text())
         doc["mutual_caps_fF"]["C34"] = value
         bad = tmp_path / "not_a_number.json"
@@ -142,7 +150,16 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--params", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == f"error: parameter file {bad}: mutual_caps_fF.C34 must be a number, got {value!r}\n"
+        assert err == f"error: parameter file {bad}: mutual_caps_fF.C34 {problem}\n"
+
+    def test_non_utf8_params_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff")
+        code = main(["spectrum", "--params", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter file {bad}: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -59,10 +59,12 @@ def test_flux_period_one(params, phi):
 @OPERATOR_SETTINGS
 @given(PARAMETER_SETS, FLUXES)
 def test_coupler_reference_flux_reversal_is_charge_parity_and_conjugation(params, phi):
-    coupler = _assemble(params, phi)[0].modes[2]
-    coupler_reversed = _assemble(params, -phi)[0].modes[2]
-    assert np.array_equal(coupler_reversed, coupler[::-1, ::-1])
-    assert np.array_equal(coupler_reversed, coupler.conj())
+    # every block, the two node blocks as well as the coupler
+    modes = _assemble(params, phi)[0].modes
+    modes_reversed = _assemble(params, -phi)[0].modes
+    for mode, mode_reversed in zip(modes, modes_reversed, strict=True):
+        assert np.array_equal(mode_reversed, mode[::-1, ::-1])
+        assert np.array_equal(mode_reversed, mode.conj())
 
 
 @OPERATOR_SETTINGS

@@ -106,11 +106,6 @@ class TestLabels:
         with pytest.raises(ConfigError, match="from 6 to 54"):
             ChargeBasisConfig(n_max=3, num_eigenstates=100)
 
-    def test_label_states_beyond_label_space_rejected(self, device):
-        blocks, _ = assemble_hamiltonian(device, 0.0, CFG3)
-        with pytest.raises(LabelingError, match="label space"):
-            label_states(np.eye(CFG3.dimension)[:, :55], blocks)
-
 
 class TestBackends:
     @pytest.mark.parametrize("n_max", [3, 4, 5, 7])
