@@ -146,6 +146,24 @@ class TestJsonDocument:
         save_params(device, path)
         assert load_params(path) == device
 
+    def test_unknown_top_level_key(self, device):
+        doc = params_to_dict(device)
+        doc["extra"] = 1
+        with pytest.raises(ParameterError, match="unknown keys"):
+            params_from_dict(doc)
+
+    def test_unknown_mutual_key(self, device):
+        doc = params_to_dict(device)
+        doc["mutual_caps_fF"]["C15"] = 0.0
+        with pytest.raises(ParameterError, match="C15"):
+            params_from_dict(doc)
+
+    def test_missing_mutual_key(self, device):
+        doc = params_to_dict(device)
+        del doc["mutual_caps_fF"]["C34"]
+        with pytest.raises(ParameterError, match="missing"):
+            params_from_dict(doc)
+
     @pytest.mark.parametrize(
         "edit, message",
         [
