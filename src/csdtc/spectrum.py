@@ -7,11 +7,10 @@ One backend answers at every n_max, with the charge basis as its oracle:
   their eigenstates whose summed excitation energy
   (e1[a] - e1[0]) + (e2[b] - e2[0]) + (e34[c] - e34[0]) is at most a cutoff
   E_cut: block energies on the diagonal, minus the cross-block charge terms
-  2 Ec_ij N_i N_j. A sector of at most ``_SPARSE_MIN_PRODUCTS`` kept
-  products is solved densely by LAPACK, a larger one by ARPACK Lanczos on a
-  CSR copy from the fixed start vector of seed 0. Each computational level
-  then gets its second-order shift from every product left out
-  (hierarchical diagonalization with a Loewdin-partitioning correction).
+  2 Ec_ij N_i N_j. Each sector is solved by ``solve_lowest`` from the
+  fixed start vector of seed 0. Each computational level then gets its
+  second-order shift from every product left out (hierarchical
+  diagonalization with a Loewdin-partitioning correction).
   E_cut is tried at 45, 50, 55 and 60 GHz, and the first is accepted on its
   own correction: at most 0.05 kHz on zeta at 45 GHz, where the correction
   can understate the remainder, at most 0.5 kHz above it, and at most
@@ -21,18 +20,19 @@ One backend answers at every n_max, with the charge basis as its oracle:
   solved apart (below); elsewhere they are one sector.
 - charge basis (the oracle, and the fall-back where no cutoff is
   accepted): the four-node operator on (2 n_max + 1)^4 states, solved by
-  ARPACK Lanczos from the start vector of ``ChargeBasisConfig.seed``. It
+  ``solve_lowest`` from the start vector of ``ChargeBasisConfig.seed``. It
   is never split by parity, so it stays an independent check of the split.
 
-Every eigensolve is real. The charge reflection n -> -n conjugates every
-operator here (P H P = H*), so each has a real symmetric form on a fixed
-basis (``hamiltonian.real_form``) with exactly its eigenvalues. The charge
-basis solves that form wherever H is complex (flux off 0 and 1/2) and maps
-the eigenvectors back; where H is real it is solved as it is. The product
-backend diagonalizes each block in its real form at every flux. There each
-node charge, odd under the reflection, becomes i N with N real, so the cross
-terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and the product matrix is real
-as well.
+Every lowest-k solve takes one route, ``solve_lowest``: it folds a complex
+operator to its real form and maps the eigenvectors back, and it picks dense
+LAPACK up to ``_SPARSE_MIN_PRODUCTS`` states and ARPACK Lanczos on a CSR
+copy above. So every eigensolve is real. The charge reflection n -> -n
+conjugates every operator here (P H P = H*), so each has a real symmetric
+form on a fixed basis (``hamiltonian.real_form``) with exactly its
+eigenvalues. The product backend diagonalizes each block in its real form at
+every flux. There each node charge, odd under the reflection, becomes i N
+with N real, so the cross terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and
+the product matrix is real as well.
 
 Where every block is real (flux 0 or 1/2), each block's real form is
 block-diagonal in its even sector (the first dim // 2 + 1 states) and its odd
@@ -86,8 +86,8 @@ _RESIDUAL_FACTOR = 1e-8
 _E_CUT_LADDER = ((45.0, 0.05), (50.0, 0.5), (55.0, 0.5), (60.0, 0.5))
 # and the largest second-order correction to a computational frequency (GHz) that any cutoff accepts
 _MAX_LEVEL_CORRECTION_GHZ = 1e-5
-# a sector of more kept products than this is solved by ARPACK on a CSR copy (at n_max 7, 12-18 % of
-# its entries are non-zero), a smaller one by dense LAPACK, which is the faster below about 400 products
+# ``solve_lowest`` solves an operator of more states than this by ARPACK on a CSR copy (a product sector at
+# n_max 7 has 12-18 % of its entries non-zero), a smaller one by dense LAPACK, the faster below about 400
 _SPARSE_MIN_PRODUCTS = 500
 
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
@@ -154,49 +154,47 @@ class ConvergenceStudy:
 
 
 def solve_lowest(operator, k: int, *, seed: int = 0):
-    """Lowest-k eigenpairs of a Hermitian operator, ascending.
+    """Lowest-k eigenpairs of a Hermitian operator, dense or CSR, ascending: the one route of every solve here.
 
-    A dense array is solved by LAPACK for its lowest k pairs only, a sparse
-    operator by ARPACK Lanczos from a seeded start vector, so repeated runs
-    are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per pair.
+    A complex operator, which must satisfy P H P = H* as every operator built
+    here does, is solved in its real form (``hamiltonian.real_form``) and its
+    eigenvectors are mapped back. Up to ``_SPARSE_MIN_PRODUCTS`` states LAPACK
+    solves a dense copy for its lowest k pairs only; above that ARPACK Lanczos
+    solves a CSR copy from the start vector of ``seed``, so repeated runs are
+    bit-identical. Residuals are checked on the solved real matrix against
+    1e-8 * ||H||_1 per pair.
     """
     n = np.shape(operator)[0]
     if not (0 < k < n):
         raise ValueError(f"need 0 < k < dimension, got k={k}, dimension={n}")
 
-    if sp.issparse(operator):
-        mat = operator.tocsr()
-        v0 = np.random.default_rng(seed).standard_normal(n).astype(mat.dtype)
+    folded = np.iscomplexobj(operator)
+    if folded:
+        operator = real_form(operator)
+    if n > _SPARSE_MIN_PRODUCTS:
+        operator = sp.csr_matrix(operator)  # rebinding frees a dense input before Lanczos
+        v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            vals, vecs = spla.eigsh(mat, k=k, which="SA", v0=v0)
+            vals, vecs = spla.eigsh(operator, k=k, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise SolverError(
                 f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)"
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        scale = spla.norm(mat, 1)
+        scale = spla.norm(operator, 1)
     else:
-        mat = np.asarray(operator)
-        vals, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
-        scale = sla.norm(mat, 1)  # LAPACK's norm copies no dense matrix
+        operator = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
+        vals, vecs = sla.eigh(operator, subset_by_index=[0, k - 1])
+        scale = sla.norm(operator, 1)  # LAPACK's norm copies no dense matrix
 
-    residuals = np.linalg.norm(mat @ vecs - vecs * vals[np.newaxis, :], axis=0)
+    residuals = np.linalg.norm(operator @ vecs - vecs * vals[np.newaxis, :], axis=0)
     tol = _RESIDUAL_FACTOR * scale
     if np.any(residuals > tol):
         raise SolverError(
             f"eigenpair residuals exceed contract: max {residuals.max():.3e} > {tol:.3e}"
         )
-    return vals, vecs
-
-
-def _product_overlaps(vecs: np.ndarray, bases) -> np.ndarray:
-    """|<product state | eigenstate>|^2, shape (k, levels of each block)."""
-    k = vecs.shape[1]
-    tensor = np.ascontiguousarray(vecs.T).reshape(k, *(basis.shape[0] for basis in bases))
-    for basis in bases:
-        tensor = np.tensordot(tensor, basis.conj(), axes=([1], [0]))
-    return np.abs(tensor) ** 2
+    return vals, from_real_form(vecs) if folded else vecs
 
 
 def _assign_labels(overlaps: np.ndarray):
@@ -237,25 +235,22 @@ def _assign_labels(overlaps: np.ndarray):
 def label_states(eigvecs, blocks: BlockHamiltonians):
     """Label charge-basis eigenstates by the overlap-maximizing unique assignment to block eigenstate products.
 
-    The block eigenstates come from the product backend's ``_block_eigh``, mapped back from the real form.
+    The block eigenstates come from the product backend's ``_block_eigh``,
+    mapped back from the real form; the overlaps are |<product|eigenstate>|^2
+    on the first ``LABEL_LEVELS`` of each block.
     """
-    bases = [from_real_form(_block_eigh(mode, False)[1][:, :n]) for mode, n in zip(blocks.modes, LABEL_LEVELS)]
-    return _assign_labels(_product_overlaps(eigvecs, bases))
+    k = eigvecs.shape[1]
+    tensor = np.ascontiguousarray(eigvecs.T).reshape(k, *(mode.shape[0] for mode in blocks.modes))
+    for mode, n in zip(blocks.modes, LABEL_LEVELS):
+        basis = from_real_form(_block_eigh(mode, False)[1][:, :n])
+        tensor = np.tensordot(tensor, basis.conj(), axes=([1], [0]))
+    return _assign_labels(np.abs(tensor) ** 2)
 
 
 def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
-    """The oracle: solve the four-node charge-basis operator from the start vector of ``cfg.seed`` and label it.
-
-    A complex operator is solved in its real form and its eigenvectors mapped back.
-    """
-    blocks, matrix = assemble_hamiltonian(params, flux, cfg)
-    folded = np.iscomplexobj(matrix)
-    if folded:
-        matrix = real_form(matrix)  # rebinding frees the complex operator before the solve
-    vals, vecs = solve_lowest(matrix, cfg.num_eigenstates, seed=cfg.seed)
-    del matrix  # and the solved operator before the eigenvectors are mapped back
-    if folded:
-        vecs = from_real_form(vecs)
+    """The oracle: solve the four-node charge-basis operator from the start vector of ``cfg.seed`` and label it."""
+    blocks, *operator = assemble_hamiltonian(params, flux, cfg)  # popped: the fold frees it before Lanczos
+    vals, vecs = solve_lowest(operator.pop(), cfg.num_eigenstates, seed=cfg.seed)
     return SpectrumResult(
         flux=float(flux),
         n_max=cfg.n_max,
@@ -388,10 +383,9 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     conserves p1[a] p2[b] p34[c] and splits exactly into an even and an odd
     sector; elsewhere the kept products are one sector. The lowest k of each
     sector are merged and the lowest k overall kept, with eigenvectors zero
-    outside their sector. A sector of more than ``_SPARSE_MIN_PRODUCTS``
-    products is solved by ARPACK on a CSR copy, always from the start vector
-    of seed 0, and a smaller one densely by LAPACK. Also returns the (even,
-    odd) sector sizes, or None for one sector.
+    outside their sector. Each sector's dense matrix goes straight to
+    ``solve_lowest``, always from the start vector of seed 0. Also returns
+    the (even, odd) sector sizes, or None for one sector.
     """
     if blocks.parities is None:
         sectors, sizes = [np.arange(a.size)], None
@@ -408,11 +402,7 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     vals, vecs = np.empty(len(sectors) * k), np.zeros((a.size, len(sectors) * k))
     for sector, rows in enumerate(sectors):
         found = slice(sector * k, (sector + 1) * k)
-        ham = _product_hamiltonian(blocks, a[rows], b[rows], c[rows])
-        if rows.size > _SPARSE_MIN_PRODUCTS:
-            ham = sp.csr_matrix(ham)  # rebinding frees the dense matrix before the solve
-        vals[found], vecs[rows, found] = solve_lowest(ham, k)
-        del ham  # before the next sector's matrix is built
+        vals[found], vecs[rows, found] = solve_lowest(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
     order = np.argsort(vals, kind="stable")[:k]
     return vals[order], vecs[:, order], sizes
 

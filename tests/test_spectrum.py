@@ -34,7 +34,49 @@ CFG4 = ChargeBasisConfig(n_max=4, num_eigenstates=12)
 LABEL_CORNER_STATES = 3 * 3 * 6
 
 
+def record_eigensolves(monkeypatch):
+    """(solver, dtype, rows, "csr" or "dense") of every LAPACK and ARPACK eigensolve from here on."""
+    seen = []
+
+    def recording(module, name):
+        solver = getattr(module, name)
+
+        def solve(matrix, *args, **kwargs):
+            kind = matrix.format if sp.issparse(matrix) else "dense"
+            seen.append((f"{module.__name__}.{name}", matrix.dtype, matrix.shape[0], kind))
+            return solver(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, solve)
+
+    for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
+        recording(module, name)
+    return seen
+
+
 class TestSolveLowest:
+    def test_complex_operator_is_solved_folded_and_mapped_back(self, device, monkeypatch):
+        ham = assemble_hamiltonian(device, 0.3, CFG3)[1]
+        seen = record_eigensolves(monkeypatch)
+        vals, vecs = solve_lowest(ham, 8)
+        assert seen == [("scipy.sparse.linalg.eigsh", np.float64, CFG3.dimension, "csr")]
+        assert np.iscomplexobj(vecs)
+        # the contract holds on the complex operator itself, not only on the real form that was solved
+        residuals = np.linalg.norm(ham @ vecs - vecs * vals, axis=0)
+        assert residuals.max() <= spectrum._RESIDUAL_FACTOR * spla.norm(ham, 1)
+
+    @pytest.mark.parametrize("flux", [0.0, 0.3])
+    def test_size_picks_the_solver_whatever_the_input_kind(self, device, monkeypatch, flux):
+        coupler = sp.csr_matrix(assemble_blocks(device, flux, ChargeBasisConfig(n_max=7))[0].modes[2])
+        operator = assemble_hamiltonian(device, flux, CFG3)[1]
+        assert coupler.shape[0] <= spectrum._SPARSE_MIN_PRODUCTS < operator.shape[0]
+        seen = record_eigensolves(monkeypatch)
+        sparse_vals, _ = solve_lowest(operator, 8)
+        dense_vals, _ = solve_lowest(operator.toarray(), 8)
+        solve_lowest(coupler, 8)
+        arpack = ("scipy.sparse.linalg.eigsh", np.float64, operator.shape[0], "csr")
+        assert seen == [arpack, arpack, ("scipy.linalg.eigh", np.float64, coupler.shape[0], "dense")]
+        assert np.abs(sparse_vals - dense_vals).max() <= 1e-10
+
     def test_two_by_two(self):
         vals, vecs = solve_lowest(np.diag([1.0, 2.0]), 1)
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
@@ -176,24 +218,12 @@ class TestBackends:
 
     @pytest.mark.parametrize("n_max, backend", [(3, "charge"), (4, "product")])
     def test_every_eigensolve_is_real_at_complex_flux(self, device, monkeypatch, n_max, backend):
-        seen = []
-
-        def recording(module, name):
-            solver = getattr(module, name)
-
-            def solve(matrix, *args, **kwargs):
-                seen.append((f"{module.__name__}.{name}", matrix.dtype, matrix.shape[0]))
-                return solver(matrix, *args, **kwargs)
-
-            monkeypatch.setattr(module, name, solve)
-
-        for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
-            recording(module, name)
+        seen = record_eigensolves(monkeypatch)
         solve = charge_spectrum if backend == "charge" else spectrum_at
         spec = solve(device, 0.25, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
         assert spec.backend == backend
-        assert all(dtype == np.float64 for _, dtype, _ in seen)
-        operator_solves = [(name, rows) for name, _, rows in seen if name != "numpy.linalg.eigh"]
+        assert all(dtype == np.float64 for _, dtype, _, _ in seen)
+        operator_solves = [(name, rows) for name, _, rows, _ in seen if name != "numpy.linalg.eigh"]
         assert 0 < len(operator_solves) < len(seen)  # the rest are the blocks' eigensolves
         if backend == "charge":
             assert [name for name, _ in operator_solves] == ["scipy.sparse.linalg.eigsh"]
