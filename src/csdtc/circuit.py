@@ -110,9 +110,19 @@ def require_valid(params: CircuitParams) -> None:
 
 
 def derive_junction_energies(params: CircuitParams) -> JunctionEnergies:
-    """Josephson energies E_Ji/h = Phi0 Ic_i / (2 pi h) and L_J5 = (Phi0/2pi)/Ic5."""
+    """Josephson energies E_Ji/h = Phi0 Ic_i / (2 pi h) and L_J5 = (Phi0/2pi)/Ic5.
+
+    A finite current whose energy or inductance overflows raises
+    ``NumericsError`` naming the junction, as ``charging_matrix`` refuses a
+    singular capacitance matrix.
+    """
     ej = [PHI0_REDUCED * (getattr(params, name) * NA) / PLANCK_H / GHZ for name in _CURRENT_FIELDS]
-    lj5 = PHI0_REDUCED / (params.ic5 * NA) / NH
+    ic5 = params.ic5 * NA  # a subnormal current in nA rounds to 0 A
+    lj5 = PHI0_REDUCED / ic5 / NH if ic5 > 0 else np.inf
+    for label, name, value in zip(("EJ1", "EJ2", "EJ3", "EJ4", "EJ5", "L_J5"), (*_CURRENT_FIELDS, "ic5"), (*ej, lj5)):
+        if not np.isfinite(value):
+            current = getattr(params, name)
+            raise NumericsError(f"{label} of critical current {_display(name)} = {current} nA overflows to {value}")
     return JunctionEnergies(*ej, lj5_nh=lj5)
 
 

@@ -10,7 +10,8 @@ One backend answers at every n_max, with the charge basis as its oracle:
   2 Ec_ij N_i N_j. Each sector is solved by ``solve_lowest`` from the
   fixed start vector of seed 0. Each computational level then gets its
   second-order shift from every product left out (hierarchical
-  diagonalization with a Loewdin-partitioning correction).
+  diagonalization with a Loewdin-partitioning correction). The solve and the
+  correction read the cross terms from one table, ``_ProductBlocks.couplings``.
   E_cut is tried at 45, 50, 55 and 60 GHz, and the first is accepted on its
   own correction: at most 0.05 kHz on zeta at 45 GHz, where the correction
   can understate the remainder, at most 0.5 kHz above it, and at most
@@ -265,29 +266,20 @@ class _ProductBlocks:
     """The three blocks fully diagonalized, with the cross-block couplings on their eigenbases.
 
     ``energies`` holds every eigenvalue of node 1, node 2 and the coupler
-    block. On the product basis the cross terms are
-    -2 Ec_12 N1 N2 - N1 X - N2 Y, with the real node charges ``n1`` and
-    ``n2`` (n = i N) and the coupler factors ``x`` = 2 (Ec_13 N3 + Ec_14 N4)
-    and ``y`` = 2 (Ec_23 N3 + Ec_24 N4). Each maps the levels a product up to
-    the largest cutoff can hold (the columns) to all levels of its block.
-    ``gap_tol`` is the residual tolerance of the largest block. Where every
-    block is real, ``parities`` holds each level's charge-reflection parity
-    (+1 even, -1 odd) per block, and None elsewhere.
+    block, and ``reach`` how many levels of each a product up to the largest
+    cutoff can hold. Each entry (i, j, scale, left, right) of ``couplings``
+    is a cross term scale * left (x) right that H subtracts, on blocks i < j
+    and diagonal in the third; each factor maps the reach of its block (the
+    columns) to all its levels. ``gap_tol`` is the residual tolerance of the
+    largest block. Where every block is real, ``parities`` holds each level's
+    charge-reflection parity (+1 even, -1 odd) per block, and None elsewhere.
     """
 
     energies: tuple[np.ndarray, np.ndarray, np.ndarray]
-    n1: np.ndarray
-    n2: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    ec12: float
+    reach: tuple[int, int, int]
+    couplings: tuple[tuple[int, int, float, np.ndarray, np.ndarray], ...]
     gap_tol: float
     parities: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @property
-    def reach(self) -> tuple[int, int, int]:
-        """Levels of each block that a kept product can hold."""
-        return self.n1.shape[1], self.n2.shape[1], self.x.shape[1]
 
 
 def _real_charge(vecs: np.ndarray, charges: np.ndarray, count: int) -> np.ndarray:
@@ -340,14 +332,12 @@ def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: 
     n3, n4 = _real_charge(v34, q3, mc), _real_charge(v34, q4, mc)
     ec = blocks.ec
     n1, n2 = _real_charge(v1, charges, m1), _real_charge(v2, charges, m2)
+    # the cross terms -2 Ec_12 N1 N2 - N1 X - N2 Y, with the real node charges N (n = i N)
     x, y = 2.0 * (ec[0, 2] * n3 + ec[0, 3] * n4), 2.0 * (ec[1, 2] * n3 + ec[1, 3] * n4)
     return _ProductBlocks(
         energies=(e1, e2, e34),
-        n1=n1,
-        n2=n2,
-        x=x,
-        y=y,
-        ec12=float(ec[0, 1]),
+        reach=(m1, m2, mc),
+        couplings=((0, 1, 2.0 * float(ec[0, 1]), n1, n2), (0, 2, 1.0, n1, x), (1, 2, 1.0, n2, y)),
         gap_tol=_RESIDUAL_FACTOR * max(np.abs(mode).sum(axis=0).max() for mode in blocks.modes),
         parities=(p1, p2, p34) if split else None,
     )
@@ -356,22 +346,19 @@ def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: 
 def _product_hamiltonian(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Dense H on the kept products (a[i], b[i], c[i]).
 
-    The diagonal holds the block energies. Each cross term is diagonal in one
-    block index (c for 2 Ec_12 N1 N2, b for N1 X, a for N2 Y), so it is
-    subtracted one group of products sharing that index at a time, as the
-    outer product of its two block matrices restricted to the group.
+    The diagonal holds the block energies. Each term of
+    ``blocks.couplings`` is diagonal in its third block, so it is subtracted
+    one group of products sharing that block's index at a time, as the outer
+    product of its two scaled block matrices restricted to the group.
     """
     e1, e2, e34 = blocks.energies
     ham = np.diag(e1[a] + e2[b] + e34[c])
-    terms = (
-        (c, a, b, 2.0 * blocks.ec12 * blocks.n1, blocks.n2),
-        (b, a, c, blocks.n1, blocks.x),
-        (a, b, c, blocks.n2, blocks.y),
-    )
-    for shared, i, j, left, right in terms:
+    levels = (a, b, c)
+    for i, j, scale, left, right in blocks.couplings:
+        shared, left = levels[3 - i - j], scale * left
         for value in np.unique(shared):
             group = np.flatnonzero(shared == value)
-            gi, gj = i[group], j[group]
+            gi, gj = levels[i][group], levels[j][group]
             ham[group[:, None], group] -= left[gi[:, None], gi] * right[gj[:, None], gj]
     return ham
 
@@ -412,17 +399,21 @@ def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductB
 
     ``states`` holds eigenvectors as coefficient tensors over the levels of
     ``blocks.reach``, and ``energies`` their eigenvalues; ``kept`` marks the
-    kept products among all. The cross terms couple the states to the
-    left-out products, whose unperturbed energies are sums of block energies;
-    each state shifts by -sum |<out|V|psi>|^2 / (E_out - E). The sum formed
-    here is minus V, a sign that drops out of |<out|V|psi>|^2.
+    kept products among all. The terms of ``blocks.couplings`` carry the
+    states to the left-out products, whose unperturbed energies are sums of
+    block energies; each state shifts by -sum |<out|V|psi>|^2 / (E_out - E).
+    The sum formed here is minus V, a sign that drops out of |<out|V|psi>|^2.
     """
-    m1, m2, mc = blocks.reach
     e1, e2, e34 = blocks.energies
     amp = np.zeros((len(states), e1.size, e2.size, e34.size))
-    amp[:, :, :, :mc] += 2.0 * blocks.ec12 * np.einsum("Aa,Bb,sabc->sABc", blocks.n1, blocks.n2, states, optimize=True)
-    amp[:, :, :m2, :] += np.einsum("Aa,Cc,sabc->sAbC", blocks.n1, blocks.x, states, optimize=True)
-    amp[:, :m1, :, :] += np.einsum("Bb,Cc,sabc->saBC", blocks.n2, blocks.y, states, optimize=True)
+    for i, j, scale, left, right in blocks.couplings:
+        # subscript 0 is the state, 1 + k the reach of block k and 4 + k all its levels: (0, 1) is "Aa,Bb,sabc->sABc"
+        out = [0] + [4 + k if k in (i, j) else 1 + k for k in range(3)]
+        region = (slice(None), *(slice(None if k in (i, j) else m) for k, m in enumerate(blocks.reach)))
+        term = np.einsum(left, [4 + i, 1 + i], right, [4 + j, 1 + j], states, [0, 1, 2, 3], out, optimize=True)
+        term *= scale
+        amp[region] += term
+        del term  # scaled in place and freed here, so no second amp-sized array lives through a contraction
     amp[:, kept] = 0.0
     unperturbed = e1[:, None, None] + e2[None, :, None] + e34[None, None, :]
     shifts = []

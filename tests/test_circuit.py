@@ -48,6 +48,24 @@ class TestJunctionEnergies:
         with pytest.raises(ParameterError, match="critical current Ic5 must be strictly positive, got -1.0"):
             replace(device, ic5=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, current, named",
+        [
+            ("ic1", 1e300, "EJ1 of critical current Ic1 = 1e+300 nA"),
+            ("ic3", 1e300, "EJ3 of critical current Ic3 = 1e+300 nA"),
+            ("ic5", 1e300, "EJ5 of critical current Ic5 = 1e+300 nA"),
+            ("ic5", 1e-320, "L_J5 of critical current Ic5 = 1e-320 nA"),  # 1e-329 A rounds to 0
+        ],
+        ids=["ic1", "ic3", "ic5", "ic5_subnormal"],
+    )
+    def test_overflowing_junction_refused_naming_it(self, device, field, current, named):
+        # a finite, admissible current whose energy or inductance is not finite
+        with pytest.raises(NumericsError, match=f"^{re.escape(named)} overflows to inf$"):
+            derive_junction_energies(replace(device, **{field: current}))
+
+    def test_largest_finite_energy_is_kept(self, device):
+        assert derive_junction_energies(replace(device, ic1=3e299)).ej1 == pytest.approx(1.49e299, rel=1e-2)
+
 
 class TestCapacitanceMatrix:
     def test_reference_entries(self, device):

@@ -188,6 +188,29 @@ def test_inadmissible_params_file_is_usage_error_naming_it(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zz", "--flux-grid=-0.15:0.15:3"],
+        ["design", "--formula-only"],
+        ["pert-compare", "--c34-grid", "40:50:3"],
+    ],
+    ids=["zz", "design_formula_only", "pert_compare"],
+)
+def test_overflowing_josephson_energy_is_numerical_failure_naming_the_junction(tmp_path, capsys, argv):
+    # 1e300 nA is a finite JSON number, but EJ1 overflows: refused before any solve, with no output
+    doc = params_to_dict(reference_device())
+    doc["critical_currents_nA"][0] = 1e300
+    bad = tmp_path / "overflowing_ic1.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(argv + ["--params", str(bad), "--n-max", "3", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "error: EJ1 of critical current Ic1 = 1e+300 nA overflows to inf\n"
+    assert not out.exists()
+
+
 class TestZZCommand:
     def test_flux_single_point(self, tmp_path, params_file):
         out = tmp_path / "zz.csv"

@@ -317,10 +317,10 @@ def assert_split_exact(params, flux, cfg):
         even = vecs.shape[0] // 2 + 1
         assert not vecs[even:, parity == 1].any() and not vecs[:even, parity == -1].any()
     blocks = spectrum._product_blocks(params, flux, cfg, 60.0)
-    p1, p2, p34 = blocks.parities
-    for factor, parity in ((blocks.n1, p1), (blocks.n2, p2), (blocks.x, p34), (blocks.y, p34)):
-        same = parity[:, None] == parity[None, : factor.shape[1]]
-        assert not factor[same].any()
+    for i, j, _, left, right in blocks.couplings:
+        for factor, parity in ((left, blocks.parities[i]), (right, blocks.parities[j])):
+            same = parity[:, None] == parity[None, : factor.shape[1]]
+            assert not factor[same].any()
 
 
 class TestParitySectors:
@@ -436,18 +436,28 @@ class TestSparseSectors:
                 _zeta_from_spectrum(spec)
 
 
+def _kron_cross_terms(blocks, rows):
+    """kron(2 Ec12 N1, N2, I) + kron(N1, I, X) + kron(I, N2, Y) from the reach grid to the first ``rows`` levels.
+
+    Each factor keeps its first rows of the block; on its third block a term is the identity embedding of
+    that block's reach. Written out term by term, so it does not depend on how the solve reads the table.
+    """
+    (i12, j12, twice_ec12, n1, n2), (i13, j13, scale13, n1_x, x), (i23, j23, scale23, n2_y, y) = blocks.couplings
+    assert [(i12, j12), (i13, j13), (i23, j23)] == [(0, 1), (0, 2), (1, 2)] and scale13 == scale23 == 1.0
+    r1, r2, rc = rows
+    embed1, embed2, embed34 = (sp.eye(r, m) for r, m in zip(rows, blocks.reach))
+    return (
+        sp.kron(sp.kron(twice_ec12 * n1[:r1], n2[:r2]), embed34)
+        + sp.kron(sp.kron(n1_x[:r1], embed2), x[:rc])
+        + sp.kron(sp.kron(embed1, n2_y[:r2]), y[:rc])
+    ).tocsr()
+
+
 def _kron_product_hamiltonian(blocks):
     """diag(E) - kron(2 Ec12 N1, N2, I) - kron(N1, I, X) - kron(I, N2, Y) on the whole reach grid, in CSR."""
-    m1, m2, mc = blocks.reach
     e1, e2, e34 = (e[:m] for e, m in zip(blocks.energies, blocks.reach))
-    n1, n2, x, y = blocks.n1[:m1], blocks.n2[:m2], blocks.x[:mc], blocks.y[:mc]
     diagonal = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :]).ravel()
-    return (
-        sp.diags(diagonal)
-        - sp.kron(sp.kron(2.0 * blocks.ec12 * n1, n2), sp.identity(mc))
-        - sp.kron(sp.kron(n1, sp.identity(m2)), x)
-        - sp.kron(sp.kron(sp.identity(m1), n2), y)
-    ).tocsr()
+    return (sp.diags(diagonal) - _kron_cross_terms(blocks, blocks.reach)).tocsr()
 
 
 class TestProductHamiltonian:
@@ -472,6 +482,31 @@ class TestProductHamiltonian:
             index = np.ravel_multi_index((a[rows], b[rows], c[rows]), blocks.reach)
             expected = reference[index][:, index].toarray()
             assert np.abs(ham - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestLeftOutShifts:
+    @pytest.mark.parametrize("flux", [0.0, 0.3])
+    def test_shifts_are_the_explicit_second_order_sum(self, device, monkeypatch, flux):
+        # blocks built for 60 GHz and the kept set cut at 45: the coupler's reach holds products left out
+        blocks = spectrum._product_blocks(device, flux, CFG3, 60.0)
+        assert blocks.reach[2] < blocks.energies[2].size
+        seen, left_out_shifts = [], spectrum._left_out_shifts
+
+        def record(states, energies, table, kept):
+            seen.append((states, energies, kept))
+            return left_out_shifts(states, energies, table, kept)
+
+        monkeypatch.setattr(spectrum, "_left_out_shifts", record)
+        _, shifts = spectrum._product_solve(blocks, 45.0, flux, CFG3)
+        [(states, energies, kept)] = seen
+        # <out|V|psi> from the reach grid to every level of every block, summed over the left-out products only
+        e1, e2, e34 = blocks.energies
+        amp = _kron_cross_terms(blocks, (e1.size, e2.size, e34.size)) @ states.reshape(len(states), -1).T
+        out = ~kept.ravel()
+        unperturbed = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :]).ravel()[out]
+        expected = -np.sum(amp[out] ** 2 / (unperturbed[:, None] - energies[None, :]), axis=0)
+        assert len(shifts) == len(COMPUTATIONAL_OCCUPATIONS)
+        np.testing.assert_allclose(shifts, expected, rtol=1e-12, atol=0.0)
 
 
 class TestZZ:

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csdtc import spectrum  # noqa: E402
@@ -29,7 +29,8 @@ from test_spectrum import assert_split_exact, assert_split_matches_dense, solve_
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=16)
 FLUXES = st.sampled_from([0.0, 0.15, 0.25])
 REAL_FLUXES = st.sampled_from([0.0, 0.5])  # a real 2401-state product matrix keeps the full-basis check cheap
-SPECTRUM_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=10)
+# no shrinking: each shrink step re-solves the 2401-state oracle, so a failure took minutes to report
+SPECTRUM_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 HALF_PERIOD_FLUXES = st.sampled_from([0.0, 0.5, -0.5])  # where the operator is real
 ALL_FLUXES = st.one_of(HALF_PERIOD_FLUXES, st.floats(-1.0, 1.0))
 
