@@ -106,11 +106,11 @@ def cmd_pert_compare(args) -> int:
 
 def cmd_design(args) -> int:
     params = load_params(args.params)
-    cfg = _basis_config(args)  # checked with --formula-only too, like every eigensolver command
+    cfg, bracket = _basis_config(args), _parse_bracket(args.bracket)  # both checked with --formula-only too
     if args.formula_only:
         doc = design.closed_form_design(params)
     else:
-        doc = design.search_design(params, _parse_bracket(args.bracket), cfg, tol=args.bracket_tol)
+        doc = design.search_design(params, bracket, cfg, tol=args.bracket_tol)
     _write_json(doc, args.out)
     return EXIT_OK
 

@@ -24,12 +24,20 @@ def bounded_argmin(func, lo: float, hi: float, *, tol: float = 0.05) -> float:
     """Argmin of a unimodal function on finite bounds lo < hi by bounded Brent search, to ``tol`` absolute.
 
     Raises BracketError when the argmin lands within tol + (hi - lo)/1000 of an
-    endpoint, which means the bracket does not contain the interior minimum.
+    endpoint, which means the bracket does not contain the interior minimum,
+    and ConfigError, before ``func`` is called, when those two edge zones
+    leave no interior at all.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"bracket must be finite with lo < hi, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"bracket tolerance must be finite and positive, got {tol}")
+    tol_limit = (hi - lo) / 2 - (hi - lo) * 1e-3
+    if tol >= tol_limit:
+        raise ConfigError(
+            f"bracket tolerance {tol:g} leaves no interior in [{lo}, {hi}]: an argmin within tol + (hi - lo)/1000 "
+            f"of either end is refused, so the tolerance must be below {tol_limit:.6g}"
+        )
     x_min = float(minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": tol}).x)
     edge = tol + (hi - lo) * 1e-3
     if x_min - lo < edge or hi - x_min < edge:

@@ -15,21 +15,13 @@ hard: a step off the grid has no entry.
 
 The external flux enters only through the phase of the JJ5 hopping term, so
 the spectrum is exactly periodic in the reduced flux, and even in it: the
-parity map n_i -> -n_i conjugates that phase.
-
-Real form. In kron order that parity map is the index reflection
-P: i -> dim - 1 - i, and P H P = H* at every flux, for the four-node operator
-and for each block alike. It holds bit for bit by construction: the charging
-form on the main diagonal is even under n -> -n, each hop's row mask is
-mirror-symmetric, and each lower diagonal is the conjugate of its upper one.
-So ``real_form`` does not check it; the tests do. The antiunitary P K
-(K complex conjugation) squares to one, so it fixes a real basis in which H
-is real symmetric: (e_i + e_Pi)/sqrt2 for i < h = dim // 2, the centre e_h
-(all charges zero) and i (e_i - e_Pi)/sqrt2. ``real_form`` writes H on that
-basis from the top h rows of H alone, with real slices, and
-``from_real_form`` maps eigenvectors back. The transformation is unitary, so the eigenvalues are those of H
-exactly. Where H is real (flux 0 or 1/2) the real form is block-diagonal:
-the first h + 1 states span the parity-even sector, the last h the odd one.
+parity map n_i -> -n_i conjugates that phase. In kron order that map is the
+index reflection P: i -> dim - 1 - i, and P H P = H* holds bit for bit at
+every flux, for the four-node operator and for each block alike: the
+charging form on the main diagonal is even under n -> -n, each hop's row
+mask is mirror-symmetric, and each lower diagonal is the conjugate of its
+upper one. The real form of ``spectrum`` relies on it unchecked; the tests
+prove it.
 
 One builder assembles this operator and its three blocks: node 1, node 2,
 and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
@@ -58,7 +50,6 @@ from .errors import ConfigError, SolverError
 _DIMENSION_CAP = 2_000_000  # four-node operator, built by the charge basis only
 _BLOCK_DIMENSION_CAP = 2_500  # the coupler block, solved densely by every backend
 _REAL_PHASE_TOL = 1e-15
-_SQRT2 = np.sqrt(2.0)
 # dressed labels |Q1, Q2, c>: qubit occupations 0..2, coupler levels 0..5 (ground, the two single-
 # and the three double-excitation levels), so at most 3 * 3 * 6 = 54 eigenstates can be labeled
 LABEL_LEVELS = (3, 3, 6)
@@ -197,46 +188,3 @@ def assemble_hamiltonian(
         )
     blocks, ej = assemble_blocks(params, flux, cfg)
     return blocks, _build_block(blocks.ec, (ej.ej1, ej.ej2, ej.ej3, ej.ej4), cfg.n_max, float(flux), ej.ej5)
-
-
-def real_form(mat):
-    """The real symmetric matrix of a dense or CSR operator H with P H P = H* on the basis of the module docstring.
-
-    With h = dim // 2, A = H[:h, :h], B = H[:h, h+1:] with its columns
-    reversed and c = H[:h, h], the result is
-
-        [[Re A + Re B,    sqrt2 Re c,  Im B - Im A ],
-         [sqrt2 Re c^T,   H_hh,        sqrt2 Im c^T],
-         [(Im B - Im A)^T, sqrt2 Im c, Re A - Re B ]],
-
-    in the operator's own kind (CSR or dense). Only the top h + 1 rows are
-    read, so the result represents H only where P H P = H* holds, which
-    ``_build_block`` makes exact for every operator and block it builds.
-    """
-    h = mat.shape[0] // 2
-    a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
-    mixed = b.imag - a.imag
-    even, odd = _SQRT2 * c.real, _SQRT2 * c.imag
-    blocks = [
-        [a.real + b.real, even, mixed],
-        [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
-        [mixed.T, odd, a.real - b.real],
-    ]
-    if not sp.issparse(mat):
-        return np.block(blocks)
-    folded = sp.bmat(blocks, format="csr")
-    folded.eliminate_zeros()
-    return folded
-
-
-def from_real_form(vectors: np.ndarray) -> np.ndarray:
-    """Map column vectors on the real-form basis back to the charge basis."""
-    h = vectors.shape[0] // 2
-    out = np.empty(vectors.shape, dtype=np.complex128)
-    top = out[:h]
-    top.real = vectors[:h]
-    top.imag = vectors[h + 1 :]
-    top /= _SQRT2
-    out[h] = vectors[h]
-    np.conjugate(top[::-1], out=out[h + 1 :])
-    return out

@@ -233,6 +233,11 @@ def shunt_capacitance_for(lj5_h: float, omega1: float, omega2: float) -> float:
     return 1.0 / (lj5_h * omega1 * omega2)
 
 
+def _residual_tolerance(system: ModeSystem) -> float:
+    """The largest |g12| (rad/s) a decoupling shunt may leave: 1e-5 sqrt(w1 w2)."""
+    return _G12_RESIDUAL_FACTOR * math.sqrt(system.omega1 * system.omega2)
+
+
 def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     """Self-consistent decoupling shunt capacitance.
 
@@ -257,27 +262,18 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
         )
     c34, root = brentq(lambda c: reduce(c).c34_closed_ff - c, 0.0, upper, xtol=_C34_XTOL_FF, full_output=True)
 
-    def g12_at(c34_ff: float) -> float:
-        return reduce(c34_ff).system.g12
-
     final = reduce(c34).system
-    residual_tol = _G12_RESIDUAL_FACTOR * math.sqrt(final.omega1 * final.omega2)
-    if abs(final.g12) >= residual_tol:
+    if abs(final.g12) >= _residual_tolerance(final):
         lo, hi = 0.5 * c34, 2.0 * c34
-        g_lo, g_hi = g12_at(lo), g12_at(hi)
-        for _ in range(8):
-            if g_lo * g_hi <= 0:
+        for _ in range(9):  # the first bracket and up to eight widenings
+            if reduce(lo).system.g12 * reduce(hi).system.g12 <= 0:
                 break
             lo, hi = 0.5 * lo, 1.5 * hi
-            g_lo, g_hi = g12_at(lo), g12_at(hi)
-        if g_lo * g_hi > 0:
-            raise ModelError(
-                f"cannot bracket the g12 zero around the fixed point {c34:.3f} fF"
-            )
-        c34 = float(brentq(g12_at, lo, hi, xtol=_C34_XTOL_FF))
+        else:
+            raise ModelError(f"cannot bracket the g12 zero around the fixed point {c34:.3f} fF")
+        c34 = float(brentq(lambda c: reduce(c).system.g12, lo, hi, xtol=_C34_XTOL_FF))
         final = reduce(c34).system
-        residual_tol = _G12_RESIDUAL_FACTOR * math.sqrt(final.omega1 * final.omega2)
-        if abs(final.g12) >= residual_tol:
+        if abs(final.g12) >= _residual_tolerance(final):
             below, above = reduce(max(c34 - _MODE_SWAP_PROBE_FF, 0.0)), reduce(c34 + _MODE_SWAP_PROBE_FF)
             if below.eff.k_ur * above.eff.k_ur < 0:
                 raise ModelError(
@@ -287,7 +283,7 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
                 )
             raise ModelError(
                 f"residual coupling |g12|={abs(final.g12):.3e} rad/s remains above "
-                f"tolerance {residual_tol:.3e} after polishing"
+                f"tolerance {_residual_tolerance(final):.3e} after polishing"
             )
     return ZeroCouplingResult(
         c34_star_ff=c34,

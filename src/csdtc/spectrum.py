@@ -27,18 +27,24 @@ One backend answers at every n_max, with the charge basis as its oracle:
 Every lowest-k solve takes one route, ``solve_lowest``: it folds a complex
 operator to its real form and maps the eigenvectors back, and it picks dense
 LAPACK up to ``_SPARSE_MIN_PRODUCTS`` states and ARPACK Lanczos on a CSR
-copy above. So every eigensolve is real. The charge reflection n -> -n
-conjugates every operator here (P H P = H*), so each has a real symmetric
-form on a fixed basis (``hamiltonian.real_form``) with exactly its
-eigenvalues. The product backend diagonalizes each block in its real form at
-every flux. There each node charge, odd under the reflection, becomes i N
-with N real, so the cross terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and
-the product matrix is real as well.
+copy above. So every eigensolve is real.
 
-Where every block is real (flux 0 or 1/2), each block's real form is
-block-diagonal in its even sector (the first dim // 2 + 1 states) and its odd
-one. The product backend solves the two sectors apart, so each block level
-has a parity p = +-1, and N, odd under the reflection, is exactly 0 between
+Real form. The charge reflection n -> -n is the index reflection
+P: i -> dim - 1 - i in kron order, and P H P = H* for every operator here,
+bit for bit (``hamiltonian``). So the antiunitary P K (K complex
+conjugation), which squares to one, fixes a real basis on which H is real
+symmetric with exactly its eigenvalues: (e_i + e_Pi)/sqrt2 for
+i < h = dim // 2, the centre e_h (all charges zero) and i (e_i - e_Pi)/sqrt2.
+``real_form`` writes H on it from the top h + 1 rows, ``from_real_form`` maps
+eigenvectors back, and ``_real_charge`` and ``_block_eigh`` slice the same
+layout. Where H is real (flux 0 or 1/2) the real form is block-diagonal: the
+first h + 1 states span the parity-even sector, the last h the odd one.
+
+The product backend diagonalizes each block in its real form at every flux:
+each node charge, odd under the reflection, becomes i N with N real, so the
+cross terms 2 Ec_ij n_i n_j become -2 Ec_ij N_i N_j and the product matrix
+is real too. Where every block is real, each block's two sectors are solved
+apart, so each block level has a parity p = +-1 and N is exactly 0 between
 levels of equal parity. Every cross term then flips two block parities, so
 H conserves p1 p2 p34: the kept products split exactly into an even and an
 odd sector, and the lowest k of each, solved apart, are merged.
@@ -75,12 +81,11 @@ from .hamiltonian import (
     assemble_blocks,
     assemble_hamiltonian,
     charge_grid,
-    from_real_form,
-    real_form,
 )
 
 AMBIGUITY_THRESHOLD = 0.5
 _RESIDUAL_FACTOR = 1e-8
+_SQRT2 = np.sqrt(2.0)
 # product backend: each cutoff (GHz) on the summed block excitation energy of a kept product, tried in order,
 # with the largest second-order correction to zeta (kHz) it accepts; the first is stricter because at 45 GHz
 # the correction can understate what is left out (at n_max 5 a 0.098 kHz correction left 0.0115 kHz)
@@ -158,7 +163,7 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
     """Lowest-k eigenpairs of a Hermitian operator, dense or CSR, ascending: the one route of every solve here.
 
     A complex operator, which must satisfy P H P = H* as every operator built
-    here does, is solved in its real form (``hamiltonian.real_form``) and its
+    here does, is solved in its real form (``real_form``) and its
     eigenvectors are mapped back. Up to ``_SPARSE_MIN_PRODUCTS`` states LAPACK
     solves a dense copy for its lowest k pairs only; above that ARPACK Lanczos
     solves a CSR copy from the start vector of ``seed``, so repeated runs are
@@ -282,6 +287,49 @@ class _ProductBlocks:
     parities: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
+def real_form(mat):
+    """The real symmetric matrix of a dense or CSR operator H with P H P = H* on the basis of the module docstring.
+
+    With h = dim // 2, A = H[:h, :h], B = H[:h, h+1:] with its columns
+    reversed and c = H[:h, h], the result is
+
+        [[Re A + Re B,    sqrt2 Re c,  Im B - Im A ],
+         [sqrt2 Re c^T,   H_hh,        sqrt2 Im c^T],
+         [(Im B - Im A)^T, sqrt2 Im c, Re A - Re B ]],
+
+    in the operator's own kind (CSR or dense). Only the top h + 1 rows are
+    read, so the result represents H only where P H P = H* holds, which
+    ``hamiltonian`` makes exact for every operator and block it builds.
+    """
+    h = mat.shape[0] // 2
+    a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
+    mixed = b.imag - a.imag
+    even, odd = _SQRT2 * c.real, _SQRT2 * c.imag
+    blocks = [
+        [a.real + b.real, even, mixed],
+        [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
+        [mixed.T, odd, a.real - b.real],
+    ]
+    if not sp.issparse(mat):
+        return np.block(blocks)
+    folded = sp.bmat(blocks, format="csr")
+    folded.eliminate_zeros()
+    return folded
+
+
+def from_real_form(vectors: np.ndarray) -> np.ndarray:
+    """Map column vectors on the real-form basis back to the charge basis."""
+    h = vectors.shape[0] // 2
+    out = np.empty(vectors.shape, dtype=np.complex128)
+    top = out[:h]
+    top.real = vectors[:h]
+    top.imag = vectors[h + 1 :]
+    top /= _SQRT2
+    out[h] = vectors[h]
+    np.conjugate(top[::-1], out=out[h + 1 :])
+    return out
+
+
 def _real_charge(vecs: np.ndarray, charges: np.ndarray, count: int) -> np.ndarray:
     """N with n = i N for a node charge, from the first ``count`` real-form eigenvectors of a block to all of them.
 
@@ -298,8 +346,7 @@ def _real_charge(vecs: np.ndarray, charges: np.ndarray, count: int) -> np.ndarra
 def _block_eigh(mode: np.ndarray, split: bool):
     """All eigenpairs of a block's real form, ascending, and with ``split`` each level's parity.
 
-    A real block's real form is block-diagonal: the even sector (the first
-    dim // 2 + 1 states, with the all-zero-charge centre) and the odd one.
+    A real block's real form is block-diagonal in its two parity sectors.
     Split, each sector is solved apart, so every eigenvector is exactly zero
     outside its sector and is tagged +1 (even) or -1 (odd).
     """

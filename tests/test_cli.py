@@ -95,6 +95,25 @@ class TestBoundedArgmin:
             bounded_argmin(parabola, 10.0, 90.0, tol=tol)
         assert calls == []
 
+    @pytest.mark.parametrize("tol", [11.976, 12.0, 1e6])
+    def test_tolerance_leaving_no_interior_refused_before_any_evaluation(self, tol):
+        # on [34, 58] each end refuses an argmin within tol + 0.024, so from 11.976 the two zones meet
+        calls = []
+        with pytest.raises(ConfigError) as err:
+            bounded_argmin(lambda x: calls.append(x) or abs(x - 46.0), 34.0, 58.0, tol=tol)
+        assert type(err.value) is ConfigError
+        assert str(err.value) == (
+            f"bracket tolerance {tol:g} leaves no interior in [34.0, 58.0]: an argmin within tol + (hi - lo)/1000 "
+            "of either end is refused, so the tolerance must be below 11.976"
+        )
+        assert calls == []
+
+    def test_tolerance_just_below_the_limit_searches(self):
+        calls = []
+        with pytest.raises(BracketError, match="bracket edge"):
+            bounded_argmin(lambda x: calls.append(x) or abs(x - 46.0), 34.0, 58.0, tol=np.nextafter(11.976, 0.0))
+        assert calls
+
 
 class TestSpectrumCommand:
     def test_rows_and_determinism(self, tmp_path, params_file):
@@ -458,6 +477,30 @@ class TestDesignCommand:
 
     def test_malformed_bracket(self, params_file):
         assert main(["design", "--params", params_file, "--bracket", "oops"]) == EXIT_USAGE
+
+    def test_formula_only_checks_the_bracket(self, tmp_path, params_file, capsys):
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--formula-only", "--bracket", "garbage", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: malformed bracket 'garbage'; expected 'lo:hi'\n"
+        assert not out.exists()
+
+    def test_tolerance_leaving_no_interior_is_usage_error_before_any_solve(
+        self, tmp_path, params_file, monkeypatch, capsys
+    ):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("zz_interaction called")
+
+        monkeypatch.setattr("csdtc.spectrum.zz_interaction", no_eigensolve)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--n-max", "3", "--bracket", "34:58",
+                     "--bracket-tol", "12", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: bracket tolerance 12 leaves no interior in [34.0, 58.0]: an argmin within tol + (hi - lo)/1000 "
+            "of either end is refused, so the tolerance must be below 11.976\n"
+        )
+        assert not out.exists()
 
     def test_nan_bracket_tolerance_is_usage_error(self, tmp_path, params_file, monkeypatch, capsys):
         def no_eigensolve(*args, **kwargs):

@@ -14,10 +14,8 @@ from csdtc.hamiltonian import (
     _build_block,
     assemble_blocks,
     assemble_hamiltonian,
-    from_real_form,
-    real_form,
 )
-from csdtc.spectrum import charge_spectrum, solve_lowest, spectrum_at
+from csdtc.spectrum import charge_spectrum, from_real_form, real_form, solve_lowest, spectrum_at
 
 CFG3 = ChargeBasisConfig(n_max=3, num_eigenstates=8)
 

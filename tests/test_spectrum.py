@@ -86,6 +86,38 @@ class TestSolveLowest:
         with pytest.raises(ValueError):
             solve_lowest(np.diag([1.0, 2.0]), 2)
 
+    @pytest.mark.parametrize("k", [0, -1, 3, 4])
+    def test_k_outside_zero_to_dimension_refused(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"need 0 < k < dimension, got k={k}, dimension=3")):
+            solve_lowest(np.diag([1.0, 2.0, 3.0]), k)
+
+    def test_arpack_without_convergence_is_a_solver_error_counting_its_pairs(self, monkeypatch):
+        operator = sp.diags(np.arange(600.0), format="csr")
+
+        def no_convergence(matrix, k, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(3), np.zeros((600, 3)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        with pytest.raises(SolverError, match=re.escape("eigensolver did not converge (3 of 8 pairs)")):
+            solve_lowest(operator, 8)
+
+    @pytest.mark.parametrize("dim", [8, 600])  # LAPACK, then ARPACK
+    def test_residual_over_the_contract_is_a_solver_error(self, monkeypatch, dim):
+        # well-separated levels with a weak hop: ||H||_1 = dim - 0.8, so the contract is about 1e-8 dim
+        operator = sp.diags([np.arange(float(dim)), np.full(dim - 1, 0.1), np.full(dim - 1, 0.1)], [0, 1, -1])
+        solve_lowest(operator, 4)
+
+        def shifted(solver):
+            def solve(*args, **kwargs):
+                vals, vecs = solver(*args, **kwargs)
+                return vals + 1e-5, vecs  # each residual is then 1e-5, above the contract at either size
+            return solve
+
+        monkeypatch.setattr(sla, "eigh", shifted(sla.eigh))
+        monkeypatch.setattr(spla, "eigsh", shifted(spla.eigsh))
+        with pytest.raises(SolverError, match="eigenpair residuals exceed contract: max 1.000e-05 > "):
+            solve_lowest(operator, 4)
+
     def test_orthonormal_eigenvectors(self, device):
         _, ham = assemble_hamiltonian(device, 0.1, CFG3)
         _, vecs = solve_lowest(ham, 8)
@@ -507,6 +539,28 @@ class TestLeftOutShifts:
         expected = -np.sum(amp[out] ** 2 / (unperturbed[:, None] - energies[None, :]), axis=0)
         assert len(shifts) == len(COMPUTATIONAL_OCCUPATIONS)
         np.testing.assert_allclose(shifts, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("flux", [0.0, 0.3])
+    def test_kept_state_above_a_coupled_left_out_product_is_refused_naming_both(self, device, monkeypatch, flux):
+        blocks = spectrum._product_blocks(device, flux, CFG3, 60.0)
+        seen, left_out_shifts = [], spectrum._left_out_shifts
+        monkeypatch.setattr(spectrum, "_left_out_shifts", lambda *args: seen.append(args) or left_out_shifts(*args))
+        spectrum._product_solve(blocks, 45.0, flux, CFG3)
+        [(states, energies, _, kept)] = seen
+        # the ground state lifted 50 GHz, above left-out products it couples to (each lies 45 GHz or more up)
+        lifted = energies.copy()
+        lifted[0] += 50.0
+        e1, e2, e34 = blocks.energies
+        amp = _kron_cross_terms(blocks, (e1.size, e2.size, e34.size)) @ states[0].ravel()
+        unperturbed = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :]).ravel()
+        below = unperturbed[~kept.ravel() & (amp != 0.0) & (unperturbed <= lifted[0])]
+        assert below.size > 0
+        message = (
+            f"a left-out product state ({below.min():.4f} GHz) couples to "
+            f"a kept eigenstate above it ({lifted[0]:.4f} GHz)"
+        )
+        with pytest.raises(TruncationError, match=re.escape(message)):
+            left_out_shifts(states, lifted, blocks, kept)
 
 
 class TestZZ:

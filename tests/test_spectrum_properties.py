@@ -22,7 +22,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from csdtc import spectrum  # noqa: E402
 from csdtc.errors import LabelingError, TruncationError  # noqa: E402
-from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian, real_form  # noqa: E402
+from csdtc.hamiltonian import ChargeBasisConfig, assemble_hamiltonian  # noqa: E402
+from csdtc.spectrum import real_form  # noqa: E402
 from strategies import PARAMETER_SETS, PROPERTY_SETTINGS  # noqa: E402
 from test_spectrum import assert_split_exact, assert_split_matches_dense, solve_in_one_dense_matrix  # noqa: E402
 
