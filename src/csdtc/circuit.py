@@ -18,18 +18,8 @@ from .constants import E_CHARGE, FF, GHZ, NA, NH, PHI0_REDUCED, PLANCK_H
 from .errors import NumericsError, ParameterError
 
 _NODE_FIELDS = ("c11", "c22", "c33", "c44")
-_MUTUAL_FIELDS = ("c12", "c13", "c14", "c23", "c24", "c34")
+_MUTUAL_FIELDS = ("c12", "c13", "c14", "c23", "c24", "c34")  # cij joins nodes i and j; its JSON key is Cij
 _CURRENT_FIELDS = ("ic1", "ic2", "ic3", "ic4", "ic5")
-
-# mutual capacitance -> (row, col) in the 4x4 node matrix
-_MUTUAL_INDEX = {
-    "c12": (0, 1),
-    "c13": (0, 2),
-    "c14": (0, 3),
-    "c23": (1, 2),
-    "c24": (1, 3),
-    "c34": (2, 3),
-}
 
 _COND_LIMIT = 1e12
 
@@ -129,7 +119,8 @@ def derive_junction_energies(params: CircuitParams) -> JunctionEnergies:
 def build_capacitance_matrix(params: CircuitParams) -> np.ndarray:
     """Node capacitance matrix (F) of the parameter set."""
     mat = np.zeros((4, 4))
-    for name, (i, j) in _MUTUAL_INDEX.items():
+    for name in _MUTUAL_FIELDS:
+        i, j = int(name[1]) - 1, int(name[2]) - 1
         value = getattr(params, name) * FF
         mat[i, j] = -value
         mat[j, i] = -value
@@ -143,12 +134,19 @@ def charging_matrix(cmat: np.ndarray) -> np.ndarray:
     """Invert the capacitance matrix into the charging-energy matrix (GHz).
 
     Entry (i, j) is the coefficient of n_i n_j in H/h, i.e. (4e^2/2) C^-1 / h.
+    A well-conditioned matrix whose inverse still overflows (subnormal
+    capacitances) raises ``NumericsError`` naming the charging matrix.
     """
     c = np.asarray(cmat, dtype=float)
     cond = np.linalg.cond(c)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericsError(f"capacitance matrix is numerically singular (condition number {cond:.3e})")
     ec = (2.0 * E_CHARGE**2 / PLANCK_H) * np.linalg.inv(c) / GHZ
+    if not np.isfinite(ec).all():
+        raise NumericsError(
+            f"charging matrix overflows: the capacitance matrix, largest entry {np.abs(c).max():.3e} F, "
+            "is too small to invert"
+        )
     return (ec + ec.T) / 2.0
 
 
@@ -164,7 +162,6 @@ def reference_device() -> CircuitParams:
 # --- JSON parameter documents -------------------------------------------------
 
 _JSON_KEYS = {"node_caps_fF", "mutual_caps_fF", "critical_currents_nA"}
-_JSON_MUTUAL_KEYS = {"C12": "c12", "C13": "c13", "C14": "c14", "C23": "c23", "C24": "c24", "C34": "c34"}
 
 
 def _require_keys(found, expected, where: str) -> None:
@@ -188,9 +185,9 @@ def params_from_dict(doc: dict) -> CircuitParams:
     mutual = doc["mutual_caps_fF"]
     if not isinstance(mutual, dict):
         raise ParameterError("mutual_caps_fF must be an object")
-    _require_keys(mutual, _JSON_MUTUAL_KEYS, "mutual_caps_fF")
+    _require_keys(mutual, [_display(field) for field in _MUTUAL_FIELDS], "mutual_caps_fF")
     entries = [(f"node_caps_fF[{i}]", field, node[i]) for i, field in enumerate(_NODE_FIELDS)]
-    entries += [(f"mutual_caps_fF.{key}", field, mutual[key]) for key, field in _JSON_MUTUAL_KEYS.items()]
+    entries += [(f"mutual_caps_fF.{_display(field)}", field, mutual[_display(field)]) for field in _MUTUAL_FIELDS]
     entries += [(f"critical_currents_nA[{i}]", field, currents[i]) for i, field in enumerate(_CURRENT_FIELDS)]
     kwargs = {}
     for key, field, value in entries:
@@ -209,7 +206,7 @@ def params_to_dict(params: CircuitParams) -> dict:
     values = asdict(params)
     return {
         "node_caps_fF": [values[name] for name in _NODE_FIELDS],
-        "mutual_caps_fF": {key: values[field] for key, field in _JSON_MUTUAL_KEYS.items()},
+        "mutual_caps_fF": {_display(field): values[field] for field in _MUTUAL_FIELDS},
         "critical_currents_nA": [values[name] for name in _CURRENT_FIELDS],
     }
 

@@ -20,14 +20,8 @@ from .errors import BracketError, ConfigError
 from .hamiltonian import ChargeBasisConfig
 
 
-def bounded_argmin(func, lo: float, hi: float, *, tol: float = 0.05) -> float:
-    """Argmin of a unimodal function on finite bounds lo < hi by bounded Brent search, to ``tol`` absolute.
-
-    Raises BracketError when the argmin lands within tol + (hi - lo)/1000 of an
-    endpoint, which means the bracket does not contain the interior minimum,
-    and ConfigError, before ``func`` is called, when those two edge zones
-    leave no interior at all.
-    """
+def _check_bracket(lo: float, hi: float, tol: float) -> None:
+    """Raise ConfigError unless lo < hi are finite and the positive ``tol`` leaves ``bounded_argmin`` an interior."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"bracket must be finite with lo < hi, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0):
@@ -38,6 +32,17 @@ def bounded_argmin(func, lo: float, hi: float, *, tol: float = 0.05) -> float:
             f"bracket tolerance {tol:g} leaves no interior in [{lo}, {hi}]: an argmin within tol + (hi - lo)/1000 "
             f"of either end is refused, so the tolerance must be below {tol_limit:.6g}"
         )
+
+
+def bounded_argmin(func, lo: float, hi: float, *, tol: float = 0.05) -> float:
+    """Argmin of a unimodal function on finite bounds lo < hi by bounded Brent search, to ``tol`` absolute.
+
+    Raises BracketError when the argmin lands within tol + (hi - lo)/1000 of an
+    endpoint, which means the bracket does not contain the interior minimum,
+    and ConfigError, before ``func`` is called, when those two edge zones
+    leave no interior at all.
+    """
+    _check_bracket(lo, hi, tol)
     x_min = float(minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": tol}).x)
     edge = tol + (hi - lo) * 1e-3
     if x_min - lo < edge or hi - x_min < edge:
@@ -67,8 +72,10 @@ def search_design(
     """Zero-coupling fixed point, zeta there, and the C34 in ``bracket`` (fF) minimizing |zeta|.
 
     Every zeta is exact, at zero flux, on the parasitic-free circuit. ``tol``
-    is the absolute tolerance on the argmin, in fF.
+    is the absolute tolerance on the argmin, in fF; the bracket and ``tol``
+    are checked before the fixed point is sought.
     """
+    _check_bracket(*bracket, tol)
     bare = params.without_parasitics()
     fixed_point = perturbative.zero_coupling_c34(bare)
 

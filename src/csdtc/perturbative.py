@@ -158,6 +158,7 @@ def mode_frequencies_and_g12(
 
     W comes from the exact 2x2 inverse of M_c = [[C1, -C'34], [-C'34, C2]];
     omega_i = sqrt(8 W_ii wJ) with wJ the normalization energy over hbar.
+    A determinant, mode frequency or g12 that overflows raises ``ModelError``.
     """
     mc = np.array(
         [
@@ -165,17 +166,24 @@ def mode_frequencies_and_g12(
             [-eff.c34_eff, b24.c_qubit],
         ]
     )
-    det = mc[0, 0] * mc[1, 1] - mc[0, 1] * mc[1, 0]
+    with np.errstate(over="ignore"):  # an overflow is refused just below, not warned about
+        det = mc[0, 0] * mc[1, 1] - mc[0, 1] * mc[1, 0]
+    if not math.isfinite(det):
+        raise ModelError(f"two-mode capacitance matrix overflows: its determinant is {det}")
     if det <= 0 or mc[0, 0] <= 0:
         raise ModelError("two-mode capacitance matrix is not positive definite")
     w = (E_CHARGE**2 / (2.0 * HBAR)) * np.linalg.inv(mc)
     omega_j = float(e_norm_ghz) * GHZ * _TWO_PI
     omega1 = math.sqrt(8.0 * w[0, 0] * omega_j)
     omega2 = math.sqrt(8.0 * w[1, 1] * omega_j)
+    if not (math.isfinite(omega1) and math.isfinite(omega2)):
+        raise ModelError(f"mode frequencies overflow: omega1 = {omega1}, omega2 = {omega2} rad/s")
     ej5_eff_rad = eff.ej5_eff * GHZ * _TWO_PI
     g12 = 0.5 * math.sqrt(omega1 * omega2 / (w[0, 0] * w[1, 1])) * (
         w[0, 1] - 8.0 * ej5_eff_rad * w[0, 0] * w[1, 1] / (omega1 * omega2)
     )
+    if not math.isfinite(g12):
+        raise ModelError(f"coupling rate g12 is not finite: {g12} rad/s")
     return ModeSystem(w=w, omega1=omega1, omega2=omega2, g12=g12)
 
 

@@ -433,27 +433,24 @@ def write_trace_csv(trace: RBTrace, path) -> None:
 
 
 def read_trace_csv(path) -> RBTrace:
+    """Read a trace exactly as ``write_trace_csv`` writes it; anything else raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if not header.startswith("#"):
-            raise ValueError(f"{path}: expected '# kind=... variant=...' header line")
-        fields = dict(
-            part.split("=", 1) for part in header.lstrip("#").split() if "=" in part
-        )
-        if "kind" not in fields or "variant" not in fields:
-            raise ValueError(f"{path}: header must define kind and variant")
+            raise ValueError(f"{path}: line 1: expected '# kind=... variant=...' header line")
+        pairs = [part.split("=", 1) for part in header[1:].split()]
+        if sorted(pair[0] for pair in pairs) != ["kind", "variant"] or any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"{path}: line 1: header must define kind and variant once each, got {header!r}")
+        fields = dict(pairs)
         reader = csv.reader(handle)
         columns = next(reader, [])
-        if columns[:2] != ["m", "value"]:
-            raise ValueError(f"{path}: line 2: expected columns m, value[, std_err]")
-        has_std = len(columns) > 2 and columns[2] == "std_err"
-        width = 3 if has_std else 2
+        if columns not in (["m", "value"], ["m", "value", "std_err"]):
+            raise ValueError(f"{path}: line 2: expected columns m,value or m,value,std_err, got {','.join(columns)!r}")
+        has_std = len(columns) == 3
         lengths, values, stds = [], [], []
         for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                raise ValueError(f"{path}: line {reader.line_num + 1}: expected {width} fields, got {len(row)}")
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: line {reader.line_num + 1}: expected {len(columns)} fields, got {len(row)}")
             try:
                 lengths.append(int(row[0]))
                 values.append(float(row[1]))

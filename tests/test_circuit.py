@@ -78,6 +78,16 @@ class TestCapacitanceMatrix:
         mat = build_capacitance_matrix(device)
         assert np.array_equal(mat, mat.T)
 
+    @pytest.mark.parametrize(
+        "field, i, j", [("c12", 0, 1), ("c13", 0, 2), ("c14", 0, 3), ("c23", 1, 2), ("c24", 1, 3), ("c34", 2, 3)]
+    )
+    def test_mutual_cij_joins_nodes_i_and_j(self, decoupled, field, i, j):
+        mat = build_capacitance_matrix(replace(decoupled, **{field: 7.0}))
+        off_diagonal = mat - np.diag(np.diag(mat))
+        expected = np.zeros((4, 4))
+        expected[i, j] = expected[j, i] = -7.0e-15
+        assert np.array_equal(off_diagonal, expected)
+
     def test_decoupled_is_diagonal(self, decoupled):
         mat = build_capacitance_matrix(decoupled)
         nodes = [decoupled.c11, decoupled.c22, decoupled.c33, decoupled.c44]
@@ -126,6 +136,18 @@ class TestChargingMatrix:
         with pytest.raises(NumericsError, match="condition number"):
             charging_matrix(singular)
 
+    def test_overflowing_inverse_refused_naming_the_charging_matrix(self, device):
+        # 1e-300 fF nodes and no mutuals: condition number 1, but the inverse overflows to inf and NaN
+        tiny = replace(device, c11=1e-300, c22=1e-300, c33=1e-300, c44=1e-300,
+                       c12=0.0, c13=0.0, c14=0.0, c23=0.0, c24=0.0, c34=0.0)
+        cmat = build_capacitance_matrix(tiny)
+        assert np.linalg.cond(cmat) == 1.0
+        with pytest.raises(NumericsError) as info:
+            charging_matrix(cmat)
+        assert str(info.value) == (
+            "charging matrix overflows: the capacitance matrix, largest entry 1.000e-315 F, is too small to invert"
+        )
+
     def test_near_singular_admissible_set_refused(self, device):
         # nodes 1 and 2 tied only to each other by 1e5 fF, with 1e-20 fF each to ground: admissible, yet singular
         tied = replace(device, c11=1e-20, c22=1e-20, c12=1e5, c13=0.0, c14=0.0, c23=0.0, c24=0.0)
@@ -163,6 +185,9 @@ class TestJsonDocument:
         path = tmp_path / "params.json"
         save_params(device, path)
         assert load_params(path) == device
+
+    def test_mutual_keys_in_field_order(self, device):
+        assert list(params_to_dict(device)["mutual_caps_fF"]) == ["C12", "C13", "C14", "C23", "C24", "C34"]
 
     def test_unknown_top_level_key(self, device):
         doc = params_to_dict(device)

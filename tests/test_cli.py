@@ -230,6 +230,21 @@ def test_overflowing_josephson_energy_is_numerical_failure_naming_the_junction(t
     assert not out.exists()
 
 
+def test_overflowing_charging_matrix_is_numerical_failure_naming_it(tmp_path, capsys):
+    # condition number 1, so only the inverse's overflow shows; it once reached the eigensolver as exit 2
+    tiny = replace(reference_device(), c11=1e-300, c22=1e-300, c33=1e-300, c44=1e-300,
+                   c12=0.0, c13=0.0, c14=0.0, c23=0.0, c24=0.0, c34=0.0)
+    params = tmp_path / "subnormal_caps.json"
+    save_params(tiny, params)
+    out = tmp_path / "zz.csv"
+    code = main(["zz", "--params", str(params), "--flux-grid", "0.15", "--n-max", "3", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: charging matrix overflows: the capacitance matrix, largest entry 1.000e-315 F, is too small to invert\n"
+    )
+    assert not out.exists()
+
+
 class TestZZCommand:
     def test_flux_single_point(self, tmp_path, params_file):
         out = tmp_path / "zz.csv"
@@ -367,6 +382,17 @@ class TestPertCompareCommand:
         c34, exact, pert, g12, flag = out.read_text().splitlines()[1].split(",")
         assert float(c34) == 0.0 and flag == "0"
         assert all(np.isfinite(float(value)) for value in (exact, pert, g12))
+
+    def test_overflowing_two_mode_reduction_is_numerical_failure(self, tmp_path, capsys):
+        # 1e300 fF nodes overflow the two-mode determinant; that once wrote nan and exited 0
+        huge = replace(reference_device(), c11=1e300, c22=1e300, c33=1e300, c44=1e300)
+        params = tmp_path / "huge_caps.json"
+        save_params(huge, params)
+        out = tmp_path / "pc.csv"
+        code = main(["pert-compare", "--params", str(params), "--c34-grid", "30", "--n-max", "3", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: two-mode capacitance matrix overflows: its determinant is inf\n"
+        assert not out.exists()
 
     def test_zero_parasitics_sweeps_the_parasitic_free_circuit(self, tmp_path):
         noisy = CircuitParams(**{**vars(reference_device()), "c12": 5.0, "c14": 3.0, "c23": 2.0})
@@ -526,6 +552,48 @@ class TestDesignCommand:
         assert err == "error: bracket must be finite with lo < hi, got [34.0, inf]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bracket", "34:58", "--bracket-tol", "12"], "bracket tolerance 12 leaves no interior in [34.0, 58.0]"),
+            (["--bracket", "58:34"], "bracket must be finite with lo < hi, got [58.0, 34.0]\n"),
+            (["--bracket-tol", "-1"], "bracket tolerance must be finite and positive, got -1.0\n"),
+        ],
+        ids=["no_interior", "reversed", "negative_tolerance"],
+    )
+    def test_bad_bracket_is_usage_error_before_the_fixed_point(
+        self, tmp_path, monkeypatch, capsys, mode_swap_circuit, flags, message
+    ):
+        # this circuit's fixed point fails (exit 3), so a bracket checked only by the argmin went unnamed
+        def no_fixed_point(*args, **kwargs):
+            raise AssertionError("zero_coupling_c34 called")
+
+        monkeypatch.setattr(perturbative, "zero_coupling_c34", no_fixed_point)
+        params = tmp_path / "mode_swap.json"
+        save_params(mode_swap_circuit, params)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", str(params), "--n-max", "3", *flags, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failed_fixed_point_is_numerical_failure_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, mode_swap_circuit
+    ):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("zz_interaction called")
+
+        monkeypatch.setattr("csdtc.spectrum.zz_interaction", no_eigensolve)
+        params = tmp_path / "mode_swap.json"
+        save_params(mode_swap_circuit, params)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", str(params), "--n-max", "3", "--bracket", "34:58", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: the g12 polish converged onto C34 = 168.948 fF") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_fixed_point_outside_its_bracket_is_numerical_failure(self, tmp_path, params_file, monkeypatch, capsys):
         # a closed form above every C34 leaves closed(C) - C without a sign change on the fixed-point bracket;
         # ModelError: the perturbative model failed, so exit 3 like every other numerical failure
@@ -630,22 +698,26 @@ class TestRBBudgetCommand:
         assert main(["rb-budget"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "body, line",
+        "text, line",
         [
-            ("m,value,std_err\n1,0.9,0.01\n5,0.8\n", "line 4"),
-            ("", "line 2"),
-            ("m,value\n1,0.9\n2,abc\n", "line 4"),
+            ("# kind=population_X1 variant=SRB\nm,value,std_err\n1,0.9,0.01\n5,0.8\n", "line 4"),
+            ("# kind=population_X1 variant=SRB\n", "line 2"),
+            ("# kind=population_X1 variant=SRB\nm,value\n1,0.9\n2,abc\n", "line 4"),
+            ("# kind=population_X1 variant=SRB variant=IRB\nm,value\n1,0.9\n", "line 1"),
+            ("# kind=population_X1 variant=SRB\nm,value,sigma\n1,0.9,0.01\n", "line 2"),
+            ("# kind=population_X1 variant=SRB\nm,value\n1,0.9,0.01\n", "line 3"),
         ],
-        ids=["short_row", "header_only", "bad_cell"],
+        ids=["short_row", "header_only", "bad_cell", "variant_twice", "sigma_column", "long_row"],
     )
-    def test_malformed_trace_names_file_and_line(self, tmp_path, capsys, body, line):
+    def test_malformed_trace_names_file_and_line(self, tmp_path, capsys, text, line):
         paths = _write_bundle(tmp_path)
         bad = tmp_path / "bad.csv"
-        bad.write_text("# kind=population_X1 variant=SRB\n" + body)
+        bad.write_text(text)
         code = main(["rb-budget", "--partial", "--x1-srb", str(bad), "--x1-irb", paths["x1_irb"]])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.count(str(bad)) == 1 and line in err
+        assert err.startswith(f"error: slot x1_srb: {bad}: {line}: ")
+        assert err.count(str(bad)) == 1
         assert len(err.strip().splitlines()) == 1
 
     def test_non_finite_purity_is_usage_error(self, tmp_path, capsys):

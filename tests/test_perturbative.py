@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,32 @@ class TestModeFrequencies:
         )
         with pytest.raises(ModelError):
             mode_frequencies_and_g12(b13, b24, huge, ej.ej1)
+
+    def test_overflowing_determinant_refused_without_warnings(self, device):
+        # 1e300 fF nodes: finite and admissible, but C1 C2 overflows, which passed det <= 0 as inf
+        huge_nodes = replace(device, c11=1e300, c22=1e300, c33=1e300, c44=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="two-mode capacitance matrix overflows: its determinant is inf"):
+                two_mode_reduction(huge_nodes)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # det = 1e-310 is positive, yet W_11 = C2/det overflows
+            (lambda b13, b24, eff: (replace(b13, c_qubit=1e-310), replace(b24, c_qubit=1.0), replace(eff, c34_eff=0.0)),
+             "mode frequencies overflow: omega1 = inf"),
+            (lambda b13, b24, eff: (b13, b24, replace(eff, ej5_eff=math.inf)), "coupling rate g12 is not finite"),
+        ],
+        ids=["mode_frequency", "g12"],
+    )
+    def test_non_finite_frequency_or_coupling_refused(self, device, edit, message):
+        b13, b24, ej = _blocks(device)
+        b13, b24, eff = edit(b13, b24, effective_parameters(b13, b24, device.c34, ej))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=message):
+                mode_frequencies_and_g12(b13, b24, eff, ej.ej1)
 
 
 class TestCrossKerr:
@@ -227,14 +254,10 @@ class TestZeroCoupling:
         assert abs(result.g12_residual) < tol
         assert result.c34_star_ff == pytest.approx(63.84, abs=0.01)
 
-    def test_polish_onto_mode_swap_names_it(self):
+    def test_polish_onto_mode_swap_names_it(self, mode_swap_circuit):
         # the fixed point (214.25 fF) leaves |g12| above tolerance, and the polish's brentq converges onto
         # the C34 where block_normal_modes swaps a block's qubit-like column: k_Ur and g12 jump sign there
-        swapping = CircuitParams(
-            c11=112.51, c22=139.72, c33=127.57, c44=72.52,
-            c12=9.0, c13=26.21, c14=0.16, c23=24.64, c24=23.91, c34=14.04,
-            ic1=28.18, ic2=26.71, ic3=25.29, ic4=36.7, ic5=40.27,
-        )
+        swapping = mode_swap_circuit
         fixed = brentq(lambda c: two_mode_reduction(swapping.with_c34(c)).c34_closed_ff - c, 0.0, 500.0, xtol=1e-6)
         assert fixed == pytest.approx(214.25, abs=0.01)
         below, above = (two_mode_reduction(swapping.with_c34(168.948 + step)) for step in (-1e-3, 1e-3))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,28 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         assert read_trace_csv(path) == trace
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("variant=SRB", "variant=SRB variant=IRB", 1),
+            ("# kind", "# note kind", 1),
+            ("m,value,std_err", "m,value,sigma", 2),
+            ("\n5,", "\n5,0.5,", 4),
+            ("\n5,", "\n\n5,", 4),
+        ],
+        ids=["variant_twice", "bare_header_word", "sigma_column", "long_row", "blank_row"],
+    )
+    def test_only_the_written_format_is_read(self, tmp_path, old, new, line):
+        trace = synth_trace(offset=0.2, amplitude=0.7, lam=0.99, kind=KIND_POPULATION_X1,
+                            lengths=LENGTHS, noise_sigma=0.01, seed=5)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
+            read_trace_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
