@@ -1,8 +1,8 @@
 """Command-line interface: sweeps, design search, and RB budgets.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure. Outputs
-are byte-identical across reruns with the same config and seed. Warnings
-and the error, if any, reach stderr as one line each.
+are byte-identical across reruns with the same config, whatever the
+``--seed``. Warnings and the error, if any, reach stderr as one line each.
 """
 
 from __future__ import annotations
@@ -53,15 +53,19 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 
 
 def _basis_config(args) -> ChargeBasisConfig:
-    return ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k, seed=args.seed)
+    """The basis of ``--n-max`` and ``--k``, checked before ``--seed``, which changes nothing written."""
+    cfg = ChargeBasisConfig(n_max=args.n_max, num_eigenstates=args.k)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
+    return cfg
 
 
 def _add_common(parser, *, out_required: bool = True):
     parser.add_argument("--params", required=True, help="circuit parameter JSON file")
     parser.add_argument("--out", required=out_required, help="output path")
-    parser.add_argument("--n-max", type=int, default=7, dest="n_max")
-    parser.add_argument("--k", type=int, default=16, help="eigenstate count, 6 to 54")
-    parser.add_argument("--seed", type=int, default=0, help="charge-basis eigensolver seed, >= 0")
+    parser.add_argument("--n-max", type=int, default=ChargeBasisConfig.n_max, dest="n_max")
+    parser.add_argument("--k", type=int, default=ChargeBasisConfig.num_eigenstates, help="eigenstate count, 6 to 54")
+    parser.add_argument("--seed", type=int, default=0, help="checked (>= 0), changes nothing written")
 
 
 def _report_sweep(points, label: str, attr: str) -> int:
@@ -106,7 +110,8 @@ def cmd_pert_compare(args) -> int:
 
 def cmd_design(args) -> int:
     params = load_params(args.params)
-    cfg, bracket = _basis_config(args), _parse_bracket(args.bracket)  # both checked with --formula-only too
+    cfg, bracket = _basis_config(args), _parse_bracket(args.bracket)
+    design._check_bracket(*bracket, args.bracket_tol)  # so --formula-only refuses what the search refuses
     if args.formula_only:
         doc = design.closed_form_design(params)
     else:
@@ -169,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="decoupling C34 from the fixed point and from |zeta| argmin")
     _add_common(p_design, out_required=False)
     p_design.add_argument("--bracket", default="10:90", help="C34 bracket 'lo:hi' in fF for the argmin search")
-    p_design.add_argument("--bracket-tol", type=float, default=0.05, dest="bracket_tol", help="argmin tolerance in fF")
+    p_design.add_argument(
+        "--bracket-tol", type=float, default=design.ARGMIN_TOL_FF, dest="bracket_tol", help="argmin tolerance in fF"
+    )
     p_design.add_argument("--formula-only", action="store_true", help="closed form 1/(LJ5 w1 w2) only")
     p_design.set_defaults(func=cmd_design)
 

@@ -19,6 +19,8 @@ from .circuit import CircuitParams
 from .errors import BracketError, ConfigError
 from .hamiltonian import ChargeBasisConfig
 
+ARGMIN_TOL_FF = 0.05  # default absolute tolerance (fF) of the |zeta| argmin
+
 
 def _check_bracket(lo: float, hi: float, tol: float) -> None:
     """Raise ConfigError unless lo < hi are finite and the positive ``tol`` leaves ``bounded_argmin`` an interior."""
@@ -34,7 +36,7 @@ def _check_bracket(lo: float, hi: float, tol: float) -> None:
         )
 
 
-def bounded_argmin(func, lo: float, hi: float, *, tol: float = 0.05) -> float:
+def bounded_argmin(func, lo: float, hi: float, *, tol: float = ARGMIN_TOL_FF) -> float:
     """Argmin of a unimodal function on finite bounds lo < hi by bounded Brent search, to ``tol`` absolute.
 
     Raises BracketError when the argmin lands within tol + (hi - lo)/1000 of an
@@ -67,7 +69,7 @@ def search_design(
     bracket: tuple[float, float],
     cfg: ChargeBasisConfig,
     *,
-    tol: float = 0.05,
+    tol: float = ARGMIN_TOL_FF,
 ) -> dict:
     """Zero-coupling fixed point, zeta there, and the C34 in ``bracket`` (fF) minimizing |zeta|.
 

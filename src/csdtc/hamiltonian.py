@@ -66,14 +66,10 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class ChargeBasisConfig:
-    """Charge-basis truncation (per-node -n_max..n_max), eigenstate count and Lanczos seed, stored as ints.
-
-    ``seed`` seeds the start vector of the four-node charge-basis solve only.
-    """
+    """Charge-basis truncation (per-node -n_max..n_max) and eigenstate count, stored as ints."""
 
     n_max: int = 7
     num_eigenstates: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if not _is_integer(self.n_max) or self.n_max < 3:
@@ -83,9 +79,7 @@ class ChargeBasisConfig:
                 f"num_eigenstates must be an integer from 6 to {_MAX_EIGENSTATES}, the number of dressed "
                 f"labels, got {self.num_eigenstates}"
             )
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("n_max", "num_eigenstates", "seed"):
+        for name in ("n_max", "num_eigenstates"):
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.states_per_node**2 > _BLOCK_DIMENSION_CAP:
             raise ConfigError(

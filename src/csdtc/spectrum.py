@@ -7,27 +7,28 @@ One backend answers at every n_max, with the charge basis as its oracle:
   their eigenstates whose summed excitation energy
   (e1[a] - e1[0]) + (e2[b] - e2[0]) + (e34[c] - e34[0]) is at most a cutoff
   E_cut: block energies on the diagonal, minus the cross-block charge terms
-  2 Ec_ij N_i N_j. Each sector is solved by ``solve_lowest`` from the
-  fixed start vector of seed 0. Each computational level then gets its
-  second-order shift from every product left out (hierarchical
-  diagonalization with a Loewdin-partitioning correction). The solve and the
-  correction read the cross terms from one table, ``_ProductBlocks.couplings``.
+  2 Ec_ij N_i N_j. Each sector is solved by ``solve_lowest``. Each
+  computational level then gets its second-order shift from every product
+  left out (hierarchical diagonalization with a Loewdin-partitioning
+  correction). The solve and the correction read the cross terms from one
+  table, ``_ProductBlocks.couplings``.
   E_cut is tried at 45, 50, 55 and 60 GHz, and the first is accepted on its
   own correction: at most 0.05 kHz on zeta at 45 GHz, where the correction
   can understate the remainder, at most 0.5 kHz above it, and at most
   1e-5 GHz on every computational frequency. The four-node operator is never
-  built, and ``ChargeBasisConfig.seed`` has no effect. Where every block
-  is real (flux 0 or 1/2) the kept products split into two parity sectors,
-  solved apart (below); elsewhere they are one sector.
+  built. Where every block is real (flux 0 or 1/2) the kept products split
+  into two parity sectors, solved apart (below); elsewhere they are one
+  sector.
 - charge basis (the oracle, and the fall-back where no cutoff is
-  accepted): the four-node operator on (2 n_max + 1)^4 states, solved by
-  ``solve_lowest`` from the start vector of ``ChargeBasisConfig.seed``. It
-  is never split by parity, so it stays an independent check of the split.
+  accepted): the four-node operator on (2 n_max + 1)^4 states, folded to
+  its real form where complex and solved by ``solve_lowest``. It is never
+  split by parity, so it stays an independent check of the split.
 
-Every lowest-k solve takes one route, ``solve_lowest``: it folds a complex
-operator to its real form and maps the eigenvectors back, and it picks dense
-LAPACK up to ``_SPARSE_MIN_PRODUCTS`` states and ARPACK Lanczos on a CSR
-copy above. So every eigensolve is real.
+Every lowest-k solve takes one route, ``solve_lowest``, on a real symmetric
+operator: dense LAPACK up to ``_SPARSE_MIN_PRODUCTS`` states, and above it
+ARPACK Lanczos on a CSR copy from one fixed start vector. The product
+matrices are real by construction and the oracle folds its own operator, so
+every eigensolve is real and every output depends on the config alone.
 
 Real form. The charge reflection n -> -n is the index reflection
 P: i -> dim - 1 - i in kron order, and P H P = H* for every operator here,
@@ -159,27 +160,22 @@ class ConvergenceStudy:
     converged: bool
 
 
-def solve_lowest(operator, k: int, *, seed: int = 0):
-    """Lowest-k eigenpairs of a Hermitian operator, dense or CSR, ascending: the one route of every solve here.
+def solve_lowest(operator, k: int):
+    """Lowest-k eigenpairs of a real symmetric operator, dense or CSR, ascending: the one route of every solve here.
 
-    A complex operator, which must satisfy P H P = H* as every operator built
-    here does, is solved in its real form (``real_form``) and its
-    eigenvectors are mapped back. Up to ``_SPARSE_MIN_PRODUCTS`` states LAPACK
-    solves a dense copy for its lowest k pairs only; above that ARPACK Lanczos
-    solves a CSR copy from the start vector of ``seed``, so repeated runs are
-    bit-identical. Residuals are checked on the solved real matrix against
-    1e-8 * ||H||_1 per pair.
+    Up to ``_SPARSE_MIN_PRODUCTS`` states LAPACK solves a dense copy for its
+    lowest k pairs only; above that ARPACK Lanczos solves a CSR copy, always
+    from the start vector ``default_rng(0).standard_normal(n)``, so repeated
+    runs are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per
+    pair.
     """
     n = np.shape(operator)[0]
     if not (0 < k < n):
         raise ValueError(f"need 0 < k < dimension, got k={k}, dimension={n}")
 
-    folded = np.iscomplexobj(operator)
-    if folded:
-        operator = real_form(operator)
     if n > _SPARSE_MIN_PRODUCTS:
         operator = sp.csr_matrix(operator)  # rebinding frees a dense input before Lanczos
-        v0 = np.random.default_rng(seed).standard_normal(n)
+        v0 = np.random.default_rng(0).standard_normal(n)
         try:
             vals, vecs = spla.eigsh(operator, k=k, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
@@ -200,7 +196,7 @@ def solve_lowest(operator, k: int, *, seed: int = 0):
         raise SolverError(
             f"eigenpair residuals exceed contract: max {residuals.max():.3e} > {tol:.3e}"
         )
-    return vals, from_real_form(vecs) if folded else vecs
+    return vals, vecs
 
 
 def _assign_labels(overlaps: np.ndarray):
@@ -254,9 +250,30 @@ def label_states(eigvecs, blocks: BlockHamiltonians):
 
 
 def charge_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
-    """The oracle: solve the four-node charge-basis operator from the start vector of ``cfg.seed`` and label it."""
-    blocks, *operator = assemble_hamiltonian(params, flux, cfg)  # popped: the fold frees it before Lanczos
-    vals, vecs = solve_lowest(operator.pop(), cfg.num_eigenstates, seed=cfg.seed)
+    """The oracle: solve the four-node charge-basis operator in its real form and label it.
+
+    A complex operator is folded by ``real_form``, and the eigenvectors are
+    mapped back by ``from_real_form``. The lowest k + 2 states are solved and
+    the lowest k kept, so a k-th state that cuts a near-degenerate multiplet
+    shows: ``SolverError`` when E_k - E_{k-1} is at most the residual
+    tolerance 1e-8 * ||H||_1 of the solved real operator, since which states
+    of the multiplet are kept would then follow the start vector.
+    """
+    blocks, operator = assemble_hamiltonian(params, flux, cfg)
+    folded = np.iscomplexobj(operator)
+    if folded:
+        operator = real_form(operator)  # rebinding frees the complex operator before Lanczos
+    k = cfg.num_eigenstates
+    vals, vecs = solve_lowest(operator, k + 2)
+    gap, tol = vals[k] - vals[k - 1], _RESIDUAL_FACTOR * spla.norm(operator, 1)
+    if gap <= tol:
+        raise SolverError(
+            f"the lowest {k} charge-basis states cut a near-degenerate multiplet: "
+            f"E_{k} - E_{k - 1} = {gap:.3e} GHz, within the residual tolerance {tol:.3e} GHz"
+        )
+    vals, vecs = vals[:k], vecs[:, :k]
+    if folded:
+        vecs = from_real_form(vecs)
     return SpectrumResult(
         flux=float(flux),
         n_max=cfg.n_max,
@@ -418,8 +435,8 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     sector; elsewhere the kept products are one sector. The lowest k of each
     sector are merged and the lowest k overall kept, with eigenvectors zero
     outside their sector. Each sector's dense matrix goes straight to
-    ``solve_lowest``, always from the start vector of seed 0. Also returns
-    the (even, odd) sector sizes, or None for one sector.
+    ``solve_lowest``. Also returns the (even, odd) sector sizes, or None for
+    one sector.
     """
     if blocks.parities is None:
         sectors, sizes = [np.arange(a.size)], None
@@ -555,9 +572,9 @@ def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> Spe
 def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
     """Solve, label and ground-reference the spectrum at one flux.
 
-    The product backend, which ignores ``cfg.seed``, answers unless it raises
-    ``TruncationError``; then the seeded charge-basis oracle solves the point
-    and the result records why in ``fallback``.
+    The product backend answers unless it raises ``TruncationError``; then
+    the charge-basis oracle solves the point and the result records why in
+    ``fallback``.
     """
     try:
         return product_spectrum(params, flux, cfg)

@@ -258,7 +258,7 @@ class TestZZCommand:
         assert -150.0 < zeta < 0.0
 
     def test_negative_seed_refused_before_solving(self, tmp_path, params_file, capsys, monkeypatch):
-        # ChargeBasisConfig refuses the seed before the sweep starts, whichever basis would solve the point
+        # the CLI refuses the seed before the sweep starts, though no solve reads it
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("spectrum_at called")
 
@@ -509,6 +509,25 @@ class TestDesignCommand:
         code = main(["design", "--params", params_file, "--formula-only", "--bracket", "garbage", "--out", str(out)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: malformed bracket 'garbage'; expected 'lo:hi'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bracket", "58:34"], "error: bracket must be finite with lo < hi, got [58.0, 34.0]\n"),
+            (["--bracket-tol", "-1"], "error: bracket tolerance must be finite and positive, got -1.0\n"),
+        ],
+        ids=["reversed", "negative_tolerance"],
+    )
+    def test_formula_only_refuses_what_the_search_refuses(self, tmp_path, params_file, monkeypatch, capsys, flags, message):
+        def no_closed_form(*args, **kwargs):
+            raise AssertionError("two_mode_reduction called")
+
+        monkeypatch.setattr(perturbative, "two_mode_reduction", no_closed_form)
+        out = tmp_path / "design.json"
+        code = main(["design", "--params", params_file, "--formula-only", *flags, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_tolerance_leaving_no_interior_is_usage_error_before_any_solve(

@@ -9,6 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from csdtc import CircuitParams, spectrum
+from csdtc.circuit import save_params
+from csdtc.cli import main
 from csdtc.errors import ConfigError, LabelingError, NumericsError, SolverError, TruncationError
 from csdtc.hamiltonian import ChargeBasisConfig, assemble_blocks, assemble_hamiltonian
 from csdtc.spectrum import (
@@ -55,19 +57,31 @@ def record_eigensolves(monkeypatch):
 
 class TestSolveLowest:
     def test_complex_operator_is_solved_folded_and_mapped_back(self, device, monkeypatch):
+        # the oracle folds its complex operator, so ARPACK sees a real CSR, and maps the eigenvectors back
         ham = assemble_hamiltonian(device, 0.3, CFG3)[1]
+        labeled, label = [], spectrum.label_states
+        monkeypatch.setattr(spectrum, "label_states", lambda vecs, blocks: labeled.append(vecs) or label(vecs, blocks))
         seen = record_eigensolves(monkeypatch)
-        vals, vecs = solve_lowest(ham, 8)
-        assert seen == [("scipy.sparse.linalg.eigsh", np.float64, CFG3.dimension, "csr")]
-        assert np.iscomplexobj(vecs)
+        spec = charge_spectrum(device, 0.3, CFG3)
+        assert [solve for solve in seen if solve[0] != "numpy.linalg.eigh"] == [
+            ("scipy.sparse.linalg.eigsh", np.float64, CFG3.dimension, "csr")
+        ]
+        (vecs,) = labeled
+        assert np.iscomplexobj(vecs) and vecs.shape == (CFG3.dimension, CFG3.num_eigenstates)
         # the contract holds on the complex operator itself, not only on the real form that was solved
+        vals = np.einsum("ij,ij->j", vecs.conj(), ham @ vecs).real
         residuals = np.linalg.norm(ham @ vecs - vecs * vals, axis=0)
         assert residuals.max() <= spectrum._RESIDUAL_FACTOR * spla.norm(ham, 1)
+        assert np.abs(spec.eigenfrequencies_ghz - (vals - vals[0])).max() <= 1e-10
 
     @pytest.mark.parametrize("flux", [0.0, 0.3])
     def test_size_picks_the_solver_whatever_the_input_kind(self, device, monkeypatch, flux):
-        coupler = sp.csr_matrix(assemble_blocks(device, flux, ChargeBasisConfig(n_max=7))[0].modes[2])
-        operator = assemble_hamiltonian(device, flux, CFG3)[1]
+        # solve_lowest takes real operators: at 0.3 each is folded first, as charge_spectrum folds its own
+        def solvable(op):
+            return spectrum.real_form(op) if np.iscomplexobj(op) else op
+
+        coupler = sp.csr_matrix(solvable(assemble_blocks(device, flux, ChargeBasisConfig(n_max=7))[0].modes[2]))
+        operator = solvable(assemble_hamiltonian(device, flux, CFG3)[1])
         assert coupler.shape[0] <= spectrum._SPARSE_MIN_PRODUCTS < operator.shape[0]
         seen = record_eigensolves(monkeypatch)
         sparse_vals, _ = solve_lowest(operator, 8)
@@ -413,13 +427,6 @@ class TestSparseSectors:
         assert [label.overlap for label in sparse.labels] == pytest.approx([label.overlap for label in dense.labels])
         assert abs(computational_zeta_khz(sparse) - computational_zeta_khz(dense)) <= 1e-6
 
-    def test_product_backend_ignores_seed_above_the_limit(self, device):
-        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
-        first, second = (spectrum_at(device, 0.15, replace(cfg, seed=seed)) for seed in (0, 7))
-        assert first.kept_states > spectrum._SPARSE_MIN_PRODUCTS
-        assert np.array_equal(first.eigenfrequencies_ghz, second.eigenfrequencies_ghz)
-        assert first.labels == second.labels
-
     @pytest.mark.parametrize("n_max", [3, 5])
     @pytest.mark.parametrize("flux", [0.2, 0.35])
     @pytest.mark.parametrize("params", DEGENERATE_CIRCUITS)
@@ -755,39 +762,35 @@ def test_strongly_coupled_circuit_settles_near_the_oracle():
     assert _zeta_from_spectrum(spec) == pytest.approx(oracle, abs=ZETA_GATE_KHZ)
 
 
-class TestSeedRouting:
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        """(dimension, seed) of every ``solve_lowest`` call."""
-        calls, solve = [], spectrum.solve_lowest
+class TestOracleCut:
+    # four equal nodes, no mutuals: the oracle's levels at flux 0 pair up, first at E_5 = E_6, and not at E_15, E_16
+    TWIN_NODES = CircuitParams(
+        c11=50, c22=50, c33=50, c44=50, c12=0, c13=0, c14=0, c23=0, c24=0, c34=0,
+        ic1=10, ic2=10, ic3=10, ic4=10, ic5=10,
+    )
 
-        def spy(operator, k, *, seed=0):
-            calls.append((operator.shape[0], seed))
-            return solve(operator, k, seed=seed)
+    def test_k_cutting_a_degenerate_pair_is_refused_naming_the_gap(self):
+        cfg = ChargeBasisConfig(n_max=3, num_eigenstates=6)
+        with pytest.raises(SolverError, match="the lowest 6 charge-basis states cut a near-degenerate multiplet") as err:
+            charge_spectrum(self.TWIN_NODES, 0.0, cfg)
+        gap, tol = re.search(r"E_6 - E_5 = (\S+) GHz, within the residual tolerance (\S+) GHz", str(err.value)).groups()
+        assert float(gap) < 1e-12 and 1e-7 < float(tol) < 1e-6
 
-        monkeypatch.setattr(spectrum, "solve_lowest", spy)
-        return calls
+    def test_k_between_multiplets_is_answered(self):
+        spec = charge_spectrum(self.TWIN_NODES, 0.0, ChargeBasisConfig(n_max=3, num_eigenstates=16))
+        assert spec.backend == "charge" and len(spec.labels) == 16
 
-    def test_config_seed_starts_the_charge_basis_and_zero_every_product_sector(self, starts):
-        cfg = ChargeBasisConfig(n_max=3, num_eigenstates=16, seed=7)
-        assert spectrum_at(FALLBACK_CIRCUIT, 0.15, cfg).backend == "charge"
-        charge = [seed for dim, seed in starts if dim == cfg.dimension]
-        products = [seed for dim, seed in starts if dim != cfg.dimension]
-        assert charge == [7]
-        assert products and set(products) == {0}
 
-    def test_convergence_study_keeps_the_seed_at_each_n_max(self, starts, monkeypatch):
-        configs, zz = [], spectrum.zz_interaction
-
-        def spy(params, flux, cfg):
-            configs.append(cfg)
-            return zz(params, flux, cfg)
-
-        monkeypatch.setattr(spectrum, "zz_interaction", spy)
-        convergence_study(FALLBACK_CIRCUIT, 0.15, ChargeBasisConfig(n_max=3, num_eigenstates=16, seed=7), [3, 4])
-        assert [(cfg.n_max, cfg.seed) for cfg in configs] == [(3, 7), (4, 7)]
-        charge = [seed for dim, seed in starts if dim in (7**4, 9**4)]
-        assert charge and set(charge) == {7}
+def test_fallback_csv_is_the_same_at_every_seed(tmp_path):
+    # --seed is accepted and checked, but no Lanczos start vector follows it, so the oracle writes one CSV
+    params = tmp_path / "fallback.json"
+    save_params(FALLBACK_CIRCUIT, params)
+    outs = [tmp_path / f"zz_seed{seed}.csv" for seed in (0, 7)]
+    for seed, out in zip((0, 7), outs):
+        argv = ["zz", "--params", str(params), "--flux-grid=-0.15:0.15:3", "--n-max", "3", "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert [row.split(",")[2] for row in outs[0].read_text().splitlines()[1:]] == ["0", "0", "0"]
 
 
 class TestCsvWriters:
