@@ -31,7 +31,8 @@ class TestConfig:
         assert ChargeBasisConfig(n_max=7).dimension == 15**4
 
     @pytest.mark.parametrize("kwargs", [dict(n_max=2), dict(num_eigenstates=5), dict(n_max=40), dict(num_eigenstates=55),
-                                        dict(n_max=float("inf")), dict(num_eigenstates=None)])
+                                        dict(n_max=-1), dict(n_max=3.5), dict(n_max=float("inf")),
+                                        dict(num_eigenstates=float("nan")), dict(num_eigenstates=None)])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             ChargeBasisConfig(**kwargs)
