@@ -10,15 +10,21 @@ One backend answers at every n_max, with the charge basis as its oracle:
   2 Ec_ij N_i N_j. Each sector is solved by ``solve_lowest``. Each
   computational level then gets its second-order shift from every product
   left out (hierarchical diagonalization with a Loewdin-partitioning
-  correction). The solve and the correction read the cross terms from one
+  correction). The solve and the corrections read the cross terms from one
   table, ``_ProductBlocks.couplings``.
   E_cut is tried at 45, 50, 55 and 60 GHz, and the first is accepted on its
-  own correction: at most 0.05 kHz on zeta at 45 GHz, where the correction
-  can understate the remainder, at most 0.5 kHz above it, and at most
-  1e-5 GHz on every computational frequency. The four-node operator is never
-  built. Where every block is real (flux 0 or 1/2) the kept products split
-  into two parity sectors, solved apart (below); elsewhere they are one
-  sector.
+  own corrections. Its second-order correction must be at most 1e-5 GHz on
+  every computational frequency, and then either at most its bound on
+  zeta (0.05 kHz at 45 GHz, where the correction can understate the
+  remainder, and 0.5 kHz above), or else the third-order term of the same
+  partitioning, which estimates what the correction leaves out, at most
+  0.008 kHz on zeta. That estimate sums over the blocks' reach, built for
+  60 GHz, so it is taken only at 45 GHz, 15 GHz below it, and only where
+  the correction is at most 1 kHz, above which its terms can cancel. The
+  levels stay second-order values. The four-node operator is never
+  built. Where every block is real (flux 0 or 1/2) the kept products
+  split into two parity sectors, solved apart (below); elsewhere they are
+  one sector.
 - charge basis (the oracle, and the fall-back where no cutoff is
   accepted): the four-node operator on (2 n_max + 1)^4 states, folded to
   its real form where complex and solved by ``solve_lowest``. It is never
@@ -65,6 +71,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -88,11 +95,22 @@ AMBIGUITY_THRESHOLD = 0.5
 _RESIDUAL_FACTOR = 1e-8
 _SQRT2 = np.sqrt(2.0)
 # product backend: each cutoff (GHz) on the summed block excitation energy of a kept product, tried in order,
-# with the largest second-order correction to zeta (kHz) it accepts; the first is stricter because at 45 GHz
-# the correction can understate what is left out (at n_max 5 a 0.098 kHz correction left 0.0115 kHz)
-_E_CUT_LADDER = ((45.0, 0.05), (50.0, 0.5), (55.0, 0.5), (60.0, 0.5))
+# with the largest second-order correction to zeta (kHz) it accepts, and the largest third-order estimate of
+# what that correction leaves out (kHz) on which it is accepted all the same (None: no estimate is taken).
+# The first correction bound is stricter because at 45 GHz the correction can understate what is left out (at
+# n_max 5 a 0.098 kHz correction left 0.0115 kHz). The estimate sums over the left-out products inside the
+# reach of the blocks, which are built for the largest cutoff, so it is taken only at 45 GHz, 15 GHz below it:
+# nearer, it misses the products just above the cutoff, and on random circuits at n_max 5 the remainder
+# reached 3.8 times the estimate at 50 GHz and 31 times at 55 and 60
+_E_CUT_LADDER = ((45.0, 0.05, 0.008), (50.0, 0.5, None), (55.0, 0.5, None), (60.0, 0.5, None))
 # and the largest second-order correction to a computational frequency (GHz) that any cutoff accepts
 _MAX_LEVEL_CORRECTION_GHZ = 1e-5
+# the estimate is taken only where the zeta correction is at most this (kHz): above it the third-order terms can
+# cancel (at n_max 7 a 2.02 kHz correction had a 0.0006 kHz estimate and left 0.061 kHz). It estimates, it does
+# not bound: below the cap the remainder was 1.07-1.16 times the estimate on the device at n_max 5 and 1.18-1.41
+# times on the C34 scan, but up to 2.9 times on random circuits at n_max 7 and 12 times at n_max 5 where the
+# estimate was small; every point so accepted there was within 0.013 kHz of the oracle
+_MAX_ESTIMATED_CORRECTION_KHZ = 1.0
 # ``solve_lowest`` solves an operator of more states than this by ARPACK on a CSR copy (a product sector at
 # n_max 7 has 12-18 % of its entries non-zero), a smaller one by dense LAPACK, the faster below about 400
 _SPARSE_MIN_PRODUCTS = 500
@@ -122,7 +140,8 @@ class SpectrumResult:
     backend: str  # "product" or "charge"
     e_cut_ghz: float | None = None  # product backend: the accepted cutoff,
     kept_states: int | None = None  # the number of products kept below it,
-    truncation_khz: float | None = None  # and the |second-order correction| to zeta at it
+    truncation_khz: float | None = None  # and the |second-order correction| to zeta at it,
+    remainder_khz: float | None = None  # and |third-order estimate| on zeta where it was taken
     sector_states: tuple[int, int] | None = None  # at flux 0 or 1/2: the kept products of even and odd parity
     fallback: str | None = None  # charge backend: why the product backend refused the point
 
@@ -167,8 +186,10 @@ def solve_lowest(operator, k: int):
     lowest k pairs only; above that ARPACK Lanczos solves a CSR copy, always
     from the start vector ``default_rng(0).standard_normal(n)``, so repeated
     runs are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per
-    pair.
+    pair. A complex operator is refused: fold it with ``real_form`` first.
     """
+    if np.iscomplexobj(operator):
+        raise ValueError("solve_lowest takes a real symmetric operator: fold a complex one with real_form first")
     n = np.shape(operator)[0]
     if not (0 < k < n):
         raise ValueError(f"need 0 < k < dimension, got k={k}, dimension={n}")
@@ -458,6 +479,27 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     return vals[order], vecs[:, order], sizes
 
 
+def _cross_terms(states: np.ndarray, blocks: _ProductBlocks, rows: tuple[int, int, int]) -> np.ndarray:
+    """Minus V, the sum of ``blocks.couplings``, on coefficient tensors over the levels of ``blocks.reach``.
+
+    The result holds the first ``rows[k]`` levels of each block k, at least
+    its reach: a term reaches all ``rows`` of its two blocks and the reach of
+    the third, on which it is diagonal.
+    """
+    out = np.zeros((len(states), *rows))
+    for i, j, scale, left, right in blocks.couplings:
+        # subscript 0 is the state, 1 + k the reach of block k and 4 + k its rows: (0, 1) is "Aa,Bb,sabc->sABc"
+        sub = [0] + [4 + k if k in (i, j) else 1 + k for k in range(3)]
+        region = (slice(None), *(slice(None if k in (i, j) else m) for k, m in enumerate(blocks.reach)))
+        term = np.einsum(
+            left[: rows[i]], [4 + i, 1 + i], right[: rows[j]], [4 + j, 1 + j], states, [0, 1, 2, 3], sub, optimize=True
+        )
+        term *= scale
+        out[region] += term
+        del term  # scaled in place and freed here, so no second out-sized array lives through a contraction
+    return out
+
+
 def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray) -> np.ndarray:
     """Second-order energy shifts (GHz) of product-basis eigenstates from the products left out.
 
@@ -466,18 +508,10 @@ def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductB
     kept products among all. The terms of ``blocks.couplings`` carry the
     states to the left-out products, whose unperturbed energies are sums of
     block energies; each state shifts by -sum |<out|V|psi>|^2 / (E_out - E).
-    The sum formed here is minus V, a sign that drops out of |<out|V|psi>|^2.
+    ``_cross_terms`` forms minus V, a sign that drops out of |<out|V|psi>|^2.
     """
     e1, e2, e34 = blocks.energies
-    amp = np.zeros((len(states), e1.size, e2.size, e34.size))
-    for i, j, scale, left, right in blocks.couplings:
-        # subscript 0 is the state, 1 + k the reach of block k and 4 + k all its levels: (0, 1) is "Aa,Bb,sabc->sABc"
-        out = [0] + [4 + k if k in (i, j) else 1 + k for k in range(3)]
-        region = (slice(None), *(slice(None if k in (i, j) else m) for k, m in enumerate(blocks.reach)))
-        term = np.einsum(left, [4 + i, 1 + i], right, [4 + j, 1 + j], states, [0, 1, 2, 3], out, optimize=True)
-        term *= scale
-        amp[region] += term
-        del term  # scaled in place and freed here, so no second amp-sized array lives through a contraction
+    amp = _cross_terms(states, blocks, (e1.size, e2.size, e34.size))
     amp[:, kept] = 0.0
     unperturbed = e1[:, None, None] + e2[None, :, None] + e34[None, None, :]
     shifts = []
@@ -493,13 +527,37 @@ def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductB
     return np.array(shifts)
 
 
+def _left_out_third_order(
+    states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray
+) -> np.ndarray:
+    """Third-order energy terms (GHz) of product-basis eigenstates from the left-out products inside the reach.
+
+    With the arguments of ``_left_out_shifts``, each state psi of energy E
+    gets E(3) = sum_{q, q'} w_q <q|V|q'> w_q' over the left-out products q,
+    q' of the reach, with w_q = <q|V|psi> / (E - E_q): the next term of the
+    same Loewdin partitioning, read from the same ``blocks.couplings``. It
+    estimates what the second-order shift leaves out, and so the accuracy of
+    a cutoff that the second-order bound refuses.
+    """
+    e1, e2, e34 = (e[:m] for e, m in zip(blocks.energies, blocks.reach))
+    left_out = ~kept[: e1.size, : e2.size, : e34.size]
+    unperturbed = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :])[left_out]
+    # minus V carries psi to q, and E_q - E flips the gap's sign: w is <q|V|psi> / (E - E_q)
+    weights = np.zeros((len(states), *blocks.reach))
+    weights[:, left_out] = _cross_terms(states, blocks, blocks.reach)[:, left_out] / (
+        unperturbed[None, :] - energies[:, None]
+    )
+    return -np.einsum("sabc,sabc->s", weights, _cross_terms(weights, blocks, blocks.reach))
+
+
 def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisConfig):
     """Labeled spectrum on the products with summed excitation energy up to ``e_cut`` GHz.
 
     ``e_cut`` is at most the ``e_max`` the blocks were built for. The label
     corner is always kept. The computational levels carry their
     second-order shifts from the products left out, which are also
-    returned, in ``COMPUTATIONAL_OCCUPATIONS`` order.
+    returned, in ``COMPUTATIONAL_OCCUPATIONS`` order, with a call that
+    computes their third-order terms (``_left_out_third_order``) on demand.
     """
     e1, e2, e34 = blocks.energies
     excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
@@ -522,8 +580,8 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     labels = _assign_labels(tensor[:, : LABEL_LEVELS[0], : LABEL_LEVELS[1], : LABEL_LEVELS[2]] ** 2)
 
     computational = [[label.occupations for label in labels].index(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
-    tensor = tensor[computational]  # rebinding frees the other rows before the correction
-    shifts = _left_out_shifts(tensor, vals[computational], blocks, kept)
+    tensor, energies = tensor[computational], vals[computational]  # rebinding frees the other rows
+    shifts = _left_out_shifts(tensor, energies, blocks, kept)
     vals[computational] += shifts
     spec = SpectrumResult(
         flux=float(flux),
@@ -535,7 +593,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
         kept_states=int(a.size),
         sector_states=sectors,
     )
-    return spec, shifts
+    return spec, shifts, partial(_left_out_third_order, tensor, energies, blocks, kept)
 
 
 def _zeta_khz(energies) -> float:
@@ -545,27 +603,44 @@ def _zeta_khz(energies) -> float:
 
 
 def product_spectrum(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> SpectrumResult:
-    """Spectrum on the block-product basis below the first cutoff whose own correction is small enough.
+    """Spectrum on the block-product basis below the first cutoff whose left-out remainder is small enough.
 
     The blocks are diagonalized once, for the largest cutoff. Each cutoff of
     ``_E_CUT_LADDER`` in turn solves the products up to it with the
-    second-order correction from those left out, and the first is accepted
-    whose correction is at most its bound on zeta and at most
-    ``_MAX_LEVEL_CORRECTION_GHZ`` on every computational frequency. Nothing
-    is compared between cutoffs. The accepted |zeta correction| is recorded
-    as ``truncation_khz``; ``TruncationError`` names the last cutoff, its
-    correction and its bound when none is accepted.
+    second-order correction from those left out. A cutoff whose correction
+    is above ``_MAX_LEVEL_CORRECTION_GHZ`` on a computational frequency is
+    refused. Otherwise it is accepted when its correction to zeta is at
+    most its ladder bound, or else, where the ladder gives a bound on the
+    third-order estimate of what that correction leaves out and the
+    correction is at most ``_MAX_ESTIMATED_CORRECTION_KHZ``, when that
+    estimate is at most its bound on zeta. Nothing is compared between
+    cutoffs, and the levels stay second-order values. The accepted |zeta
+    correction| is recorded as ``truncation_khz``, and |zeta(3)| as
+    ``remainder_khz`` where it was computed. ``TruncationError`` names the
+    last cutoff, its corrections and their bounds when none is accepted,
+    and the last third-order estimate.
     """
     blocks = _product_blocks(params, flux, cfg, _E_CUT_LADDER[-1][0])
-    for e_cut, max_zeta_khz in _E_CUT_LADDER:
-        spec, shifts = _product_solve(blocks, e_cut, flux, cfg)
+    estimate = ""
+    for e_cut, max_zeta_khz, max_remainder_khz in _E_CUT_LADDER:
+        spec, shifts, third_order = _product_solve(blocks, e_cut, flux, cfg)
         zeta_khz, level_ghz = abs(_zeta_khz(shifts)), float(np.abs(shifts[1:] - shifts[0]).max())
-        if zeta_khz <= max_zeta_khz and level_ghz <= _MAX_LEVEL_CORRECTION_GHZ:
+        if level_ghz > _MAX_LEVEL_CORRECTION_GHZ:
+            continue
+        if zeta_khz <= max_zeta_khz:
             return replace(spec, truncation_khz=zeta_khz)
+        if max_remainder_khz is not None and zeta_khz <= _MAX_ESTIMATED_CORRECTION_KHZ:
+            remainder_khz = abs(_zeta_khz(third_order()))
+            if remainder_khz <= max_remainder_khz:
+                return replace(spec, truncation_khz=zeta_khz, remainder_khz=remainder_khz)
+            estimate = (
+                f"; its third-order estimate at E_cut = {e_cut:g} GHz is {remainder_khz:.3g} kHz on zeta "
+                f"(bound {max_remainder_khz:g} kHz)"
+            )
     raise TruncationError(
         f"product basis not settled at E_cut = {e_cut:g} GHz: its second-order correction is {zeta_khz:.3g} kHz "
         f"on zeta (bound {max_zeta_khz:g} kHz) and up to {level_ghz:.3g} GHz on the computational frequencies "
-        f"(bound {_MAX_LEVEL_CORRECTION_GHZ:g} GHz)"
+        f"(bound {_MAX_LEVEL_CORRECTION_GHZ:g} GHz){estimate}"
     )
 
 

@@ -34,7 +34,7 @@ from csdtc.rb import (
     full_budget,
     synth_trace,
 )
-from csdtc.spectrum import solve_lowest
+from csdtc.spectrum import real_form, solve_lowest
 
 LENGTHS = (1, 5, 10, 20, 40, 80, 120, 200, 300)
 
@@ -207,7 +207,7 @@ def test_criterion_5_symmetry_and_oracle(device):
 
     cfg3 = ChargeBasisConfig(n_max=3, num_eigenstates=10)
     _, ham3 = assemble_hamiltonian(device, 0.25, cfg3)
-    sparse_vals, _ = solve_lowest(ham3, 10)
+    sparse_vals, _ = solve_lowest(real_form(ham3), 10)
     dense_vals = np.linalg.eigvalsh(ham3.toarray())[:10]
     ok_oracle = np.allclose(sparse_vals, dense_vals, rtol=1e-9)
 

@@ -307,7 +307,7 @@ class TestZZCommand:
         # a cutoff between the products (3, 0, 1) and (3, 0, 2)
         e_cut = x1[3] + (x34[1] + x34[2]) / 2.0
         assert x1[3] + x34[1] < e_cut < x1[3] + x34[2]
-        monkeypatch.setattr(spectrum, "_E_CUT_LADDER", ((e_cut, 0.5), (e_cut + 5.0, 0.5)))
+        monkeypatch.setattr(spectrum, "_E_CUT_LADDER", ((e_cut, 0.5, None), (e_cut + 5.0, 0.5, None)))
         code = main(["zz", "--params", str(path), "--n-max", "5", "--k", "16",
                      "--flux-grid", "0", "--out", str(tmp_path / "zz.csv")])
         assert code == EXIT_NUMERICAL

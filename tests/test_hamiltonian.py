@@ -168,13 +168,13 @@ class TestAssembly:
         assert np.allclose(jj5_half, -jj5_zero, atol=1e-12)
 
     def test_spectrum_periodic_in_flux(self, device):
-        vals_a, _ = solve_lowest(assemble_hamiltonian(device, 0.3, CFG3)[1], 8)
-        vals_b, _ = solve_lowest(assemble_hamiltonian(device, 1.3, CFG3)[1], 8)
+        vals_a, _ = solve_lowest(real_form(assemble_hamiltonian(device, 0.3, CFG3)[1]), 8)
+        vals_b, _ = solve_lowest(real_form(assemble_hamiltonian(device, 1.3, CFG3)[1]), 8)
         assert np.allclose(vals_a, vals_b, rtol=1e-9)
 
     def test_spectrum_even_in_flux(self, device):
-        vals_a, _ = solve_lowest(assemble_hamiltonian(device, 0.17, CFG3)[1], 8)
-        vals_b, _ = solve_lowest(assemble_hamiltonian(device, -0.17, CFG3)[1], 8)
+        vals_a, _ = solve_lowest(real_form(assemble_hamiltonian(device, 0.17, CFG3)[1]), 8)
+        vals_b, _ = solve_lowest(real_form(assemble_hamiltonian(device, -0.17, CFG3)[1]), 8)
         assert np.allclose(vals_a, vals_b, rtol=1e-9)
 
     def test_diagonal_matches_charging_quadratic(self, device):

@@ -134,9 +134,18 @@ class TestSolveLowest:
 
     def test_orthonormal_eigenvectors(self, device):
         _, ham = assemble_hamiltonian(device, 0.1, CFG3)
-        _, vecs = solve_lowest(ham, 8)
+        _, vecs = solve_lowest(spectrum.real_form(ham), 8)
+        vecs = spectrum.from_real_form(vecs)
         gram = vecs.conj().T @ vecs
         assert np.allclose(gram, np.eye(8), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_complex_operator_refused_naming_real_form(self, device, monkeypatch, kind):
+        ham = assemble_hamiltonian(device, 0.1, CFG3)[1]
+        seen = record_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match="fold a complex one with real_form first"):
+            solve_lowest(ham if kind == "csr" else ham.toarray(), 8)
+        assert seen == []
 
     def test_decoupled_eigenvalues_are_single_mode_sums(self, decoupled):
         blocks, ham = assemble_hamiltonian(decoupled, 0.0, CFG3)
@@ -201,25 +210,75 @@ class TestBackends:
         cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=16)
         spec = spectrum_at(device, 0.0, cfg)
         assert spec.backend == "product"
-        bounds = dict(spectrum._E_CUT_LADDER)
+        bounds = {e_cut: tuple(rest) for e_cut, *rest in spectrum._E_CUT_LADDER}
         assert spec.e_cut_ghz in bounds
         assert LABEL_CORNER_STATES < spec.kept_states < (2 * n_max + 1) ** 4
-        _, shifts = spectrum._product_solve(spectrum._product_blocks(device, 0.0, cfg, 60.0), spec.e_cut_ghz, 0.0, cfg)
-        assert spec.truncation_khz == abs(spectrum._zeta_khz(shifts)) <= bounds[spec.e_cut_ghz]
+        blocks = spectrum._product_blocks(device, 0.0, cfg, 60.0)
+        _, shifts, third_order = spectrum._product_solve(blocks, spec.e_cut_ghz, 0.0, cfg)
+        # the accepted cutoff's level correction is within its bound, and either its zeta correction is
+        # within the ladder bound, or else it is at most the cap of the estimate, and the third-order estimate
+        # of what it leaves out is within the ladder's bound on that
+        assert np.abs(shifts[1:] - shifts[0]).max() <= spectrum._MAX_LEVEL_CORRECTION_GHZ
+        zeta2_khz = abs(spectrum._zeta_khz(shifts))
+        assert spec.truncation_khz == zeta2_khz
+        max_zeta_khz, max_remainder_khz = bounds[spec.e_cut_ghz]
+        if zeta2_khz <= max_zeta_khz:
+            assert spec.remainder_khz is None
+        else:
+            assert max_remainder_khz is not None and zeta2_khz <= spectrum._MAX_ESTIMATED_CORRECTION_KHZ
+            assert spec.remainder_khz == abs(spectrum._zeta_khz(third_order())) <= max_remainder_khz
         assert spec.fallback is None
 
     def test_cutoff_accepted_on_its_own_correction(self, device):
         # at n_max 5 and flux 0 the 45 GHz correction (0.098 kHz) passes the bound of every higher cutoff but
-        # not the stricter one of 45 GHz, so 50 GHz answers, as solved alone
+        # not the stricter one of 45 GHz, nor does its third-order estimate (0.0107 kHz) pass its bound, so
+        # 50 GHz answers, as solved alone
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
         blocks = spectrum._product_blocks(device, 0.0, cfg, 60.0)
-        _, shifts = spectrum._product_solve(blocks, 45.0, 0.0, cfg)
+        _, shifts, third_order = spectrum._product_solve(blocks, 45.0, 0.0, cfg)
         assert 0.05 < abs(spectrum._zeta_khz(shifts)) < 0.5
-        alone, shifts = spectrum._product_solve(blocks, 50.0, 0.0, cfg)
+        assert abs(spectrum._zeta_khz(third_order())) > spectrum._E_CUT_LADDER[0][2]
+        alone, shifts, _ = spectrum._product_solve(blocks, 50.0, 0.0, cfg)
         spec = product_spectrum(device, 0.0, cfg)
         assert spec.e_cut_ghz == 50.0
         assert np.array_equal(spec.eigenfrequencies_ghz, alone.eigenfrequencies_ghz) and spec.labels == alone.labels
         assert spec.truncation_khz == abs(spectrum._zeta_khz(shifts))
+
+    @pytest.mark.parametrize("flux", [0.15, 0.25])
+    def test_cutoff_refused_on_its_third_order_estimate(self, device, flux):
+        # at n_max 5 the 45 GHz corrections are 0.54 and 0.42 kHz, and their third-order estimates 0.0088 and
+        # 0.0102 kHz: both above their bounds, so 50 GHz answers, as solved alone
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        blocks = spectrum._product_blocks(device, flux, cfg, 60.0)
+        _, shifts, third_order = spectrum._product_solve(blocks, 45.0, flux, cfg)
+        assert spectrum._E_CUT_LADDER[0][1] < abs(spectrum._zeta_khz(shifts)) <= spectrum._MAX_ESTIMATED_CORRECTION_KHZ
+        assert abs(spectrum._zeta_khz(third_order())) > spectrum._E_CUT_LADDER[0][2]
+        alone, shifts, _ = spectrum._product_solve(blocks, 50.0, flux, cfg)
+        spec = product_spectrum(device, flux, cfg)
+        assert spec.e_cut_ghz == 50.0 and spec.remainder_khz is None
+        assert np.array_equal(spec.eigenfrequencies_ghz, alone.eigenfrequencies_ghz) and spec.labels == alone.labels
+        assert spec.truncation_khz == abs(spectrum._zeta_khz(shifts))
+
+    def test_cutoff_accepted_on_its_third_order_estimate(self, device):
+        # at n_max 4 and flux 0 the 45 GHz correction (0.80 kHz) is over its 0.05 kHz bound, but the third-order
+        # estimate of what it leaves out is 0.0070 kHz: 45 GHz answers, within 0.01 kHz of the oracle
+        cfg = ChargeBasisConfig(n_max=4, num_eigenstates=16)
+        spec = product_spectrum(device, 0.0, cfg)
+        assert spec.e_cut_ghz == 45.0
+        assert spectrum._E_CUT_LADDER[0][1] < spec.truncation_khz <= spectrum._MAX_ESTIMATED_CORRECTION_KHZ
+        assert spec.remainder_khz <= spectrum._E_CUT_LADDER[0][2]
+        oracle = _zeta_from_spectrum(charge_spectrum(device, 0.0, cfg))
+        assert _zeta_from_spectrum(spec) == pytest.approx(oracle, abs=0.01)
+
+    @pytest.mark.parametrize("flux", [0.0, 0.15, 0.25, 0.5])
+    def test_third_order_estimate_tracks_the_remainder(self, device, flux):
+        # at n_max 5, what the 45 GHz cutoff leaves out of zeta after its second-order correction, against the
+        # oracle, is 1.07-1.16 times its third-order estimate
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        blocks = spectrum._product_blocks(device, flux, cfg, 60.0)
+        spec, _, third_order = spectrum._product_solve(blocks, 45.0, flux, cfg)
+        remainder_khz = _zeta_from_spectrum(charge_spectrum(device, flux, cfg)) - _zeta_from_spectrum(spec)
+        assert spectrum._zeta_khz(third_order()) == pytest.approx(remainder_khz, rel=0.25)
 
     @pytest.mark.parametrize("flux", [0.0, 0.15, -0.15, 0.25, 0.5])
     def test_hierarchical_matches_charge_oracle(self, device, flux):
@@ -227,8 +286,8 @@ class TestBackends:
         spec = spectrum_at(device, flux, cfg)
         assert (spec.sector_states is not None) == (flux in (0.0, 0.5))  # the oracle checks the split too
         blocks, ham = assemble_hamiltonian(device, flux, cfg)
-        vals, vecs = solve_lowest(ham, cfg.num_eigenstates)
-        oracle = [label.occupations for label in label_states(vecs, blocks)]
+        vals, vecs = solve_lowest(spectrum.real_form(ham), cfg.num_eigenstates)
+        oracle = [label.occupations for label in label_states(spectrum.from_real_form(vecs), blocks)]
         zeta_khz, oracle_zeta_khz = 0.0, 0.0
         for occ, sign in zip(COMPUTATIONAL_OCCUPATIONS, (1, -1, -1, 1)):
             state = oracle.index(occ)
@@ -275,7 +334,8 @@ class TestBackends:
             assert [name for name, _ in operator_solves] == ["scipy.sparse.linalg.eigsh"]
         else:
             # ARPACK on CSR exactly for a kept set above the limit, dense LAPACK below it; both occur here,
-            # since 45 GHz keeps 476 products, refused, and 50 and 55 GHz keep 649 and 843
+            # since 45 GHz keeps 476 products, refused on its second-order correction and its third-order estimate
+            # (0.015 kHz) alike, 50 GHz 649, refused on its correction, and 55 GHz 843
             expected = [
                 "scipy.sparse.linalg.eigsh" if rows > spectrum._SPARSE_MIN_PRODUCTS else "scipy.linalg.eigh"
                 for _, rows in operator_solves
@@ -284,16 +344,73 @@ class TestBackends:
             assert len(set(expected)) == 2
 
     def test_circuit_outside_truncation_falls_back_to_charge_basis(self, device, monkeypatch):
-        # at n_max 5 the device needs the products up to 50 GHz (0.098 kHz correction at 45); stop the ladder at 45
+        # at n_max 5 the device needs the products up to 50 GHz (0.098 kHz correction at 45); stop the ladder at 45,
+        # with no third-order estimate
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
-        monkeypatch.setattr(spectrum, "_E_CUT_LADDER", spectrum._E_CUT_LADDER[:1])
-        with pytest.raises(TruncationError, match=r"not settled at E_cut = 45 GHz: .* kHz on zeta \(bound 0\.05 kHz\)"):
+        monkeypatch.setattr(spectrum, "_E_CUT_LADDER", ((45.0, 0.05, None),))
+        refused = r"not settled at E_cut = 45 GHz: .* kHz on zeta \(bound 0\.05 kHz\)"
+        with pytest.raises(TruncationError, match=refused) as err:
             product_spectrum(device, 0.0, cfg)
+        assert "third-order" not in str(err.value)
         spec = spectrum_at(device, 0.0, cfg)
         oracle = charge_spectrum(device, 0.0, cfg)
         assert spec.backend == "charge"
         assert "E_cut = 45 GHz" in spec.fallback
         assert np.array_equal(spec.eigenfrequencies_ghz, oracle.eigenfrequencies_ghz)
+
+    def test_refusal_names_the_last_third_order_estimate(self, device, monkeypatch):
+        # every second-order bound 0: at n_max 5 and flux 0 only the third-order estimate at 45 GHz could settle
+        # the point, and it is 0.0107 kHz
+        ladder = tuple((e_cut, 0.0, max_remainder_khz) for e_cut, _, max_remainder_khz in spectrum._E_CUT_LADDER)
+        monkeypatch.setattr(spectrum, "_E_CUT_LADDER", ladder)
+        with pytest.raises(TruncationError) as err:
+            product_spectrum(device, 0.0, ChargeBasisConfig(n_max=5, num_eigenstates=16))
+        assert re.fullmatch(
+            r"product basis not settled at E_cut = 60 GHz: .* kHz on zeta \(bound 0 kHz\) .*; "
+            r"its third-order estimate at E_cut = 45 GHz is 0\.0107 kHz on zeta \(bound 0\.008 kHz\)",
+            str(err.value),
+        )
+
+    def test_third_order_estimate_not_taken_near_the_largest_cutoff(self):
+        # a ZZ of 2.8 MHz: at n_max 5 and flux 0.15 the 55 GHz correction (0.80 kHz) is under the cap and its
+        # estimate (0.0043 kHz) would pass the 45 GHz bound, but with the blocks built for 60 GHz it misses most
+        # of what is left out, and 55 GHz is 0.045 kHz off
+        params = CircuitParams(
+            c11=130.461, c22=56.658, c33=109.481, c44=136.531,
+            c12=26.012, c13=0.172, c14=15.652, c23=11.07, c24=22.801, c34=2.197,
+            ic1=25.896, ic2=58.759, ic3=38.173, ic4=37.189, ic5=68.114,
+        )
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
+        blocks = spectrum._product_blocks(params, 0.15, cfg, 60.0)
+        spec, shifts, third_order = spectrum._product_solve(blocks, 55.0, 0.15, cfg)
+        assert 0.5 < abs(spectrum._zeta_khz(shifts)) <= spectrum._MAX_ESTIMATED_CORRECTION_KHZ
+        assert abs(spectrum._zeta_khz(third_order())) < spectrum._E_CUT_LADDER[0][2]
+        oracle = charge_spectrum(params, 0.15, cfg)
+        assert abs(_zeta_from_spectrum(spec) - _zeta_from_spectrum(oracle)) > 0.04
+        with pytest.raises(TruncationError, match="not settled at E_cut = 60 GHz"):
+            product_spectrum(params, 0.15, cfg)
+        answer = spectrum_at(params, 0.15, cfg)
+        assert answer.backend == "charge" and np.array_equal(answer.eigenfrequencies_ghz, oracle.eigenfrequencies_ghz)
+
+    def test_third_order_estimate_not_taken_over_its_correction_cap(self):
+        # a ZZ of -21.5 MHz: at n_max 7 and flux 0.15 the 45 GHz correction is 2.02 kHz and its third-order
+        # estimate 0.0006 kHz, within its bound, yet 45 GHz is 0.061 kHz off; the correction is over the cap, so
+        # no estimate is taken, and 55 GHz answers on its own correction (0.20 kHz), 0.017 kHz off
+        params = CircuitParams(
+            c11=83.866, c22=81.8, c33=61.272, c44=112.661,
+            c12=23.924, c13=9.412, c14=25.884, c23=23.914, c24=3.874, c34=23.006,
+            ic1=62.957, ic2=21.837, ic3=44.418, ic4=48.325, ic5=46.56,
+        )
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        blocks = spectrum._product_blocks(params, 0.15, cfg, 60.0)
+        refused, shifts, third_order = spectrum._product_solve(blocks, 45.0, 0.15, cfg)
+        assert abs(spectrum._zeta_khz(shifts)) > spectrum._MAX_ESTIMATED_CORRECTION_KHZ
+        assert abs(spectrum._zeta_khz(third_order())) < spectrum._E_CUT_LADDER[0][2]
+        oracle = _zeta_from_spectrum(charge_spectrum(params, 0.15, cfg))
+        assert abs(_zeta_from_spectrum(refused) - oracle) > 0.05
+        spec = product_spectrum(params, 0.15, cfg)
+        assert spec.e_cut_ghz == 55.0 and spec.remainder_khz is None
+        assert _zeta_from_spectrum(spec) == pytest.approx(oracle, abs=0.02)
 
     def test_truncation_estimate_accounts_for_hierarchical_error(self, device, monkeypatch):
         # mutuals of a few fF between all blocks, so each of the three cross terms shifts zeta
@@ -536,7 +653,7 @@ class TestLeftOutShifts:
             return left_out_shifts(states, energies, table, kept)
 
         monkeypatch.setattr(spectrum, "_left_out_shifts", record)
-        _, shifts = spectrum._product_solve(blocks, 45.0, flux, CFG3)
+        _, shifts, _ = spectrum._product_solve(blocks, 45.0, flux, CFG3)
         [(states, energies, kept)] = seen
         # <out|V|psi> from the reach grid to every level of every block, summed over the left-out products only
         e1, e2, e34 = blocks.energies
@@ -546,6 +663,24 @@ class TestLeftOutShifts:
         expected = -np.sum(amp[out] ** 2 / (unperturbed[:, None] - energies[None, :]), axis=0)
         assert len(shifts) == len(COMPUTATIONAL_OCCUPATIONS)
         np.testing.assert_allclose(shifts, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("flux", [0.0, 0.3])
+    def test_third_order_is_the_explicit_sum_over_the_reach(self, device, monkeypatch, flux):
+        blocks = spectrum._product_blocks(device, flux, CFG3, 60.0)
+        seen, left_out_shifts = [], spectrum._left_out_shifts
+        monkeypatch.setattr(spectrum, "_left_out_shifts", lambda *args: seen.append(args) or left_out_shifts(*args))
+        third_order = spectrum._product_solve(blocks, 45.0, flux, CFG3)[2]
+        [(states, energies, _, kept)] = seen
+        # E(3) = sum w_q <q|V|q'> w_q' over the left-out products q, q' of the reach, w_q = <q|V|psi> / (E - E_q)
+        cross = _kron_cross_terms(blocks, blocks.reach)  # minus V on the reach grid
+        e1, e2, e34 = (e[:m] for e, m in zip(blocks.energies, blocks.reach))
+        out = ~kept[: e1.size, : e2.size, : e34.size].ravel()
+        unperturbed = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :]).ravel()
+        psi = states.reshape(len(states), -1).T
+        weights = np.where(out[:, None], -(cross @ psi) / (energies[None, :] - unperturbed[:, None]), 0.0)
+        expected = np.einsum("qs,qs->s", weights, -(cross @ weights))
+        assert np.any(np.abs(expected) > 1e-9)
+        np.testing.assert_allclose(third_order(), expected, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("flux", [0.0, 0.3])
     def test_kept_state_above_a_coupled_left_out_product_is_refused_naming_both(self, device, monkeypatch, flux):
