@@ -12,15 +12,11 @@ One backend answers at every n_max, with the charge basis as its oracle:
   left out (hierarchical diagonalization with a Loewdin-partitioning
   correction). The solve and the corrections read the cross terms from one
   table, ``_ProductBlocks.couplings``.
-  E_cut is tried at 45, 50, 55 and 60 GHz, and the first is accepted on its
-  own corrections. Its second-order correction must be at most 1e-5 GHz on
-  every computational frequency, and then either at most its bound on
-  zeta (0.05 kHz at 45 GHz, where the correction can understate the
-  remainder, and 0.5 kHz above), or else the third-order term of the same
-  partitioning, which estimates what the correction leaves out, at most
-  0.008 kHz on zeta. That estimate sums over the blocks' reach, built for
-  60 GHz, so it is taken only at 45 GHz, 15 GHz below it, and only where
-  the correction is at most 1 kHz, above which its terms can cancel. The
+  E_cut is tried at each cutoff of ``_E_CUT_LADDER`` in turn, and the first
+  is accepted on its own corrections (``product_spectrum`` gives the rule):
+  on the second-order correction, or else on the third-order term of the
+  same partitioning, which estimates what that correction leaves out. The
+  bounds, and the measurements behind them, stand beside the constants. The
   levels stay second-order values. The four-node operator is never
   built. Where every block is real (flux 0 or 1/2) the kept products
   split into two parity sectors, solved apart (below); elsewhere they are
@@ -71,7 +67,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -500,15 +495,22 @@ def _cross_terms(states: np.ndarray, blocks: _ProductBlocks, rows: tuple[int, in
     return out
 
 
-def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray) -> np.ndarray:
-    """Second-order energy shifts (GHz) of product-basis eigenstates from the products left out.
+def _left_out_corrections(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray):
+    """Second-order shifts (GHz) of product-basis eigenstates from the products left out, and their third order.
 
     ``states`` holds eigenvectors as coefficient tensors over the levels of
     ``blocks.reach``, and ``energies`` their eigenvalues; ``kept`` marks the
     kept products among all. The terms of ``blocks.couplings`` carry the
-    states to the left-out products, whose unperturbed energies are sums of
-    block energies; each state shifts by -sum |<out|V|psi>|^2 / (E_out - E).
-    ``_cross_terms`` forms minus V, a sign that drops out of |<out|V|psi>|^2.
+    states to the left-out products q, whose unperturbed energies E_q are
+    sums of block energies; each state psi of energy E shifts by
+    -sum_q |<q|V|psi>|^2 / (E_q - E). ``_cross_terms`` forms minus V, a sign
+    that drops out of |<q|V|psi>|^2.
+
+    Also returns a call that computes, from the same <q|V|psi>, the next term
+    of this Loewdin partitioning, E(3) = sum_{q, q'} w_q <q|V|q'> w_q' over
+    the left-out products q, q' of the reach, with w_q = <q|V|psi> / (E - E_q).
+    It estimates what the second-order shift leaves out, and so the accuracy
+    of a cutoff that the second-order bound refuses.
     """
     e1, e2, e34 = blocks.energies
     amp = _cross_terms(states, blocks, (e1.size, e2.size, e34.size))
@@ -524,30 +526,17 @@ def _left_out_shifts(states: np.ndarray, energies: np.ndarray, blocks: _ProductB
                 f"a kept eigenstate above it ({energy:.4f} GHz)"
             )
         shifts.append(-np.sum(weights[coupled] / gaps))
-    return np.array(shifts)
 
+    def third_order() -> np.ndarray:
+        m1, m2, mc = blocks.reach
+        near = amp[:, :m1, :m2, :mc]
+        # minus V carries psi to q, and E_q - E flips the gap's sign: w is <q|V|psi> / (E - E_q),
+        # or 0 where <q|V|psi> is, every kept q among them
+        gaps = unperturbed[:m1, :m2, :mc] - energies[:, None, None, None]
+        weights = np.divide(near, gaps, out=np.zeros_like(near), where=near != 0)
+        return -np.einsum("sabc,sabc->s", weights, _cross_terms(weights, blocks, blocks.reach))
 
-def _left_out_third_order(
-    states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray
-) -> np.ndarray:
-    """Third-order energy terms (GHz) of product-basis eigenstates from the left-out products inside the reach.
-
-    With the arguments of ``_left_out_shifts``, each state psi of energy E
-    gets E(3) = sum_{q, q'} w_q <q|V|q'> w_q' over the left-out products q,
-    q' of the reach, with w_q = <q|V|psi> / (E - E_q): the next term of the
-    same Loewdin partitioning, read from the same ``blocks.couplings``. It
-    estimates what the second-order shift leaves out, and so the accuracy of
-    a cutoff that the second-order bound refuses.
-    """
-    e1, e2, e34 = (e[:m] for e, m in zip(blocks.energies, blocks.reach))
-    left_out = ~kept[: e1.size, : e2.size, : e34.size]
-    unperturbed = (e1[:, None, None] + e2[None, :, None] + e34[None, None, :])[left_out]
-    # minus V carries psi to q, and E_q - E flips the gap's sign: w is <q|V|psi> / (E - E_q)
-    weights = np.zeros((len(states), *blocks.reach))
-    weights[:, left_out] = _cross_terms(states, blocks, blocks.reach)[:, left_out] / (
-        unperturbed[None, :] - energies[:, None]
-    )
-    return -np.einsum("sabc,sabc->s", weights, _cross_terms(weights, blocks, blocks.reach))
+    return np.array(shifts), third_order
 
 
 def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisConfig):
@@ -557,7 +546,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
     corner is always kept. The computational levels carry their
     second-order shifts from the products left out, which are also
     returned, in ``COMPUTATIONAL_OCCUPATIONS`` order, with a call that
-    computes their third-order terms (``_left_out_third_order``) on demand.
+    computes their third-order terms on demand (``_left_out_corrections``).
     """
     e1, e2, e34 = blocks.energies
     excitation = (e1 - e1[0])[:, None, None] + (e2 - e2[0])[None, :, None] + (e34 - e34[0])[None, None, :]
@@ -581,7 +570,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
 
     computational = [[label.occupations for label in labels].index(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
     tensor, energies = tensor[computational], vals[computational]  # rebinding frees the other rows
-    shifts = _left_out_shifts(tensor, energies, blocks, kept)
+    shifts, third_order = _left_out_corrections(tensor, energies, blocks, kept)
     vals[computational] += shifts
     spec = SpectrumResult(
         flux=float(flux),
@@ -593,7 +582,7 @@ def _product_solve(blocks: _ProductBlocks, e_cut: float, flux, cfg: ChargeBasisC
         kept_states=int(a.size),
         sector_states=sectors,
     )
-    return spec, shifts, partial(_left_out_third_order, tensor, energies, blocks, kept)
+    return spec, shifts, third_order
 
 
 def _zeta_khz(energies) -> float:

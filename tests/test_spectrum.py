@@ -418,7 +418,11 @@ class TestBackends:
         cfg = ChargeBasisConfig(n_max=5, num_eigenstates=16)
         blocks = spectrum._product_blocks(coupled, 0.0, cfg, 40.0)
         corrected_khz = _zeta_from_spectrum(spectrum._product_solve(blocks, 40.0, 0.0, cfg)[0])
-        monkeypatch.setattr(spectrum, "_left_out_shifts", lambda states, energies, *args: np.zeros(len(energies)))
+        monkeypatch.setattr(
+            spectrum,
+            "_left_out_corrections",
+            lambda states, energies, *args: (np.zeros(len(energies)), lambda: np.zeros(len(energies))),
+        )
         raw_khz = _zeta_from_spectrum(spectrum._product_solve(blocks, 40.0, 0.0, cfg)[0])
         oracle_khz = _zeta_from_spectrum(charge_spectrum(coupled, 0.0, cfg))
         assert abs(raw_khz - oracle_khz) > 1.0
@@ -646,13 +650,13 @@ class TestLeftOutShifts:
         # blocks built for 60 GHz and the kept set cut at 45: the coupler's reach holds products left out
         blocks = spectrum._product_blocks(device, flux, CFG3, 60.0)
         assert blocks.reach[2] < blocks.energies[2].size
-        seen, left_out_shifts = [], spectrum._left_out_shifts
+        seen, left_out_corrections = [], spectrum._left_out_corrections
 
         def record(states, energies, table, kept):
             seen.append((states, energies, kept))
-            return left_out_shifts(states, energies, table, kept)
+            return left_out_corrections(states, energies, table, kept)
 
-        monkeypatch.setattr(spectrum, "_left_out_shifts", record)
+        monkeypatch.setattr(spectrum, "_left_out_corrections", record)
         _, shifts, _ = spectrum._product_solve(blocks, 45.0, flux, CFG3)
         [(states, energies, kept)] = seen
         # <out|V|psi> from the reach grid to every level of every block, summed over the left-out products only
@@ -667,8 +671,10 @@ class TestLeftOutShifts:
     @pytest.mark.parametrize("flux", [0.0, 0.3])
     def test_third_order_is_the_explicit_sum_over_the_reach(self, device, monkeypatch, flux):
         blocks = spectrum._product_blocks(device, flux, CFG3, 60.0)
-        seen, left_out_shifts = [], spectrum._left_out_shifts
-        monkeypatch.setattr(spectrum, "_left_out_shifts", lambda *args: seen.append(args) or left_out_shifts(*args))
+        seen, left_out_corrections = [], spectrum._left_out_corrections
+        monkeypatch.setattr(
+            spectrum, "_left_out_corrections", lambda *args: seen.append(args) or left_out_corrections(*args)
+        )
         third_order = spectrum._product_solve(blocks, 45.0, flux, CFG3)[2]
         [(states, energies, _, kept)] = seen
         # E(3) = sum w_q <q|V|q'> w_q' over the left-out products q, q' of the reach, w_q = <q|V|psi> / (E - E_q)
@@ -685,8 +691,10 @@ class TestLeftOutShifts:
     @pytest.mark.parametrize("flux", [0.0, 0.3])
     def test_kept_state_above_a_coupled_left_out_product_is_refused_naming_both(self, device, monkeypatch, flux):
         blocks = spectrum._product_blocks(device, flux, CFG3, 60.0)
-        seen, left_out_shifts = [], spectrum._left_out_shifts
-        monkeypatch.setattr(spectrum, "_left_out_shifts", lambda *args: seen.append(args) or left_out_shifts(*args))
+        seen, left_out_corrections = [], spectrum._left_out_corrections
+        monkeypatch.setattr(
+            spectrum, "_left_out_corrections", lambda *args: seen.append(args) or left_out_corrections(*args)
+        )
         spectrum._product_solve(blocks, 45.0, flux, CFG3)
         [(states, energies, _, kept)] = seen
         # the ground state lifted 50 GHz, above left-out products it couples to (each lies 45 GHz or more up)
@@ -702,7 +710,22 @@ class TestLeftOutShifts:
             f"a kept eigenstate above it ({lifted[0]:.4f} GHz)"
         )
         with pytest.raises(TruncationError, match=re.escape(message)):
-            left_out_shifts(states, lifted, blocks, kept)
+            left_out_corrections(states, lifted, blocks, kept)
+
+    @pytest.mark.parametrize(
+        ("bare_c34", "n_max", "calls"),
+        # accepted at 45 GHz on the third-order estimate (0.0050 kHz): V|psi> for both orders, then V on the weights;
+        # and the device as it stands at n_max 7, accepted on its second-order correction alone
+        [(45.0, 4, 2), (None, 7, 1)],
+        ids=["third-order", "second-order"],
+    )
+    def test_each_rung_forms_v_psi_once(self, device, monkeypatch, bare_c34, n_max, calls):
+        params = device if bare_c34 is None else device.without_parasitics().with_c34(bare_c34)
+        seen, cross_terms = [], spectrum._cross_terms
+        monkeypatch.setattr(spectrum, "_cross_terms", lambda *args: seen.append(args) or cross_terms(*args))
+        spec = product_spectrum(params, 0.0, ChargeBasisConfig(n_max=n_max, num_eigenstates=16))
+        assert spec.e_cut_ghz == 45.0 and (spec.remainder_khz is None) == (bare_c34 is None)
+        assert len(seen) == calls
 
 
 class TestZZ:
