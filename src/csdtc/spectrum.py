@@ -7,7 +7,7 @@ One backend answers at every n_max, with the charge basis as its oracle:
   their eigenstates whose summed excitation energy
   (e1[a] - e1[0]) + (e2[b] - e2[0]) + (e34[c] - e34[0]) is at most a cutoff
   E_cut: block energies on the diagonal, minus the cross-block charge terms
-  2 Ec_ij N_i N_j. Each sector is solved by ``solve_lowest``. Each
+  2 Ec_ij N_i N_j. Each sector is solved densely (below). Each
   computational level then gets its second-order shift from every product
   left out (hierarchical diagonalization with a Loewdin-partitioning
   correction). The solve and the corrections read the cross terms from one
@@ -26,11 +26,16 @@ One backend answers at every n_max, with the charge basis as its oracle:
   its real form where complex and solved by ``solve_lowest``. It is never
   split by parity, so it stays an independent check of the split.
 
-Every lowest-k solve takes one route, ``solve_lowest``, on a real symmetric
-operator: dense LAPACK up to ``_SPARSE_MIN_PRODUCTS`` states, and above it
-ARPACK Lanczos on a CSR copy from one fixed start vector. The product
-matrices are real by construction and the oracle folds its own operator, so
-every eigensolve is real and every output depends on the config alone.
+Every lowest-k solve is of a real symmetric operator, by dense LAPACK up to
+``_SPARSE_MIN_PRODUCTS`` states. Above it a product sector is solved by
+block Davidson (``_davidson_lowest``) on the dense matrix that is built for
+it anyway: written on the block eigenbases, its diagonal dominates, and the
+search starts from the unit vectors on its lowest diagonal entries. The
+charge basis, too large to hold densely, is solved by ARPACK Lanczos on a
+CSR copy from one fixed start vector (``solve_lowest``). Every route checks
+the same residual contract on H. The product matrices are real by
+construction and the oracle folds its own operator, so every eigensolve is
+real and every output depends on the config alone.
 
 Real form. The charge reflection n -> -n is the index reflection
 P: i -> dim - 1 - i in kron order, and P H P = H* for every operator here,
@@ -106,9 +111,18 @@ _MAX_LEVEL_CORRECTION_GHZ = 1e-5
 # times on the C34 scan, but up to 2.9 times on random circuits at n_max 7 and 12 times at n_max 5 where the
 # estimate was small; every point so accepted there was within 0.013 kHz of the oracle
 _MAX_ESTIMATED_CORRECTION_KHZ = 1.0
-# ``solve_lowest`` solves an operator of more states than this by ARPACK on a CSR copy (a product sector at
-# n_max 7 has 12-18 % of its entries non-zero), a smaller one by dense LAPACK, the faster below about 400
+# a product sector of more states than this is solved by block Davidson, a smaller one by dense LAPACK, which is
+# as fast there (on the 373-375-product sectors of the device at zero flux and n_max 7, LAPACK takes 6.3-6.4 ms,
+# block Davidson 6.6-8.1); ``solve_lowest`` solves an operator above it, the charge basis, by ARPACK on a CSR copy
 _SPARSE_MIN_PRODUCTS = 500
+# block Davidson: the search starts from k + _DAVIDSON_EXTRA unit vectors, restarts from as many Ritz vectors once it
+# would pass _DAVIDSON_RESTART times that, and stops after _DAVIDSON_MAX_ITERATIONS (the device's sectors at n_max 7
+# take 7-11 at every cutoff); a correction is kept only where at least _DAVIDSON_MIN_NEW of its unit norm lies outside
+# the space
+_DAVIDSON_EXTRA = 8
+_DAVIDSON_RESTART = 4
+_DAVIDSON_MAX_ITERATIONS = 60
+_DAVIDSON_MIN_NEW = 1e-8
 
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 # the oracle gate: successive basis sizes whose zetas differ by less than this count as converged
@@ -175,13 +189,16 @@ class ConvergenceStudy:
 
 
 def solve_lowest(operator, k: int):
-    """Lowest-k eigenpairs of a real symmetric operator, dense or CSR, ascending: the one route of every solve here.
+    """Lowest-k eigenpairs of a real symmetric operator, dense or CSR, ascending.
 
     Up to ``_SPARSE_MIN_PRODUCTS`` states LAPACK solves a dense copy for its
     lowest k pairs only; above that ARPACK Lanczos solves a CSR copy, always
     from the start vector ``default_rng(0).standard_normal(n)``, so repeated
     runs are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per
     pair. A complex operator is refused: fold it with ``real_form`` first.
+    It solves the charge basis and the product sectors up to
+    ``_SPARSE_MIN_PRODUCTS``; a larger product sector goes to
+    ``_davidson_lowest``.
     """
     if np.iscomplexobj(operator):
         raise ValueError("solve_lowest takes a real symmetric operator: fold a complex one with real_form first")
@@ -205,13 +222,66 @@ def solve_lowest(operator, k: int):
         operator = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
         vals, vecs = sla.eigh(operator, subset_by_index=[0, k - 1])
         scale = sla.norm(operator, 1)  # LAPACK's norm copies no dense matrix
+    _require_residuals(operator, vals, vecs, _RESIDUAL_FACTOR * scale)
+    return vals, vecs
 
+
+def _require_residuals(operator, vals: np.ndarray, vecs: np.ndarray, tol: float, where: str = "") -> None:
+    """The contract of every solve: ||H x - theta x|| is at most ``tol`` for each pair, checked on H itself.
+
+    ``where`` is appended to "exceed contract" in the ``SolverError`` message.
+    """
     residuals = np.linalg.norm(operator @ vecs - vecs * vals[np.newaxis, :], axis=0)
-    tol = _RESIDUAL_FACTOR * scale
     if np.any(residuals > tol):
         raise SolverError(
-            f"eigenpair residuals exceed contract: max {residuals.max():.3e} > {tol:.3e}"
+            f"eigenpair residuals exceed contract{where}: max {residuals.max():.3e} > {tol:.3e}"
         )
+
+
+def _davidson_lowest(ham: np.ndarray, k: int):
+    """Lowest-k eigenpairs of a dense real symmetric product sector by block Davidson, ascending.
+
+    The sector is written on the block eigenbases, so its diagonal dominates.
+    The search space starts from the unit vectors on the k + ``_DAVIDSON_EXTRA``
+    lowest diagonal entries, so the result depends on H alone. Each
+    iteration solves H on the space (Rayleigh-Ritz) and adds the corrections
+    r / (theta - diag H) of the lowest k Ritz pairs not yet within the
+    contract of ``solve_lowest``, 1e-8 * ||H||_1, each projected out of the
+    space twice and the set orthonormalized by a rank-revealing QR that drops
+    any correction left almost inside the space; a space that would pass
+    ``_DAVIDSON_RESTART`` times the start block restarts from the lowest
+    k + ``_DAVIDSON_EXTRA`` Ritz vectors. It stops once every residual is
+    within the contract, or after ``_DAVIDSON_MAX_ITERATIONS``, and the
+    contract is then checked on H: ``SolverError`` names the iterations.
+    """
+    block, diagonal = k + _DAVIDSON_EXTRA, np.diag(ham)
+    tol = _RESIDUAL_FACTOR * sla.norm(ham, 1)
+    basis = np.zeros((ham.shape[0], block))
+    basis[np.argsort(diagonal, kind="stable")[:block], np.arange(block)] = 1.0
+    applied = ham @ basis
+    for iteration in range(1, _DAVIDSON_MAX_ITERATIONS + 1):
+        theta, coeffs = np.linalg.eigh(basis.T @ applied)
+        theta, coeffs = theta[:block], coeffs[:, :block]
+        ritz, applied_ritz = basis @ coeffs, applied @ coeffs
+        residuals = applied_ritz[:, :k] - ritz[:, :k] * theta[:k]
+        pending = np.linalg.norm(residuals, axis=0) > tol
+        if not pending.any() or iteration == _DAVIDSON_MAX_ITERATIONS:
+            break
+        gaps = theta[:k][pending] - diagonal[:, None]
+        gaps[np.abs(gaps) < tol] = tol  # a diagonal entry at a Ritz value would divide by zero
+        corrections = residuals[:, pending] / gaps
+        corrections /= np.linalg.norm(corrections, axis=0)
+        if basis.shape[1] + corrections.shape[1] > _DAVIDSON_RESTART * block:
+            basis, applied = ritz, applied_ritz
+        for _ in range(2):
+            corrections -= basis @ (basis.T @ corrections)
+        # a correction almost inside the space and the others (a degenerate pair gives two parallel ones) would add
+        # a direction of rounding only, not orthogonal to the space
+        corrections, r, _ = sla.qr(corrections, mode="economic", pivoting=True)
+        corrections = corrections[:, np.abs(np.diag(r)) > _DAVIDSON_MIN_NEW]
+        basis, applied = np.hstack([basis, corrections]), np.hstack([applied, ham @ corrections])
+    vals, vecs = theta[:k], ritz[:, :k]
+    _require_residuals(ham, vals, vecs, tol, f" at block Davidson iteration {iteration} of {_DAVIDSON_MAX_ITERATIONS}")
     return vals, vecs
 
 
@@ -332,22 +402,75 @@ def real_form(mat):
 
     in the operator's own kind (CSR or dense). Only the top h + 1 rows are
     read, so the result represents H only where P H P = H* holds, which
-    ``hamiltonian`` makes exact for every operator and block it builds.
+    ``hamiltonian`` makes exact for every operator and block it builds. A CSR
+    result holds no explicit zero and sorted column indices.
     """
     h = mat.shape[0] // 2
+    if sp.issparse(mat):
+        return _real_form_csr(mat.tocsr(), h)
     a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
     mixed = b.imag - a.imag
     even, odd = _SQRT2 * c.real, _SQRT2 * c.imag
-    blocks = [
+    return np.block([
         [a.real + b.real, even, mixed],
         [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
         [mixed.T, odd, a.real - b.real],
-    ]
-    if not sp.issparse(mat):
-        return np.block(blocks)
-    folded = sp.bmat(blocks, format="csr")
-    folded.eliminate_zeros()
-    return folded
+    ])
+
+
+def _real_form_csr(mat: sp.csr_matrix, h: int) -> sp.csr_matrix:
+    """``real_form`` of a CSR operator, read from the arrays of its top h + 1 rows without slicing them.
+
+    Re A + Re B, Re A - Re B and Im B - Im A are each one h x h CSR sum over
+    the entries of A and of B, B's column j at 2h - j. They are copied
+    straight into the arrays of the result, so no sparse sum or COO copy of
+    the whole form is made.
+    """
+    ptr = mat.indptr[: h + 1]
+    cols, vals = mat.indices[: ptr[-1]], mat.data[: ptr[-1]]
+    right, kept = cols > h, cols != h
+
+    def summed(take, values):
+        # values[take] as an h x h CSR, A's and B's entries at one place summed and zeros dropped
+        taken = cols[take]
+        out = sp.csr_matrix(
+            (values[take], np.where(taken > h, 2 * h - taken, taken), np.concatenate([[0], np.cumsum(take)])[ptr]),
+            shape=(h, h),
+        )
+        out.sum_duplicates()
+        out.eliminate_zeros()
+        return out
+
+    re, im = vals.real, vals.imag
+    plus, minus = summed(kept, re), summed(kept, np.where(right, -re, re))
+    mixed = summed(kept & (im != 0), np.where(right, im, -im))
+    c = np.zeros(h, dtype=vals.dtype)
+    np.add.at(c, np.searchsorted(ptr, np.flatnonzero(~kept), side="right") - 1, vals[~kept])
+    even, odd = (sp.csr_matrix(_SQRT2 * part[:, None]) for part in (c.real, c.imag))
+    middle = sp.hstack([even.T, sp.csr_matrix([[mat[h, h].real]]), odd.T], format="csr")
+    bands = [[(plus, 0), (even, h), (mixed, h + 1)], [(middle, 0)], [(mixed.T.tocsr(), 0), (odd, h), (minus, h + 1)]]
+    return _stack_csr(bands, mat.shape)
+
+
+def _stack_csr(bands, shape) -> sp.csr_matrix:
+    """The CSR matrix of CSR blocks at column offsets, given band by band from the top, each band left to right.
+
+    Every index of the result must fit an int32.
+    """
+    counts = np.concatenate([sum(np.diff(block.indptr) for block, _ in band) for band in bands])
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int32)])
+    indices, data, first = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), 0
+    for band in bands:
+        rows = band[0][0].shape[0]
+        start = indptr[first : first + rows].copy()
+        for block, offset in band:
+            filled = np.diff(block.indptr)
+            dest = np.repeat(start - block.indptr[:-1], filled)
+            dest += np.arange(block.nnz, dtype=np.int32)
+            indices[dest], data[dest] = block.indices + offset, block.data
+            start += filled
+        first += rows
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def from_real_form(vectors: np.ndarray) -> np.ndarray:
@@ -450,9 +573,10 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     conserves p1[a] p2[b] p34[c] and splits exactly into an even and an odd
     sector; elsewhere the kept products are one sector. The lowest k of each
     sector are merged and the lowest k overall kept, with eigenvectors zero
-    outside their sector. Each sector's dense matrix goes straight to
-    ``solve_lowest``. Also returns the (even, odd) sector sizes, or None for
-    one sector.
+    outside their sector. Each sector's dense matrix goes straight to LAPACK
+    (``solve_lowest``) or, above ``_SPARSE_MIN_PRODUCTS`` products, to block
+    Davidson (``_davidson_lowest``). Also returns the (even, odd) sector
+    sizes, or None for one sector.
     """
     if blocks.parities is None:
         sectors, sizes = [np.arange(a.size)], None
@@ -469,7 +593,8 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     vals, vecs = np.empty(len(sectors) * k), np.zeros((a.size, len(sectors) * k))
     for sector, rows in enumerate(sectors):
         found = slice(sector * k, (sector + 1) * k)
-        vals[found], vecs[rows, found] = solve_lowest(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
+        solve = _davidson_lowest if rows.size > _SPARSE_MIN_PRODUCTS else solve_lowest
+        vals[found], vecs[rows, found] = solve(_product_hamiltonian(blocks, a[rows], b[rows], c[rows]), k)
     order = np.argsort(vals, kind="stable")[:k]
     return vals[order], vecs[:, order], sizes
 

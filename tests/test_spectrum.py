@@ -37,7 +37,10 @@ LABEL_CORNER_STATES = 3 * 3 * 6
 
 
 def record_eigensolves(monkeypatch):
-    """(solver, dtype, rows, "csr" or "dense") of every LAPACK and ARPACK eigensolve from here on."""
+    """(solver, dtype, rows, "csr" or "dense") of every LAPACK, ARPACK and block Davidson eigensolve from here on.
+
+    A block Davidson solve is listed before the LAPACK solves of its Rayleigh-Ritz steps.
+    """
     seen = []
 
     def recording(module, name):
@@ -50,7 +53,7 @@ def record_eigensolves(monkeypatch):
 
         monkeypatch.setattr(module, name, solve)
 
-    for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh")):
+    for module, name in ((spla, "eigsh"), (sla, "eigh"), (np.linalg, "eigh"), (spectrum, "_davidson_lowest")):
         recording(module, name)
     return seen
 
@@ -115,11 +118,20 @@ class TestSolveLowest:
         with pytest.raises(SolverError, match=re.escape("eigensolver did not converge (3 of 8 pairs)")):
             solve_lowest(operator, 8)
 
-    @pytest.mark.parametrize("dim", [8, 600])  # LAPACK, then ARPACK
-    def test_residual_over_the_contract_is_a_solver_error(self, monkeypatch, dim):
+    # LAPACK, ARPACK, and the block Davidson solver of large product sectors, whose Ritz values are shifted: it
+    # cannot then meet the contract, and the check on H after its last iteration names the residual
+    @pytest.mark.parametrize(
+        "dim, solver, where",
+        [(8, "solve_lowest", ""), (600, "solve_lowest", ""), (600, "_davidson_lowest", " at block Davidson iteration 60 of 60")],
+        ids=["8", "600", "600-davidson"],
+    )
+    def test_residual_over_the_contract_is_a_solver_error(self, monkeypatch, dim, solver, where):
         # well-separated levels with a weak hop: ||H||_1 = dim - 0.8, so the contract is about 1e-8 dim
         operator = sp.diags([np.arange(float(dim)), np.full(dim - 1, 0.1), np.full(dim - 1, 0.1)], [0, 1, -1])
-        solve_lowest(operator, 4)
+        solve = getattr(spectrum, solver)
+        if solver == "_davidson_lowest":
+            operator = operator.toarray()
+        solve(operator, 4)
 
         def shifted(solver):
             def solve(*args, **kwargs):
@@ -129,8 +141,9 @@ class TestSolveLowest:
 
         monkeypatch.setattr(sla, "eigh", shifted(sla.eigh))
         monkeypatch.setattr(spla, "eigsh", shifted(spla.eigsh))
-        with pytest.raises(SolverError, match="eigenpair residuals exceed contract: max 1.000e-05 > "):
-            solve_lowest(operator, 4)
+        monkeypatch.setattr(np.linalg, "eigh", shifted(np.linalg.eigh))
+        with pytest.raises(SolverError, match=re.escape(f"eigenpair residuals exceed contract{where}: max 1.000e-05 > ")):
+            solve(operator, 4)
 
     def test_orthonormal_eigenvectors(self, device):
         _, ham = assemble_hamiltonian(device, 0.1, CFG3)
@@ -329,15 +342,15 @@ class TestBackends:
         assert spec.backend == backend
         assert all(dtype == np.float64 for _, dtype, _, _ in seen)
         operator_solves = [(name, rows) for name, _, rows, _ in seen if name != "numpy.linalg.eigh"]
-        assert 0 < len(operator_solves) < len(seen)  # the rest are the blocks' eigensolves
+        assert 0 < len(operator_solves) < len(seen)  # the rest are the blocks' and the Rayleigh-Ritz eigensolves
         if backend == "charge":
             assert [name for name, _ in operator_solves] == ["scipy.sparse.linalg.eigsh"]
         else:
-            # ARPACK on CSR exactly for a kept set above the limit, dense LAPACK below it; both occur here,
-            # since 45 GHz keeps 476 products, refused on its second-order correction and its third-order estimate
-            # (0.015 kHz) alike, 50 GHz 649, refused on its correction, and 55 GHz 843
+            # block Davidson on the dense sector exactly for a kept set above the limit, dense LAPACK below it, and
+            # never ARPACK; both occur here, since 45 GHz keeps 476 products, refused on its second-order correction
+            # and its third-order estimate (0.015 kHz) alike, 50 GHz 649, refused on its correction, and 55 GHz 843
             expected = [
-                "scipy.sparse.linalg.eigsh" if rows > spectrum._SPARSE_MIN_PRODUCTS else "scipy.linalg.eigh"
+                "csdtc.spectrum._davidson_lowest" if rows > spectrum._SPARSE_MIN_PRODUCTS else "scipy.linalg.eigh"
                 for _, rows in operator_solves
             ]
             assert [name for name, _ in operator_solves] == expected
@@ -430,7 +443,7 @@ class TestBackends:
 
 
 def solve_densely(monkeypatch):
-    """Make the product backend solve every sector by dense LAPACK, whatever its size."""
+    """Make the product backend solve every sector by dense LAPACK, whatever its size, and never by block Davidson."""
     monkeypatch.setattr(spectrum, "_SPARSE_MIN_PRODUCTS", np.inf)
 
 
@@ -534,13 +547,19 @@ DEGENERATE_CIRCUITS = (
 class TestSparseSectors:
     @pytest.mark.parametrize("flux", [0.3, 0.45])
     def test_sparse_solve_matches_dense(self, device, monkeypatch, flux):
+        # the block Davidson solve of a large sector against LAPACK on the same dense matrix
         cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
         blocks = spectrum._product_blocks(device, flux, cfg, 45.0)
-        sparse = spectrum._product_solve(blocks, 45.0, flux, cfg)[0]
+        with monkeypatch.context() as patch:
+            seen = record_eigensolves(patch)
+            sparse = spectrum._product_solve(blocks, 45.0, flux, cfg)[0]
         assert sparse.kept_states > spectrum._SPARSE_MIN_PRODUCTS
+        assert seen[0] == ("csdtc.spectrum._davidson_lowest", np.float64, sparse.kept_states, "dense")
         with monkeypatch.context() as patch:
             solve_densely(patch)
+            seen = record_eigensolves(patch)
             dense = spectrum._product_solve(blocks, 45.0, flux, cfg)[0]
+        assert seen == [("scipy.linalg.eigh", np.float64, dense.kept_states, "dense")]
         assert np.abs(sparse.eigenfrequencies_ghz - dense.eigenfrequencies_ghz).max() <= 1e-9
         assert [(label.occupations, label.ambiguous) for label in sparse.labels] == [
             (label.occupations, label.ambiguous) for label in dense.labels
@@ -552,9 +571,9 @@ class TestSparseSectors:
     @pytest.mark.parametrize("flux", [0.2, 0.35])
     @pytest.mark.parametrize("params", DEGENERATE_CIRCUITS)
     def test_degenerate_circuit_matches_dense(self, monkeypatch, params, flux, n_max):
-        # ARPACK mixes eigenvectors inside the degenerate subspaces; zeta, exactly 0, must not see it.
-        # zeta is a difference of 20-40 GHz eigenvalues: dense LAPACK rounds it to at most 3.6e-9 kHz in
-        # these cases, ARPACK to at most 1.3e-7 kHz
+        # block Davidson may mix eigenvectors inside the degenerate subspaces; zeta, exactly 0, must not see it.
+        # zeta is a difference of 20-40 GHz eigenvalues: dense LAPACK and block Davidson each round it to at most
+        # 3.6e-9 kHz in these cases
         cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=16)
 
         def outcome():
@@ -594,6 +613,72 @@ class TestSparseSectors:
             assert all(spec.level(occ)[1].ambiguous for occ in ((1, 0, 0), (0, 1, 0)))
             with pytest.raises(LabelingError, match="ambiguous"):
                 _zeta_from_spectrum(spec)
+
+
+def davidson_against_lapack(monkeypatch):
+    """Check every block Davidson solve from here on against dense LAPACK on the same sector.
+
+    Returns the list of (rows, |dE| max, sin of the largest angle between the two spans, its bound) per solve. The
+    bound is Davis-Kahan's: the residuals, each within the contract 1e-8 ||H||_1, over the gap from the highest Ritz
+    value to the next eigenvalue. It is infinite where that gap closes, since a degenerate pair cut there has no one
+    span.
+    """
+    checked, davidson = [], spectrum._davidson_lowest
+
+    def solve(ham, k):
+        vals, vecs = davidson(ham, k)
+        ref_vals, ref_vecs = sla.eigh(ham, subset_by_index=[0, k])
+        ref_vecs = ref_vecs[:, :k]
+        sin = np.linalg.norm(vecs - ref_vecs @ (ref_vecs.T @ vecs), 2)
+        gap, tol = ref_vals[k] - vals[-1], spectrum._RESIDUAL_FACTOR * sla.norm(ham, 1)
+        bound = np.sqrt(k) * tol / gap if gap > 0 else np.inf
+        checked.append((ham.shape[0], np.abs(vals - ref_vals[:k]).max(), sin, bound))
+        return vals, vecs
+
+    monkeypatch.setattr(spectrum, "_davidson_lowest", solve)
+    return checked
+
+
+class TestBlockDavidson:
+    @pytest.mark.parametrize(
+        "params, flux, n_max, e_cut",
+        [(None, 0.15, 7, 45.0), (None, 0.3, 7, 45.0), (None, 0.45, 7, 45.0), (None, 0.0, 7, 60.0)]
+        + [(params, flux, 5, 45.0) for params in DEGENERATE_CIRCUITS for flux in (0.2, 0.35)],
+    )
+    def test_every_large_sector_matches_lapack(self, device, monkeypatch, params, flux, n_max, e_cut):
+        # the Fig. 2 fluxes at n_max 7, both parity sectors of the 60 GHz rung at zero flux, and the exactly
+        # degenerate circuits
+        cfg = ChargeBasisConfig(n_max=n_max, num_eigenstates=16)
+        blocks = spectrum._product_blocks(params or device, flux, cfg, 60.0)
+        checked = davidson_against_lapack(monkeypatch)
+        spec = spectrum._product_solve(blocks, e_cut, flux, cfg)[0]
+        sizes = spec.sector_states or (spec.kept_states,)
+        assert [rows for rows, *_ in checked] == [rows for rows in sizes if rows > spectrum._SPARSE_MIN_PRODUCTS]
+        assert checked
+        for _, d_e, sin, bound in checked:
+            assert d_e <= 1e-10
+            assert sin <= bound
+
+    def test_two_solves_are_bit_identical(self, device, monkeypatch):
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        blocks = spectrum._product_blocks(device, 0.45, cfg, 60.0)
+        sectors, davidson = [], spectrum._davidson_lowest
+        monkeypatch.setattr(spectrum, "_davidson_lowest", lambda ham, k: sectors.append(ham) or davidson(ham, k))
+        spectrum._product_solve(blocks, 45.0, 0.45, cfg)
+        (ham,) = sectors
+        first, second = davidson(ham, 16), davidson(ham.copy(), 16)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_convergence_is_a_solver_error(self, device, monkeypatch):
+        # the sector at 0.15 takes more than two iterations: capped at two, its residuals exceed the contract
+        monkeypatch.setattr(spectrum, "_DAVIDSON_MAX_ITERATIONS", 2)
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        refused = r"eigenpair residuals exceed contract at block Davidson iteration 2 of 2: max \S+ > \S+$"
+        with pytest.raises(SolverError, match=refused):
+            spectrum_at(device, 0.15, cfg)
+        (point,) = sweep_flux(device, [0.15], cfg)
+        assert point.zeta_khz is None and re.search(refused, point.error)
 
 
 def _kron_cross_terms(blocks, rows):
