@@ -71,15 +71,16 @@ def _add_common(parser, *, out_required: bool = True):
 def _report_sweep(points, label: str, attr: str) -> int:
     """Print the zeta range and each failed point; numerical exit above 10% failures.
 
-    A failed point's swept value is shown to 12 decimals, the precision of the flux sweep's fold key, so a
-    linspace value reads 0.45 and not 0.45000000000000007.
+    A failed point's swept value is shown to ``spectrum.FLUX_KEY_DECIMALS``, the precision of the flux sweep's fold
+    key, so a linspace value reads 0.45 and not 0.45000000000000007.
     """
     zetas = [p.zeta_khz for p in points if p.zeta_khz is not None]
     if zetas:
         print(f"zeta/2pi range: min {min(zetas):.3f} kHz, max {max(zetas):.3f} kHz")
     failed = [p for p in points if p.error is not None]
     for point in failed:
-        print(f"failed at {label}={round(getattr(point, attr), 12)}: {point.error}", file=sys.stderr)
+        shown = round(getattr(point, attr), spectrum.FLUX_KEY_DECIMALS)
+        print(f"failed at {label}={shown}: {point.error}", file=sys.stderr)
     return EXIT_NUMERICAL if len(failed) > 0.1 * len(points) else EXIT_OK
 
 

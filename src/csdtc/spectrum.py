@@ -26,14 +26,15 @@ One backend answers at every n_max, with the charge basis as its oracle:
   its real form where complex and solved by ``solve_lowest``. It is never
   split by parity, so it stays an independent check of the split.
 
-Every lowest-k solve is of a real symmetric operator, by dense LAPACK up to
-``_SPARSE_MIN_PRODUCTS`` states. Above it a product sector is solved by
-block Davidson (``_davidson_lowest``) on the dense matrix that is built for
-it anyway: written on the block eigenbases, its diagonal dominates, and the
-search starts from the unit vectors on its lowest diagonal entries. The
-charge basis, too large to hold densely, is solved by ARPACK Lanczos on a
-CSR copy from one fixed start vector (``solve_lowest``). Every route checks
-the same residual contract on H. The product matrices are real by
+Every lowest-k solve is of a real symmetric operator. ``_solve_by_sector``
+sends a product sector of up to ``_SPARSE_MIN_PRODUCTS`` states to dense
+LAPACK (``solve_lowest``) and a larger one to block Davidson
+(``_davidson_lowest``) on the dense matrix that is built for it anyway:
+written on the block eigenbases, its diagonal dominates, and the search
+starts from the unit vectors on its lowest diagonal entries. The charge
+basis, too large to hold densely, stays CSR, and ``solve_lowest`` gives a
+CSR operator to ARPACK Lanczos from one fixed start vector. Every route
+checks the same residual contract on H. The product matrices are real by
 construction and the oracle folds its own operator, so every eigensolve is
 real and every output depends on the config alone.
 
@@ -111,9 +112,9 @@ _MAX_LEVEL_CORRECTION_GHZ = 1e-5
 # times on the C34 scan, but up to 2.9 times on random circuits at n_max 7 and 12 times at n_max 5 where the
 # estimate was small; every point so accepted there was within 0.013 kHz of the oracle
 _MAX_ESTIMATED_CORRECTION_KHZ = 1.0
-# a product sector of more states than this is solved by block Davidson, a smaller one by dense LAPACK, which is
-# as fast there (on the 373-375-product sectors of the device at zero flux and n_max 7, LAPACK takes 6.3-6.4 ms,
-# block Davidson 6.6-8.1); ``solve_lowest`` solves an operator above it, the charge basis, by ARPACK on a CSR copy
+# ``_solve_by_sector`` solves a product sector of more states than this by block Davidson, a smaller one by dense
+# LAPACK, which is as fast there (on the 373-375-product sectors of the device at zero flux and n_max 7, LAPACK
+# takes 6.3-6.4 ms, block Davidson 6.6-8.1)
 _SPARSE_MIN_PRODUCTS = 500
 # block Davidson: the search starts from k + _DAVIDSON_EXTRA unit vectors, restarts from as many Ritz vectors once it
 # would pass _DAVIDSON_RESTART times that, and stops after _DAVIDSON_MAX_ITERATIONS (the device's sectors at n_max 7
@@ -127,6 +128,8 @@ _DAVIDSON_MIN_NEW = 1e-8
 COMPUTATIONAL_OCCUPATIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 # the oracle gate: successive basis sizes whose zetas differ by less than this count as converged
 ZETA_GATE_KHZ = 0.1
+# ``sweep_flux`` folds fluxes whose |phi| agree to this many decimals, since a linspace mirror is often not bit-exact
+FLUX_KEY_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -189,16 +192,15 @@ class ConvergenceStudy:
 
 
 def solve_lowest(operator, k: int):
-    """Lowest-k eigenpairs of a real symmetric operator, dense or CSR, ascending.
+    """Lowest-k eigenpairs of a real symmetric operator, dense or CSR, ascending, by the solver of its kind.
 
-    Up to ``_SPARSE_MIN_PRODUCTS`` states LAPACK solves a dense copy for its
-    lowest k pairs only; above that ARPACK Lanczos solves a CSR copy, always
-    from the start vector ``default_rng(0).standard_normal(n)``, so repeated
-    runs are bit-identical. Residuals are checked against 1e-8 * ||H||_1 per
-    pair. A complex operator is refused: fold it with ``real_form`` first.
-    It solves the charge basis and the product sectors up to
-    ``_SPARSE_MIN_PRODUCTS``; a larger product sector goes to
-    ``_davidson_lowest``.
+    LAPACK solves a dense operator for its lowest k pairs only, and ARPACK
+    Lanczos a CSR one, always from the start vector
+    ``default_rng(0).standard_normal(n)``, so repeated runs are
+    bit-identical. Residuals are checked against 1e-8 * ||H||_1 per pair. A
+    complex operator is refused: fold it with ``real_form`` first. The
+    charge basis comes here in CSR, and the product sectors that
+    ``_solve_by_sector`` does not give to ``_davidson_lowest`` come dense.
     """
     if np.iscomplexobj(operator):
         raise ValueError("solve_lowest takes a real symmetric operator: fold a complex one with real_form first")
@@ -206,20 +208,15 @@ def solve_lowest(operator, k: int):
     if not (0 < k < n):
         raise ValueError(f"need 0 < k < dimension, got k={k}, dimension={n}")
 
-    if n > _SPARSE_MIN_PRODUCTS:
-        operator = sp.csr_matrix(operator)  # rebinding frees a dense input before Lanczos
-        v0 = np.random.default_rng(0).standard_normal(n)
+    if sp.issparse(operator):
         try:
-            vals, vecs = spla.eigsh(operator, k=k, which="SA", v0=v0)
+            vals, vecs = spla.eigsh(operator, k=k, which="SA", v0=np.random.default_rng(0).standard_normal(n))
         except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)"
-            ) from exc
+            raise SolverError(f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         scale = spla.norm(operator, 1)
     else:
-        operator = operator.toarray() if sp.issparse(operator) else np.asarray(operator)
         vals, vecs = sla.eigh(operator, subset_by_index=[0, k - 1])
         scale = sla.norm(operator, 1)  # LAPACK's norm copies no dense matrix
     _require_residuals(operator, vals, vecs, _RESIDUAL_FACTOR * scale)
@@ -575,8 +572,9 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
     sector are merged and the lowest k overall kept, with eigenvectors zero
     outside their sector. Each sector's dense matrix goes straight to LAPACK
     (``solve_lowest``) or, above ``_SPARSE_MIN_PRODUCTS`` products, to block
-    Davidson (``_davidson_lowest``). Also returns the (even, odd) sector
-    sizes, or None for one sector.
+    Davidson (``_davidson_lowest``). A sector of at most k products, one or
+    two, raises ``SolverError``. Also returns the (even, odd) sector sizes,
+    or None for one sector.
     """
     if blocks.parities is None:
         sectors, sizes = [np.arange(a.size)], None
@@ -585,11 +583,11 @@ def _solve_by_sector(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c: np
         total = p1[a] * p2[b] * p34[c]
         sectors = [np.flatnonzero(total == sign) for sign in (1, -1)]
         sizes = tuple(int(rows.size) for rows in sectors)
-        if min(sizes) <= k:
-            raise SolverError(
-                f"a parity sector of the product basis holds {min(sizes)} products (even {sizes[0]}, "
-                f"odd {sizes[1]}), too few for its lowest {k} states"
-            )
+    if min(rows.size for rows in sectors) <= k:
+        held = f"the product basis holds {a.size} products"
+        if sizes is not None:
+            held = f"a parity sector of the product basis holds {min(sizes)} products (even {sizes[0]}, odd {sizes[1]})"
+        raise SolverError(f"{held}, too few for its lowest {k} states")
     vals, vecs = np.empty(len(sectors) * k), np.zeros((a.size, len(sectors) * k))
     for sector, rows in enumerate(sectors):
         found = slice(sector * k, (sector + 1) * k)
@@ -798,11 +796,11 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig):
     """Spectra and zeta over a flux grid in [-0.5, 0.5], one solve per distinct |phi|.
 
     H(-phi) = H(phi)*, so both fluxes have one spectrum. The grid is grouped
-    by |phi| rounded to 12 decimals, since a linspace mirror is often not
-    bit-exact. Each group is solved once, at its smallest non-negative member
-    or, when it has none, at minus its largest, so the result does not depend
-    on grid order. Every row of the group gets that result, with its own
-    ``phi_ex`` and ``spectrum.flux``: a row at -phi copies the row at +phi.
+    by |phi| rounded to ``FLUX_KEY_DECIMALS``. Each group is solved once, at
+    its smallest non-negative member or, when it has none, at minus its
+    largest, so the result does not depend on grid order. Every row of the
+    group gets that result, with its own ``phi_ex`` and ``spectrum.flux``: a
+    row at -phi copies the row at +phi.
 
     Per-point failures are recorded in the row and the sweep continues. A
     failed group copies its error text to each of its rows.
@@ -813,7 +811,7 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig):
     if not np.all(np.abs(grid) <= 0.5 + 1e-12):  # NaN fails the comparison too
         raise ValueError("flux grid must lie within [-0.5, 0.5]")
     fluxes = grid.tolist()
-    keys = [round(abs(phi), 12) for phi in fluxes]
+    keys = [round(abs(phi), FLUX_KEY_DECIMALS) for phi in fluxes]
     groups = {}
     for key, phi in zip(keys, fluxes):
         groups.setdefault(key, []).append(phi)

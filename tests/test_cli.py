@@ -331,6 +331,29 @@ class TestZZCommand:
         flags = [line.rsplit(",", 1)[1] for line in (tmp_path / "zz.csv").read_text().splitlines()[1:]]
         assert flags == ["1"] + ["0"] * 17 + ["1"]
 
+    def test_kept_set_too_small_for_k_is_a_failed_point_at_every_flux(self, tmp_path, capsys):
+        # at 45 GHz this circuit keeps exactly the 54-product label corner: at flux 0 a parity sector, and at
+        # +-0.25 the one sector, holds too few products for k = 54, so each row fails and the sweep goes on
+        small = CircuitParams(
+            c11=2, c22=2, c33=2, c44=2, c12=0.01, c13=0.1, c14=0.01, c23=0.01, c24=0.1, c34=0.1,
+            ic1=100, ic2=100, ic3=100, ic4=100, ic5=100,
+        )
+        path, out = tmp_path / "small.json", tmp_path / "zz.csv"
+        save_params(small, path)
+        code = main(["zz", "--params", str(path), "--n-max", "3", "--k", "54",
+                     "--flux-grid=-0.25:0.25:3", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed at")]
+        one_sector = ": the product basis holds 54 products, too few for its lowest 54 states"
+        assert failed == [
+            "failed at phi_ex=-0.25" + one_sector,
+            "failed at phi_ex=0.0: a parity sector of the product basis holds 26 products (even 28, odd 26), "
+            "too few for its lowest 54 states",
+            "failed at phi_ex=0.25" + one_sector,
+        ]
+        rows = out.read_text().splitlines()
+        assert rows[0] == "phi_ex,zeta_kHz,ambiguous_flag" and [row.split(",")[1:] for row in rows[1:]] == [["", "1"]] * 3
+
     def test_failed_points_named_to_12_decimals(self, tmp_path, params_file, capsys):
         # np.linspace gives 0.43000000000000005 here; the CSV keeps that text, stderr reads 0.43
         out = tmp_path / "zz.csv"

@@ -78,8 +78,9 @@ class TestSolveLowest:
         assert np.abs(spec.eigenfrequencies_ghz - (vals - vals[0])).max() <= 1e-10
 
     @pytest.mark.parametrize("flux", [0.0, 0.3])
-    def test_size_picks_the_solver_whatever_the_input_kind(self, device, monkeypatch, flux):
-        # solve_lowest takes real operators: at 0.3 each is folded first, as charge_spectrum folds its own
+    def test_kind_picks_the_solver_whatever_the_size(self, device, monkeypatch, flux):
+        # solve_lowest takes real operators: at 0.3 each is folded first, as charge_spectrum folds its own; the
+        # charge basis (2401 states) and the coupler block (225) go to ARPACK in CSR and to LAPACK dense
         def solvable(op):
             return spectrum.real_form(op) if np.iscomplexobj(op) else op
 
@@ -87,12 +88,17 @@ class TestSolveLowest:
         operator = solvable(assemble_hamiltonian(device, flux, CFG3)[1])
         assert coupler.shape[0] <= spectrum._SPARSE_MIN_PRODUCTS < operator.shape[0]
         seen = record_eigensolves(monkeypatch)
-        sparse_vals, _ = solve_lowest(operator, 8)
-        dense_vals, _ = solve_lowest(operator.toarray(), 8)
-        solve_lowest(coupler, 8)
-        arpack = ("scipy.sparse.linalg.eigsh", np.float64, operator.shape[0], "csr")
-        assert seen == [arpack, arpack, ("scipy.linalg.eigh", np.float64, coupler.shape[0], "dense")]
-        assert np.abs(sparse_vals - dense_vals).max() <= 1e-10
+        expected = []
+        for matrix in (operator, coupler):
+            sparse_vals, _ = solve_lowest(matrix, 8)
+            dense_vals, _ = solve_lowest(matrix.toarray(), 8)
+            rows = matrix.shape[0]
+            expected += [
+                ("scipy.sparse.linalg.eigsh", np.float64, rows, "csr"),
+                ("scipy.linalg.eigh", np.float64, rows, "dense"),
+            ]
+            assert np.abs(sparse_vals - dense_vals).max() <= 1e-10
+        assert seen == expected
 
     def test_two_by_two(self):
         vals, vecs = solve_lowest(np.diag([1.0, 2.0]), 1)
@@ -118,8 +124,9 @@ class TestSolveLowest:
         with pytest.raises(SolverError, match=re.escape("eigensolver did not converge (3 of 8 pairs)")):
             solve_lowest(operator, 8)
 
-    # LAPACK, ARPACK, and the block Davidson solver of large product sectors, whose Ritz values are shifted: it
-    # cannot then meet the contract, and the check on H after its last iteration names the residual
+    # LAPACK (a dense operator), ARPACK (a CSR one), and the block Davidson solver of large product sectors, whose
+    # Ritz values are shifted: it cannot then meet the contract, and the check on H after its last iteration names
+    # the residual
     @pytest.mark.parametrize(
         "dim, solver, where",
         [(8, "solve_lowest", ""), (600, "solve_lowest", ""), (600, "_davidson_lowest", " at block Davidson iteration 60 of 60")],
@@ -129,7 +136,7 @@ class TestSolveLowest:
         # well-separated levels with a weak hop: ||H||_1 = dim - 0.8, so the contract is about 1e-8 dim
         operator = sp.diags([np.arange(float(dim)), np.full(dim - 1, 0.1), np.full(dim - 1, 0.1)], [0, 1, -1])
         solve = getattr(spectrum, solver)
-        if solver == "_davidson_lowest":
+        if dim == 8 or solver == "_davidson_lowest":
             operator = operator.toarray()
         solve(operator, 4)
 
@@ -529,6 +536,17 @@ class TestParitySectors:
         a, b, c = np.nonzero(np.ones(spectrum.LABEL_LEVELS, dtype=bool))  # the 54-product label corner
         with pytest.raises(SolverError, match="too few for its lowest 30 states"):
             spectrum._solve_by_sector(blocks, a, b, c, 30)
+
+    def test_one_sector_too_small_refused(self, device):
+        # off flux 0 and 1/2 the kept products are one sector: k as large as it is a SolverError, as for two sectors
+        blocks = spectrum._product_blocks(device, 0.25, CFG3, 40.0)
+        assert blocks.parities is None
+        a, b, c = np.nonzero(np.ones(spectrum.LABEL_LEVELS, dtype=bool))  # the 54-product label corner
+        refused = f"the product basis holds {LABEL_CORNER_STATES} products, too few for its lowest 54 states"
+        with pytest.raises(SolverError, match=re.escape(refused)):
+            spectrum._solve_by_sector(blocks, a, b, c, 54)
+        vals, vecs, sizes = spectrum._solve_by_sector(blocks, a, b, c, 53)
+        assert vals.shape == (53,) and vecs.shape == (LABEL_CORNER_STATES, 53) and sizes is None
 
 
 # exactly degenerate circuits: uncoupled qubit nodes, and in the second identical ones
