@@ -279,20 +279,6 @@ def subtracted_population_trace(p0000: RBTrace, px1: RBTrace) -> RBTrace:
     return RBTrace(p0000.lengths, values, std, KIND_SUBTRACTED, p0000.variant)
 
 
-def normalized_purity_from_density(rho) -> float:
-    """(D/(D-1)) (tr[rho^2] - 1/D); negative when leakage leaves trace < 1."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (D, D):
-        raise ValueError(f"density matrix must be {D}x{D}, got {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
-        raise ValueError("density matrix must be Hermitian")
-    trace = float(np.trace(rho).real)
-    if trace > 1.0 + 1e-9:
-        raise ValueError(f"density matrix trace {trace} exceeds 1")
-    purity = float(np.trace(rho @ rho).real)
-    return (D / (D - 1.0)) * (purity - 1.0 / D)
-
-
 def assemble_budget(
     r_cz: float | None,
     r_incoh_cz: float | None,

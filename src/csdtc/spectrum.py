@@ -403,71 +403,19 @@ def real_form(mat):
     result holds no explicit zero and sorted column indices.
     """
     h = mat.shape[0] // 2
-    if sp.issparse(mat):
-        return _real_form_csr(mat.tocsr(), h)
     a, b, c = mat[:h, :h], mat[:h, h + 1 :][:, ::-1], mat[:h, h : h + 1]
     mixed = b.imag - a.imag
     even, odd = _SQRT2 * c.real, _SQRT2 * c.imag
-    return np.block([
+    blocks = [
         [a.real + b.real, even, mixed],
         [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
         [mixed.T, odd, a.real - b.real],
-    ])
-
-
-def _real_form_csr(mat: sp.csr_matrix, h: int) -> sp.csr_matrix:
-    """``real_form`` of a CSR operator, read from the arrays of its top h + 1 rows without slicing them.
-
-    Re A + Re B, Re A - Re B and Im B - Im A are each one h x h CSR sum over
-    the entries of A and of B, B's column j at 2h - j. They are copied
-    straight into the arrays of the result, so no sparse sum or COO copy of
-    the whole form is made.
-    """
-    ptr = mat.indptr[: h + 1]
-    cols, vals = mat.indices[: ptr[-1]], mat.data[: ptr[-1]]
-    right, kept = cols > h, cols != h
-
-    def summed(take, values):
-        # values[take] as an h x h CSR, A's and B's entries at one place summed and zeros dropped
-        taken = cols[take]
-        out = sp.csr_matrix(
-            (values[take], np.where(taken > h, 2 * h - taken, taken), np.concatenate([[0], np.cumsum(take)])[ptr]),
-            shape=(h, h),
-        )
-        out.sum_duplicates()
-        out.eliminate_zeros()
-        return out
-
-    re, im = vals.real, vals.imag
-    plus, minus = summed(kept, re), summed(kept, np.where(right, -re, re))
-    mixed = summed(kept & (im != 0), np.where(right, im, -im))
-    c = np.zeros(h, dtype=vals.dtype)
-    np.add.at(c, np.searchsorted(ptr, np.flatnonzero(~kept), side="right") - 1, vals[~kept])
-    even, odd = (sp.csr_matrix(_SQRT2 * part[:, None]) for part in (c.real, c.imag))
-    middle = sp.hstack([even.T, sp.csr_matrix([[mat[h, h].real]]), odd.T], format="csr")
-    bands = [[(plus, 0), (even, h), (mixed, h + 1)], [(middle, 0)], [(mixed.T.tocsr(), 0), (odd, h), (minus, h + 1)]]
-    return _stack_csr(bands, mat.shape)
-
-
-def _stack_csr(bands, shape) -> sp.csr_matrix:
-    """The CSR matrix of CSR blocks at column offsets, given band by band from the top, each band left to right.
-
-    Every index of the result must fit an int32.
-    """
-    counts = np.concatenate([sum(np.diff(block.indptr) for block, _ in band) for band in bands])
-    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int32)])
-    indices, data, first = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), 0
-    for band in bands:
-        rows = band[0][0].shape[0]
-        start = indptr[first : first + rows].copy()
-        for block, offset in band:
-            filled = np.diff(block.indptr)
-            dest = np.repeat(start - block.indptr[:-1], filled)
-            dest += np.arange(block.nnz, dtype=np.int32)
-            indices[dest], data[dest] = block.indices + offset, block.data
-            start += filled
-        first += rows
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    ]
+    if not sp.issparse(mat):
+        return np.block(blocks)
+    folded = sp.bmat(blocks, format="csr")
+    folded.eliminate_zeros()
+    return folded
 
 
 def from_real_form(vectors: np.ndarray) -> np.ndarray:

@@ -222,6 +222,19 @@ class TestRealForm:
         assert np.array_equal(folded, folded.T)
         assert np.allclose(np.linalg.eigvalsh(folded), np.linalg.eigvalsh(coupler), atol=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.15, 0.3, 0.5])
+    @pytest.mark.parametrize("n_max", [3, 4])
+    def test_csr_fold_is_the_dense_fold_in_canonical_csr(self, device, n_max, phi):
+        ham = assemble_hamiltonian(device, phi, ChargeBasisConfig(n_max=n_max))[1]
+        folded = real_form(ham)
+        assert sp.isspmatrix_csr(folded)
+        # a fresh matrix on the same arrays, so the sortedness is checked and not read from a cached flag
+        assert sp.csr_matrix((folded.data, folded.indices, folded.indptr), shape=folded.shape).has_sorted_indices
+        assert np.all(folded.data != 0)
+        assert folded.indices.dtype == folded.indptr.dtype == np.int32
+        if n_max == 3:  # densified at n_max 4 the operator alone would take 689 MB
+            assert np.array_equal(folded.toarray(), real_form(ham.toarray()))
+
     @pytest.mark.parametrize("phi", [0.0, 0.15, -0.15, 0.3, 0.45, -0.45, 0.5, -0.5])
     @pytest.mark.parametrize("n_max", [4, 7])
     def test_reference_operators_are_exactly_mirror_conjugate(self, device, n_max, phi):

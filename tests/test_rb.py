@@ -18,7 +18,6 @@ from csdtc.rb import (
     fit_decay,
     full_budget,
     leakage_budget,
-    normalized_purity_from_density,
     ratio_error_budget,
     read_trace_csv,
     subtracted_population_trace,
@@ -295,33 +294,6 @@ class TestSubtractedTrace:
         px1 = RBTrace((1, 2, 3, 4), (1.0, 0.96, 0.92, 0.88), None, KIND_POPULATION_X1, "SRB")
         with pytest.raises(ValueError):
             subtracted_population_trace(px1, px1)
-
-
-class TestPurityFromDensity:
-    def test_maximally_mixed(self):
-        assert normalized_purity_from_density(np.eye(4) / 4.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_pure_state(self):
-        rho = np.zeros((4, 4))
-        rho[0, 0] = 1.0
-        assert normalized_purity_from_density(rho) == pytest.approx(1.0, rel=1e-15)
-
-    def test_leaky_projector(self):
-        rho = np.zeros((4, 4))
-        rho[0, 0] = 0.9
-        value = normalized_purity_from_density(rho)
-        assert value == pytest.approx((4.0 / 3.0) * (0.81 - 0.25), rel=1e-12)
-        assert value == pytest.approx(0.7467, abs=1e-4)
-
-    def test_non_hermitian_rejected(self):
-        rho = np.eye(4) / 4.0
-        rho[0, 1] = 0.3
-        with pytest.raises(ValueError, match="Hermitian"):
-            normalized_purity_from_density(rho)
-
-    def test_trace_above_one_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            normalized_purity_from_density(np.eye(4) / 2.0)
 
 
 class TestAssembleBudget:
