@@ -23,8 +23,11 @@ mask is mirror-symmetric, and each lower diagonal is the conjugate of its
 upper one. The real form of ``spectrum`` relies on it unchecked; the tests
 prove it.
 
-One builder assembles this operator and its three blocks: node 1, node 2,
-and the coupler block of nodes 3 and 4 joined by JJ5. ``assemble_blocks``
+One builder, ``_block_diagonals``, gives the diagonals of this operator and
+of its three blocks: node 1, node 2, and the coupler block of nodes 3 and 4
+joined by JJ5. The four-node operator is converted from them to CSR
+(``_build_block``), and each block is written from them into a dense array
+(``_dense_block``), which no sparse matrix passes through. ``assemble_blocks``
 returns the blocks with the charging matrix (``BlockHamiltonians``) and the
 junction energies, without the four-node operator; ``assemble_hamiltonian``
 returns the same blocks and the sparse four-node operator as a pair, so
@@ -33,6 +36,7 @@ every backend consumes one block bundle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,15 +117,18 @@ class BlockHamiltonians:
     modes: tuple[np.ndarray, ...]
 
 
+@functools.lru_cache(maxsize=8)
 def charge_grid(n_max: int, nodes: int) -> np.ndarray:
-    """(size**nodes, nodes) table of the charge numbers of each basis state, in kron (C) order."""
+    """(size**nodes, nodes) table of the charge numbers of each basis state, in kron (C) order; cached, read-only."""
     nvals = np.arange(-n_max, n_max + 1, dtype=float)
     grids = np.meshgrid(*([nvals] * nodes), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    grid = np.stack([g.ravel() for g in grids], axis=1)
+    grid.flags.writeable = False
+    return grid
 
 
-def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | None = None) -> sp.csr_matrix:
-    """Charge quadratic form, node cosines and JJ5 of a block of nodes, as diagonals of its charge grid.
+def _block_diagonals(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | None = None):
+    """Charge quadratic form, node cosines and JJ5 of a block of nodes, as (diagonals, offsets) of its charge grid.
 
     ``ec`` is the block's charging sub-matrix, whose form n^T ec n fills the
     main diagonal, and ``node_ej`` its node Josephson energies: each cosine
@@ -142,12 +149,31 @@ def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | N
 
     diagonals, offsets = [np.einsum("ia,ab,ib->i", grid, ec, grid)], [0]
     for offset, value, rows in hops:
-        # a row-indexed upper diagonal is, conjugated, the column-indexed lower one
-        upper = np.where(rows[: len(grid) - offset], value, 0.0)
-        diagonals += [upper, np.conj(upper)]
+        # a row-indexed upper diagonal is, conjugated, the column-indexed lower one; each is written from its own
+        # value, so a cut entry is a plain zero on both (a conjugated complex zero would carry -0.0)
+        rows = rows[: len(grid) - offset]
+        diagonals += [np.where(rows, value, 0.0), np.where(rows, np.conj(value), 0.0)]
         offsets += [offset, -offset]
+    return diagonals, offsets
+
+
+def _build_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | None = None) -> sp.csr_matrix:
+    """The block of ``_block_diagonals`` as a CSR operator."""
+    diagonals, offsets = _block_diagonals(ec, node_ej, n_max, phi, ej5)
     # the conversion drops the cut entries but keeps buffers of every stored one; copy them to size
     return sp.diags(diagonals, offsets, dtype=np.result_type(*diagonals), format="csr").copy()
+
+
+def _dense_block(ec: np.ndarray, node_ej, n_max: int, phi: float, ej5: float | None = None) -> np.ndarray:
+    """The block of ``_block_diagonals`` as a dense array, each diagonal written through a view of it."""
+    diagonals, offsets = _block_diagonals(ec, node_ej, n_max, phi, ej5)
+    dim = diagonals[0].size
+    out = np.zeros((dim, dim), dtype=np.result_type(*diagonals))
+    for diagonal, offset in zip(diagonals, offsets):
+        # the square corner whose main diagonal is the one at this offset
+        corner = out[max(-offset, 0) :, max(offset, 0) :][: diagonal.size, : diagonal.size]
+        np.einsum("ii->i", corner)[...] = diagonal
+    return out
 
 
 def assemble_blocks(
@@ -160,11 +186,11 @@ def assemble_blocks(
     ec = charging_matrix(build_capacitance_matrix(params))
     ej = derive_junction_energies(params)
     modes = (
-        _build_block(ec[:1, :1], (ej.ej1,), cfg.n_max, phi),
-        _build_block(ec[1:2, 1:2], (ej.ej2,), cfg.n_max, phi),
-        _build_block(ec[2:, 2:], (ej.ej3, ej.ej4), cfg.n_max, phi, ej.ej5),
+        _dense_block(ec[:1, :1], (ej.ej1,), cfg.n_max, phi),
+        _dense_block(ec[1:2, 1:2], (ej.ej2,), cfg.n_max, phi),
+        _dense_block(ec[2:, 2:], (ej.ej3, ej.ej4), cfg.n_max, phi, ej.ej5),
     )
-    return BlockHamiltonians(ec=ec, modes=tuple(m.toarray() for m in modes)), ej
+    return BlockHamiltonians(ec=ec, modes=modes), ej
 
 
 def assemble_hamiltonian(

@@ -31,7 +31,10 @@ sends a product sector of up to ``_SPARSE_MIN_PRODUCTS`` states to dense
 LAPACK (``solve_lowest``) and a larger one to block Davidson
 (``_davidson_lowest``) on the dense matrix that is built for it anyway:
 written on the block eigenbases, its diagonal dominates, and the search
-starts from the unit vectors on its lowest diagonal entries. The charge
+starts from the unit vectors on its lowest diagonal entries, whose H-products
+are the matching columns of H, gathered. Each new direction adds its own rows
+to the Rayleigh matrix B^T H B, kept in arrays sized for the largest space,
+so that matrix is never formed anew. The charge
 basis, too large to hold densely, stays CSR, and ``solve_lowest`` gives a
 CSR operator to ARPACK Lanczos from one fixed start vector. Every route
 checks the same residual contract on H. The product matrices are real by
@@ -72,6 +75,7 @@ eigenenergies, reported as zeta/2pi in kHz by ``zz_interaction``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,7 +233,7 @@ def _require_residuals(operator, vals: np.ndarray, vecs: np.ndarray, tol: float,
     ``where`` is appended to "exceed contract" in the ``SolverError`` message.
     """
     residuals = np.linalg.norm(operator @ vecs - vecs * vals[np.newaxis, :], axis=0)
-    if np.any(residuals > tol):
+    if not np.all(residuals <= tol):  # a NaN residual fails too
         raise SolverError(
             f"eigenpair residuals exceed contract{where}: max {residuals.max():.3e} > {tol:.3e}"
         )
@@ -240,27 +244,37 @@ def _davidson_lowest(ham: np.ndarray, k: int):
 
     The sector is written on the block eigenbases, so its diagonal dominates.
     The search space starts from the unit vectors on the k + ``_DAVIDSON_EXTRA``
-    lowest diagonal entries, so the result depends on H alone. Each
-    iteration solves H on the space (Rayleigh-Ritz) and adds the corrections
-    r / (theta - diag H) of the lowest k Ritz pairs not yet within the
+    lowest diagonal entries, so the result depends on H alone; their H-products
+    are the matching columns of H, gathered, not multiplied. The space, its
+    H-products and the Rayleigh matrix B^T H B live in arrays sized for
+    ``_DAVIDSON_RESTART`` times the start block, and each new direction adds
+    its own rows to that matrix, so it is never formed anew. Each iteration
+    solves H on the space (Rayleigh-Ritz), forms the lowest k Ritz vectors and
+    adds the corrections r / (theta - diag H) of those not yet within the
     contract of ``solve_lowest``, 1e-8 * ||H||_1, each projected out of the
     space twice and the set orthonormalized by a rank-revealing QR that drops
-    any correction left almost inside the space; a space that would pass
-    ``_DAVIDSON_RESTART`` times the start block restarts from the lowest
-    k + ``_DAVIDSON_EXTRA`` Ritz vectors. It stops once every residual is
-    within the contract, or after ``_DAVIDSON_MAX_ITERATIONS``, and the
-    contract is then checked on H: ``SolverError`` names the iterations.
+    any correction left almost inside the space; a space that would outgrow
+    its arrays restarts from the lowest k + ``_DAVIDSON_EXTRA`` Ritz vectors,
+    whose Rayleigh matrix is the diagonal of their Ritz values. It stops once
+    every residual is within the contract, or after
+    ``_DAVIDSON_MAX_ITERATIONS``, and the contract is then checked on H:
+    ``SolverError`` names the iterations.
     """
     block, diagonal = k + _DAVIDSON_EXTRA, np.diag(ham)
     tol = _RESIDUAL_FACTOR * sla.norm(ham, 1)
-    basis = np.zeros((ham.shape[0], block))
-    basis[np.argsort(diagonal, kind="stable")[:block], np.arange(block)] = 1.0
-    applied = ham @ basis
+    dim, width = ham.shape[0], _DAVIDSON_RESTART * block
+    basis, applied, rayleigh = np.zeros((dim, width)), np.empty((dim, width)), np.zeros((width, width))
+    start = np.argsort(diagonal, kind="stable")[:block]
+    basis[start, np.arange(block)] = 1.0
+    applied[:, :block] = ham[:, start]
+    rayleigh[:block, :block] = applied[start, :block]
+    size = block
     for iteration in range(1, _DAVIDSON_MAX_ITERATIONS + 1):
-        theta, coeffs = np.linalg.eigh(basis.T @ applied)
+        # eigh reads the lower triangle: row i holds direction i's products with itself and every earlier direction
+        theta, coeffs = np.linalg.eigh(rayleigh[:size, :size])
         theta, coeffs = theta[:block], coeffs[:, :block]
-        ritz, applied_ritz = basis @ coeffs, applied @ coeffs
-        residuals = applied_ritz[:, :k] - ritz[:, :k] * theta[:k]
+        ritz = basis[:, :size] @ coeffs[:, :k]
+        residuals = applied[:, :size] @ coeffs[:, :k] - ritz * theta[:k]
         pending = np.linalg.norm(residuals, axis=0) > tol
         if not pending.any() or iteration == _DAVIDSON_MAX_ITERATIONS:
             break
@@ -268,16 +282,22 @@ def _davidson_lowest(ham: np.ndarray, k: int):
         gaps[np.abs(gaps) < tol] = tol  # a diagonal entry at a Ritz value would divide by zero
         corrections = residuals[:, pending] / gaps
         corrections /= np.linalg.norm(corrections, axis=0)
-        if basis.shape[1] + corrections.shape[1] > _DAVIDSON_RESTART * block:
-            basis, applied = ritz, applied_ritz
+        if size + corrections.shape[1] > width:
+            basis[:, :block], applied[:, :block] = basis[:, :size] @ coeffs, applied[:, :size] @ coeffs
+            rayleigh[:block, :block] = np.diag(theta)
+            size = block
+        space = basis[:, :size]
         for _ in range(2):
-            corrections -= basis @ (basis.T @ corrections)
+            corrections -= space @ (space.T @ corrections)
         # a correction almost inside the space and the others (a degenerate pair gives two parallel ones) would add
         # a direction of rounding only, not orthogonal to the space
         corrections, r, _ = sla.qr(corrections, mode="economic", pivoting=True)
         corrections = corrections[:, np.abs(np.diag(r)) > _DAVIDSON_MIN_NEW]
-        basis, applied = np.hstack([basis, corrections]), np.hstack([applied, ham @ corrections])
-    vals, vecs = theta[:k], ritz[:, :k]
+        grown = size + corrections.shape[1]
+        basis[:, size:grown], applied[:, size:grown] = corrections, ham @ corrections
+        rayleigh[size:grown, :grown] = corrections.T @ applied[:, :grown]
+        size = grown
+    vals, vecs = theta[:k], ritz
     _require_residuals(ham, vals, vecs, tol, f" at block Davidson iteration {iteration} of {_DAVIDSON_MAX_ITERATIONS}")
     return vals, vecs
 
@@ -411,10 +431,14 @@ def real_form(mat):
         [even.T, mat[h : h + 1, h : h + 1].real, odd.T],
         [mixed.T, odd, a.real - b.real],
     ]
-    if not sp.issparse(mat):
-        return np.block(blocks)
-    folded = sp.bmat(blocks, format="csr")
-    folded.eliminate_zeros()
+    if sp.issparse(mat):
+        folded = sp.bmat(blocks, format="csr")
+        folded.eliminate_zeros()
+        return folded
+    folded, edges = np.empty(mat.shape), (0, h, h + 1, mat.shape[0])
+    for row, line in enumerate(blocks):
+        for col, block in enumerate(line):
+            folded[edges[row] : edges[row + 1], edges[col] : edges[col + 1]] = block
     return folded
 
 
@@ -459,7 +483,12 @@ def _block_eigh(mode: np.ndarray, split: bool):
     vals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(vals, kind="stable")
     parity = np.repeat([1, -1], [even_vals.size, odd_vals.size])
-    return vals[order], sla.block_diag(even_vecs, odd_vecs)[:, order], parity[order]
+    # each sector's eigenvectors go straight to their sorted columns of one zero array
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vecs = np.zeros(folded.shape)
+    vecs[:h1, column[: even_vals.size]], vecs[h1:, column[even_vals.size :]] = even_vecs, odd_vecs
+    return vals[order], vecs, parity[order]
 
 
 def _product_blocks(params: CircuitParams, flux, cfg: ChargeBasisConfig, e_max: float) -> _ProductBlocks:
@@ -497,17 +526,23 @@ def _product_hamiltonian(blocks: _ProductBlocks, a: np.ndarray, b: np.ndarray, c
     The diagonal holds the block energies. Each term of
     ``blocks.couplings`` is diagonal in its third block, so it is subtracted
     one group of products sharing that block's index at a time, as the outer
-    product of its two scaled block matrices restricted to the group.
+    product of its two scaled block matrices restricted to the group. One
+    stable sort per term finds its groups, and each square sub-matrix is
+    read and written by one gather on flat positions: entry (p, q) of a
+    C-ordered matrix of n columns sits at p * n + q.
     """
     e1, e2, e34 = blocks.energies
     ham = np.diag(e1[a] + e2[b] + e34[c])
-    levels = (a, b, c)
+    flat, levels = ham.reshape(-1), (a, b, c)
     for i, j, scale, left, right in blocks.couplings:
         shared, left = levels[3 - i - j], scale * left
-        for value in np.unique(shared):
-            group = np.flatnonzero(shared == value)
-            gi, gj = levels[i][group], levels[j][group]
-            ham[group[:, None], group] -= left[gi[:, None], gi] * right[gj[:, None], gj]
+        order = np.argsort(shared, kind="stable")  # each group's products stay in ascending order
+        edges = [0, *(np.flatnonzero(np.diff(shared[order])) + 1), order.size]
+        li, lj = levels[i][order], levels[j][order]
+        rows_i, rows_j, rows = li * left.shape[1], lj * right.shape[1], order * a.size
+        for group in map(slice, edges, edges[1:]):
+            term = left.take(rows_i[group, None] + li[group]) * right.take(rows_j[group, None] + lj[group])
+            flat[rows[group, None] + order[group]] -= term
     return ham
 
 
@@ -554,16 +589,22 @@ def _cross_terms(states: np.ndarray, blocks: _ProductBlocks, rows: tuple[int, in
     """
     out = np.zeros((len(states), *rows))
     for i, j, scale, left, right in blocks.couplings:
-        # subscript 0 is the state, 1 + k the reach of block k and 4 + k its rows: (0, 1) is "Aa,Bb,sabc->sABc"
-        sub = [0] + [4 + k if k in (i, j) else 1 + k for k in range(3)]
+        # axis 1 + k of the states is block k: each factor takes its block's reach to its rows
         region = (slice(None), *(slice(None if k in (i, j) else m) for k, m in enumerate(blocks.reach)))
-        term = np.einsum(
-            left[: rows[i]], [4 + i, 1 + i], right[: rows[j]], [4 + j, 1 + j], states, [0, 1, 2, 3], sub, optimize=True
-        )
+        term = _along_axis(right[: rows[j]], _along_axis(left[: rows[i]], states, 1 + i), 1 + j)
         term *= scale
         out[region] += term
         del term  # scaled in place and freed here, so no second out-sized array lives through a contraction
     return out
+
+
+def _along_axis(factor: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """sum_m factor[r, m] tensor[..., m, ...] over one axis of ``tensor``, with r in its place, as one matmul."""
+    if axis == tensor.ndim - 1:
+        return tensor @ factor.T
+    shape = tensor.shape
+    out = factor @ tensor.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return out.reshape(*shape[:axis], factor.shape[0], *shape[axis + 1 :])
 
 
 def _left_out_corrections(states: np.ndarray, energies: np.ndarray, blocks: _ProductBlocks, kept: np.ndarray):

@@ -141,6 +141,17 @@ class TestKroneckerReference:
         for mode, reference in zip(blocks.modes, modes):
             assert np.array_equal(mode, reference.toarray())
 
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("n_max", [3, 4, 7])
+    def test_dense_blocks_are_the_csr_blocks_bit_for_bit(self, device, n_max, phi):
+        # the dense blocks are written from the diagonals that the CSR builder, pinned above, converts
+        modes = assemble_blocks(device, phi, ChargeBasisConfig(n_max=n_max))[0].modes
+        cases = list(block_cases(device, n_max, phi).values())[:3]
+        for mode, args in zip(modes, cases, strict=True):
+            reference = _build_block(*args).toarray()
+            assert (mode.dtype, mode.shape) == (reference.dtype, reference.shape)
+            assert mode.tobytes() == reference.tobytes()
+
 
 class TestAssembly:
     def test_dimension_and_sparsity(self, device):

@@ -152,6 +152,15 @@ class TestSolveLowest:
         with pytest.raises(SolverError, match=re.escape(f"eigenpair residuals exceed contract{where}: max 1.000e-05 > ")):
             solve(operator, 4)
 
+    def test_nan_residual_is_a_solver_error(self):
+        # a NaN compares false with the tolerance either way, so the contract must ask for residuals within it
+        operator = np.diag([1.0, 2.0, 3.0])
+        vecs = np.eye(3)[:, :2].copy()
+        spectrum._require_residuals(operator, np.array([1.0, 2.0]), vecs, 1e-8)
+        vecs[0, 1] = np.nan
+        with pytest.raises(SolverError, match=re.escape("eigenpair residuals exceed contract: max nan > 1.000e-08")):
+            spectrum._require_residuals(operator, np.array([1.0, 2.0]), vecs, 1e-8)
+
     def test_orthonormal_eigenvectors(self, device):
         _, ham = assemble_hamiltonian(device, 0.1, CFG3)
         _, vecs = solve_lowest(spectrum.real_form(ham), 8)
@@ -676,6 +685,25 @@ class TestBlockDavidson:
         for _, d_e, sin, bound in checked:
             assert d_e <= 1e-10
             assert sin <= bound
+
+    @pytest.mark.parametrize("flux", [0.15, 0.45])
+    def test_restarts_keep_every_sector_on_lapack(self, device, monkeypatch, flux):
+        # a space of twice the start block restarts at nearly every iteration, from the Ritz values as its Rayleigh
+        # matrix; each restart shows as a Rayleigh matrix smaller than the one before it
+        monkeypatch.setattr(spectrum, "_DAVIDSON_RESTART", 2)
+        cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
+        blocks = spectrum._product_blocks(device, flux, cfg, 60.0)
+        checked = davidson_against_lapack(monkeypatch)
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: sizes.append(mat.shape[0]) or eigh(mat))
+        spectrum._product_solve(blocks, 45.0, flux, cfg)
+        assert checked
+        for _, d_e, sin, bound in checked:
+            assert d_e <= 1e-10
+            assert sin <= bound
+        block = 16 + spectrum._DAVIDSON_EXTRA
+        assert max(sizes) <= 2 * block
+        assert sum(later < earlier for earlier, later in zip(sizes, sizes[1:])) >= 2
 
     def test_two_solves_are_bit_identical(self, device, monkeypatch):
         cfg = ChargeBasisConfig(n_max=7, num_eigenstates=16)
