@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import minimize_scalar
-
 from . import perturbative, spectrum
 from .circuit import CircuitParams
 from .errors import BracketError, ConfigError
@@ -44,6 +42,8 @@ def bounded_argmin(func, lo: float, hi: float, *, tol: float = ARGMIN_TOL_FF) ->
     and ConfigError, before ``func`` is called, when those two edge zones
     leave no interior at all.
     """
+    from scipy.optimize import minimize_scalar  # here, so the eigensolver commands never load scipy.optimize
+
     _check_bracket(lo, hi, tol)
     x_min = float(minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": tol}).x)
     edge = tol + (hi - lo) * 1e-3

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circuit import CircuitParams, JunctionEnergies, derive_junction_energies
 from .constants import E_CHARGE, FF, GHZ, HBAR, NH
@@ -260,6 +259,8 @@ def zero_coupling_c34(params: CircuitParams) -> ZeroCouplingResult:
     jump sign; a polish that fails the check there raises ``ModelError``
     naming that C34 and the values on either side.
     """
+    from scipy.optimize import brentq  # here, so the eigensolver commands never load scipy.optimize
+
     def reduce(c34_ff: float) -> PerturbativeResult:
         return two_mode_reduction(params.with_c34(c34_ff))
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import FitError
 
@@ -172,6 +171,8 @@ def fit_decay(trace: RBTrace) -> DecayFit:
     Jacobian, scaled by chi^2/(n-3) without standard errors. ``FitError`` if it
     is singular to rounding or non-finite.
     """
+    from scipy.optimize import minimize_scalar  # here, so the eigensolver commands never load scipy.optimize
+
     scale = _exponent_scale(trace.kind)
     m = np.asarray(trace.lengths, dtype=float)
     y = np.asarray(trace.values, dtype=float)

@@ -66,7 +66,12 @@ Dressed states are labeled |Q1, Q2, c> against the three blocks of
 ``BlockHamiltonians.modes``: Q1 and Q2 are the qubit-node occupations and c
 is the level index of the coupler block (nodes 3 and 4 with JJ5 at the flux).
 Each eigenstate gets one product of block eigenstates, by the unique
-assignment that maximizes the summed overlap. The ZZ interaction is the
+assignment that maximizes the summed overlap. Where every state's largest
+overlap lies on a different product, that is already the assignment, and
+no matching is solved (every label call of the benchmark workloads, and 39
+of the 51 solves of the Fig. 2 sweep at n_max 7); otherwise it is a
+maximum-weight full bipartite matching (``scipy.sparse.csgraph``), so no
+eigensolver command imports ``scipy.optimize``. The ZZ interaction is the
 cross-Kerr combination E(110) - E(100) - E(010) + E(000) of labeled
 eigenenergies, reported as zeta/2pi in kHz by ``zz_interaction``.
 ``convergence_study`` judges the basis size against ``ZETA_GATE_KHZ``.
@@ -82,7 +87,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import perturbative
 from .circuit import CircuitParams
@@ -117,8 +122,9 @@ _MAX_LEVEL_CORRECTION_GHZ = 1e-5
 # estimate was small; every point so accepted there was within 0.013 kHz of the oracle
 _MAX_ESTIMATED_CORRECTION_KHZ = 1.0
 # ``_solve_by_sector`` solves a product sector of more states than this by block Davidson, a smaller one by dense
-# LAPACK, which is as fast there (on the 373-375-product sectors of the device at zero flux and n_max 7, LAPACK
-# takes 6.3-6.4 ms, block Davidson 6.6-8.1)
+# LAPACK. Davidson is now no slower below it (on the 373-375-product sectors of the device at zero flux and n_max 7,
+# block Davidson takes 5.9-6.5 ms, LAPACK 6.8-7.1), but the value stays at 500: lowering it would change the bits of
+# ``design`` and of the zero-flux outputs at n_max 7
 _SPARSE_MIN_PRODUCTS = 500
 # block Davidson: the search starts from k + _DAVIDSON_EXTRA unit vectors, restarts from as many Ritz vectors once it
 # would pass _DAVIDSON_RESTART times that, and stops after _DAVIDSON_MAX_ITERATIONS (the device's sectors at n_max 7
@@ -306,11 +312,18 @@ def _assign_labels(overlaps: np.ndarray):
     """Labels from |<product|eigenstate>|^2 of shape (k, 3, 3, 6) by the overlap-maximizing unique assignment.
 
     ``ChargeBasisConfig`` bounds k to the 54 products, so every eigenstate gets its own label.
+    Where each state's largest overlap lies on a different product, those
+    products are the assignment, since they reach the bound, the sum of the
+    row maxima; only where two states share one is a matching solved.
     """
     k = overlaps.shape[0]
     shape = overlaps.shape[1:]
     flat = overlaps.reshape(k, -1)
-    _, products = linear_sum_assignment(flat, maximize=True)
+    products = flat.argmax(axis=1)
+    if np.unique(products).size < k:
+        # the maximum-weight full matching: CSR drops exact zeros (parity makes many overlaps 0), and csgraph
+        # takes each stored entry as an edge, so the overlaps are shifted by 1, which adds k to every full matching
+        _, products = min_weight_full_bipartite_matching(sp.csr_array(1.0 + flat), maximize=True)
     labels = []
     for state, product in enumerate(products):
         overlap = float(flat[state, product])

@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csdtc
 from csdtc import perturbative, spectrum
 from csdtc.circuit import CircuitParams, params_to_dict, reference_device, save_params
 from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid
@@ -495,6 +499,29 @@ def test_readme_library_sketch_runs():
     namespace = {}
     exec(sketch, namespace)
     assert round(namespace["zz"], 1) == -35.4  # the value its comment gives
+
+
+def test_eigensolver_commands_never_import_scipy_optimize(tmp_path, params_file):
+    # a fresh interpreter, since other test modules import scipy.optimize when they are collected
+    commands = [
+        ["zz", "--flux-grid=-0.25:0.25:3", "--out", str(tmp_path / "zz.csv")],
+        ["spectrum", "--flux-grid=0:0.5:3", "--out", str(tmp_path / "spectrum.csv")],
+        ["pert-compare", "--c34-grid", "28:32:2", "--zero-parasitics", "--out", str(tmp_path / "c34.csv")],
+    ]
+    script = f"""
+import sys
+from csdtc.cli import main
+for argv in {commands!r}:
+    assert main(argv + ["--params", {params_file!r}, "--n-max", "3"]) == 0, argv
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+assert not loaded, loaded
+"""
+    src = str(Path(csdtc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for argv in commands:
+        assert Path(argv[-1]).stat().st_size > 0
 
 
 class TestDesignCommand:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import linear_sum_assignment
 
 from csdtc import CircuitParams, spectrum
 from csdtc.circuit import save_params
@@ -16,6 +17,7 @@ from csdtc.hamiltonian import ChargeBasisConfig, assemble_blocks, assemble_hamil
 from csdtc.spectrum import (
     COMPUTATIONAL_OCCUPATIONS,
     ZETA_GATE_KHZ,
+    _assign_labels,
     _zeta_from_spectrum,
     charge_spectrum,
     convergence_study,
@@ -220,6 +222,50 @@ class TestLabels:
         assert any(overlap != round(overlap, 3) for _, overlap in candidates)
         shown = ", ".join(f"({state}, {overlap:.3f})" for state, overlap in candidates)
         assert f"(1, 1, 0): [{shown}]" in str(err.value)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    @pytest.mark.parametrize("k", [6, 16, 33, 54])
+    def test_assignment_is_the_maximum_sum_assignment(self, monkeypatch, k, collide):
+        matchings = []
+        matching = spectrum.min_weight_full_bipartite_matching
+
+        def counted(*args, **kwargs):
+            matchings.append(args)
+            return matching(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "min_weight_full_bipartite_matching", counted)
+        computational = [int(np.ravel_multi_index(occ, (3, 3, 6))) for occ in COMPUTATIONAL_OCCUPATIONS]
+        seeds = range(25)
+        for seed in seeds:
+            rng = np.random.default_rng([k, seed])
+            flat = 0.5 * rng.random((k, LABEL_CORNER_STATES)) ** 4
+            flat[rng.random(flat.shape) < 0.5] = 0.0  # exact zeros, as parity gives at flux 0 and 1/2
+            flat[np.arange(4), computational] = rng.uniform(0.6, 1.0, 4)
+            if collide:  # two of the other states share their largest overlap
+                rows = rng.choice(np.arange(4, k), 2, replace=False)
+                flat[rows, rng.integers(LABEL_CORNER_STATES)] = rng.uniform(1.0, 2.0, 2)
+            _, best = linear_sum_assignment(flat, maximize=True)
+            expected = [(tuple(int(v) for v in np.unravel_index(p, (3, 3, 6))), flat[s, p])
+                        for s, p in enumerate(best)]
+            labels = _assign_labels(flat.reshape(k, 3, 3, 6))
+            assert [(label.occupations, label.overlap) for label in labels] == expected
+        if collide:
+            assert len(matchings) == len(seeds)
+
+    def test_states_sharing_their_only_product_are_matched(self):
+        # two states hold all their overlap on |0,0,0>: without the shift, CSR keeps their zeros as no edge at all,
+        # and no full matching exists
+        flat = np.zeros((6, LABEL_CORNER_STATES))
+        products = [(0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+        for state, occ in enumerate(products):
+            flat[state, np.ravel_multi_index(occ, (3, 3, 6))] = 1.0
+        labels = _assign_labels(flat.reshape(6, 3, 3, 6))
+        _, best = linear_sum_assignment(flat, maximize=True)
+        assert sum(label.overlap for label in labels) == flat[np.arange(6), best].sum() == 5.0
+        assert [label.occupations for label in labels[2:]] == products[2:]
+        first, second = sorted(labels[:2], key=lambda label: -label.overlap)
+        assert (first.occupations, first.overlap, first.ambiguous) == ((0, 0, 0), 1.0, False)
+        assert second.occupations not in products and (second.overlap, second.ambiguous) == (0.0, True)
 
     def test_eigenfrequencies_relative_and_sorted(self, device):
         spec = spectrum_at(device, 0.0, CFG4)
