@@ -32,6 +32,9 @@ D = 4
 
 _LAMBDA_FLOOR = 1e-12
 _AMPLITUDE_FLOOR = 1e-12
+# the decay-rate search: points per zoom, and the bracket width at which a trace stops zooming
+_ZOOM_POINTS = 17
+_RATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,20 +146,49 @@ def _exponent_scale(kind: str) -> int:
 
 
 def _projection(rates, scaled_m, y, weights):
-    """Amplitude, offset and chi^2 of the fit at each decay rate r = -ln(lam), in closed form.
+    """Amplitude, offset and chi^2 of each trace's fit at each of its decay rates r = -ln(lam), in closed form.
 
-    The offset is eliminated by centring decay and data on their weighted
-    means; a rate whose decay underflows at every length fits the offset alone.
+    ``rates`` is (traces, rates) and the other arrays are (traces, points). The
+    offset is eliminated by centring decay and data on their weighted means; a
+    rate whose decay underflows at every length fits the offset alone. Every
+    sum runs over one trace's points, so no trace's result depends on another's.
     """
-    decay = np.exp(-np.multiply.outer(rates, scaled_m))
-    y_mean = (weights @ y) / weights.sum()
-    decay_mean = (decay @ weights) / weights.sum()
+    decay = np.exp(rates[..., None] * -scaled_m[:, None, :])
+    w = weights[:, None, :]
+    total = weights.sum(axis=-1)
+    y_mean = (weights * y).sum(axis=-1) / total
+    decay_mean = (decay * w).sum(axis=-1) / total[:, None]
     decay_c = decay - decay_mean[..., None]
-    y_c = y - y_mean
-    amplitude = ((decay_c * weights) @ y_c) / np.maximum((decay_c * decay_c) @ weights, np.finfo(float).tiny)
+    weighted_c = decay_c * w
+    y_c = (y - y_mean[:, None])[:, None, :]
+    amplitude = (weighted_c * y_c).sum(axis=-1) / np.maximum((weighted_c * decay_c).sum(axis=-1), np.finfo(float).tiny)
     # chi^2 from the residuals themselves: the expanded sums cancel near lam = 1
     residuals = y_c - amplitude[..., None] * decay_c
-    return amplitude, y_mean - amplitude * decay_mean, (residuals * residuals) @ weights
+    return amplitude, y_mean[:, None] - amplitude * decay_mean, (residuals * residuals * w).sum(axis=-1)
+
+
+def _best_rates(scaled_m, y, weights):
+    """Each trace's chi^2-minimizing rate: a log-spaced grid brackets it, repeated zooms close in on it.
+
+    A zoom evaluates ``_ZOOM_POINTS`` evenly spaced rates across a trace's
+    bracket, both ends included, and keeps the best one's neighbours as the
+    next bracket. A trace stops zooming once its own bracket is within
+    ``_RATE_TOL``, so its rate does not depend on the other traces.
+    """
+    # rates r = -ln(lam) from the floor down to a 1e-6 decay over the trace (slower is a straight line to
+    # rounding); grids run from fast to slow and argmin takes the first of equal chi^2 values, so a trace with
+    # no decay, whose chi^2 is flat at fast rates, runs to the lam floor, where its Jacobian is singular
+    grid = np.geomspace(-math.log(_LAMBDA_FLOOR), 1e-6 / scaled_m[:, -1], 64, axis=-1)
+    steps, neighbours = np.linspace(0.0, 1.0, _ZOOM_POINTS), np.array([-1, 0, 1])
+    bracket = np.empty((len(grid), 3))  # fast end, best rate, slow end
+    live = np.arange(len(grid))
+    while live.size:
+        best = _projection(grid, scaled_m[live], y[live], weights[live])[2].argmin(axis=-1)
+        picks = np.minimum(np.maximum(best[:, None] + neighbours, 0), grid.shape[1] - 1)
+        bracket[live] = grid[np.arange(live.size)[:, None], picks]
+        live = live[bracket[live, 0] - bracket[live, 2] > _RATE_TOL]
+        grid = bracket[live, :1] + (bracket[live, 2:] - bracket[live, :1]) * steps
+    return bracket[:, 1]
 
 
 def fit_decay(trace: RBTrace) -> DecayFit:
@@ -165,59 +197,87 @@ def fit_decay(trace: RBTrace) -> DecayFit:
     scale is 2 for purity traces, 1 otherwise; weights are 1/std^2 (unit
     without standard errors). At fixed lam, amplitude and offset are linear,
     so only the rate -ln(lam) is searched, with lam in [1e-12, 1]: a log-spaced
-    grid brackets the best cell, scipy's bounded Brent method refines it, and
-    two Gauss-Newton steps on (amplitude, offset, lam), each kept only if it
-    lowers chi^2, polish it. The covariance is (J^T W J)^-1 of the analytic
-    Jacobian, scaled by chi^2/(n-3) without standard errors. ``FitError`` if it
-    is singular to rounding or non-finite.
+    grid brackets the best cell, vectorized zooms refine it to 1e-12 in the
+    rate, and two Gauss-Newton steps on (amplitude, offset, lam), each kept
+    only if it lowers chi^2, polish it. The covariance is (J^T W J)^-1 of the
+    analytic Jacobian, scaled by chi^2/(n-3) without standard errors.
+    ``FitError`` if it is singular to rounding or non-finite. This is the
+    batch of one of the fit ``full_budget`` runs on all its traces at once.
     """
-    from scipy.optimize import minimize_scalar  # here, so the eigensolver commands never load scipy.optimize
+    (fit,) = _fit_decays([trace])
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
-    scale = _exponent_scale(trace.kind)
-    m = np.asarray(trace.lengths, dtype=float)
-    y = np.asarray(trace.values, dtype=float)
-    absolute = trace.std_errs is not None
-    weights = np.asarray(trace.std_errs, dtype=float) ** -2 if absolute else np.ones_like(y)
 
-    if np.ptp(y) == 0.0:
-        # constant trace: amplitude 0, decay constant unidentifiable
-        return DecayFit(amplitude=0.0, offset=float(y[0]), lam=1.0, covariance=np.zeros((3, 3)),
-                        lambda_identifiable=False)
+def _fit_decays(traces) -> list:
+    """``fit_decay`` of every trace in one vectorized pass: a DecayFit, or the FitError it raises, per trace.
 
-    scaled_m = scale * m
-    # rates r = -ln(lam) from a 1e-6 decay over the trace (slower is a straight line to rounding) to the floor
-    rates = np.geomspace(1e-6 / scaled_m[-1], -math.log(_LAMBDA_FLOOR), 64)
-    best = int(np.argmin(_projection(rates, scaled_m, y, weights)[2]))
-    bracket = (rates[max(best - 1, 0)], rates[min(best + 1, rates.size - 1)])
-    rate = minimize_scalar(lambda r: _projection(r, scaled_m, y, weights)[2], bounds=bracket,
-                           method="bounded", options={"xatol": 1e-12}).x
-    amplitude, offset, chi2 = _projection(rate, scaled_m, y, weights)
-    theta = np.array([amplitude, offset, math.exp(-rate)])
-    try:
-        for _ in range(2):
-            decay = theta[2] ** scaled_m
-            jac = np.column_stack([decay, np.ones_like(m), theta[0] * scaled_m * theta[2] ** (scaled_m - 1)])
-            residuals = y - theta[1] - theta[0] * decay
-            # (J^T W J)^-1 from the SVD of W^(1/2) J with unit columns: positive definite, or singular to rounding
-            weighted_jac = np.sqrt(weights)[:, None] * jac
-            norms = np.maximum(np.linalg.norm(weighted_jac, axis=0), np.finfo(float).tiny)
-            _, sv, vt = np.linalg.svd(weighted_jac / norms, full_matrices=False)
-            if not sv[-1] > np.finfo(float).eps * m.size * sv[0]:
-                raise np.linalg.LinAlgError(f"column-scaled Jacobian has singular values {sv}")
-            covariance = (vt.T / sv**2) @ vt / np.outer(norms, norms)
-            trial = theta + covariance @ (jac.T @ (weights * residuals))
-            trial[2] = min(max(trial[2], _LAMBDA_FLOOR), 1.0)
-            trial_chi2 = weights @ (y - trial[1] - trial[0] * trial[2] ** scaled_m) ** 2
-            if not trial_chi2 <= chi2:
-                break
-            theta, chi2 = trial, trial_chi2
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"decay fit is singular at lam {theta[2]:.6g}: lam is not identifiable ({exc})") from exc
-    if not absolute:
-        covariance = covariance * chi2 / (y.size - 3)
-    if not np.all(np.isfinite(covariance)):
-        raise FitError(f"decay fit produced a non-finite covariance; residuals {residuals}")
-    return DecayFit(*map(float, theta), covariance, lambda_identifiable=bool(abs(theta[0]) > _AMPLITUDE_FLOOR))
+    Traces with the same number of points are fitted as one stack, and each
+    trace's result is bit-identical to its fit alone.
+    """
+    results = [None] * len(traces)
+    stacks = {}
+    for index, trace in enumerate(traces):
+        if np.ptp(trace.values) == 0.0:
+            # constant trace: amplitude 0, decay constant unidentifiable
+            results[index] = DecayFit(amplitude=0.0, offset=float(trace.values[0]), lam=1.0,
+                                      covariance=np.zeros((3, 3)), lambda_identifiable=False)
+        else:
+            stacks.setdefault(len(trace.lengths), []).append(index)
+    for indices in stacks.values():
+        for index, result in zip(indices, _fit_stack([traces[i] for i in indices])):
+            results[index] = result
+    return results
+
+
+def _fit_stack(traces) -> list:
+    """The search, polish and covariance of ``fit_decay`` on non-constant traces of equal size, stacked."""
+    scaled_m = np.array([[_exponent_scale(t.kind) * m for m in t.lengths] for t in traces], dtype=float)
+    y = np.array([t.values for t in traces], dtype=float)
+    n = y.shape[1]
+    absolute = np.array([t.std_errs is not None for t in traces])
+    weights = np.array([t.std_errs if t.std_errs is not None else (1.0,) * n for t in traces], dtype=float) ** -2
+
+    rate = _best_rates(scaled_m, y, weights)
+    amplitude, offset, chi2 = (v[:, 0] for v in _projection(rate[:, None], scaled_m, y, weights))
+    theta = np.column_stack([amplitude, offset, np.exp(-rate)])
+    errors = [None] * len(traces)
+    for _ in range(2):
+        decay = theta[:, 2:] ** scaled_m
+        jac = np.stack([decay, np.ones_like(decay), theta[:, :1] * scaled_m * theta[:, 2:] ** (scaled_m - 1)], axis=-1)
+        residuals = y - theta[:, 1:2] - theta[:, :1] * decay
+        # (J^T W J)^-1 from the SVD of W^(1/2) J with unit columns: positive definite, or singular to rounding
+        weighted_jac = np.sqrt(weights)[..., None] * jac
+        norms = np.maximum(np.linalg.norm(weighted_jac, axis=-2), np.finfo(float).tiny)
+        scaled_jac = weighted_jac / norms[:, None, :]
+        # LAPACK does not converge on NaN, and one such matrix would fail the whole stack
+        unconverged = np.isnan(scaled_jac).any(axis=(-2, -1))
+        scaled_jac[unconverged] = 0.0
+        _, sv, vt = np.linalg.svd(scaled_jac, full_matrices=False)
+        singular = ~(sv[:, -1] > np.finfo(float).eps * n * sv[:, 0])
+        for i in np.flatnonzero(singular):
+            reason = "SVD did not converge" if unconverged[i] else f"column-scaled Jacobian has singular values {sv[i]}"
+            errors[i] = errors[i] or FitError(
+                f"decay fit is singular at lam {theta[i, 2]:.6g}: lam is not identifiable ({reason})")
+        # a failed trace's covariance and step are never used; unit values keep them finite
+        sv[singular], norms[singular] = 1.0, 1.0
+        covariance = (np.swapaxes(vt, -1, -2) / sv[:, None, :] ** 2) @ vt / (norms[:, :, None] * norms[:, None, :])
+        gradient = (jac * (weights * residuals)[..., None]).sum(axis=-2)
+        trial = theta + (covariance @ gradient[..., None])[..., 0]
+        trial[:, 2] = np.clip(trial[:, 2], _LAMBDA_FLOOR, 1.0)
+        trial_chi2 = (weights * (y - trial[:, 1:2] - trial[:, :1] * trial[:, 2:] ** scaled_m) ** 2).sum(axis=-1)
+        # a rejected step leaves theta, and so the next pass's covariance and step, as they are
+        keep = trial_chi2 <= chi2
+        theta[keep], chi2[keep] = trial[keep], trial_chi2[keep]
+    covariance[~absolute] = covariance[~absolute] * chi2[~absolute, None, None] / (n - 3)
+    results = []
+    for i in range(len(traces)):
+        if errors[i] is None and not np.all(np.isfinite(covariance[i])):
+            errors[i] = FitError(f"decay fit produced a non-finite covariance; residuals {residuals[i]}")
+        results.append(errors[i] or DecayFit(*map(float, theta[i]), covariance[i],
+                                             lambda_identifiable=bool(abs(theta[i, 0]) > _AMPLITUDE_FLOOR)))
+    return results
 
 
 def _leakage_rate(fit: DecayFit) -> tuple[float, float]:
@@ -338,7 +398,10 @@ def full_budget(traces: dict, *, allow_partial: bool = False) -> ErrorBudget:
 
     Missing pairs leave their budget entries None (only with
     ``allow_partial``). The gate-error fit needs both the p0000 and x1 pairs
-    because of the leakage-reference subtraction.
+    because of the leakage-reference subtraction. Every trace, and each
+    P_0000 - P_X1/D series, is fitted in one vectorized batch, with the same
+    bits as ``fit_decay`` of it alone. Failures are raised in the order the
+    budget uses the fits: x1, purity, then the gate-error series, SRB first.
     """
     expected = SLOT_EXPECTATIONS
     unknown = set(traces) - set(expected)
@@ -355,22 +418,31 @@ def full_budget(traces: dict, *, allow_partial: bool = False) -> ErrorBudget:
     if missing and not allow_partial:
         raise ValueError(f"missing trace slots: {sorted(missing)}; a partial budget needs allow_partial (--partial)")
 
+    # one batched fit of every trace it has, the two P_0000 - P_X1/D series included; a series that cannot be
+    # built keeps its ValueError in place of its fit, so failures are raised in the order the budget uses them
+    series = {slot: traces[slot] for slot in ("x1_srb", "x1_irb", "purity_srb", "purity_irb") if slot in traces}
+    if {"p0000_srb", "p0000_irb", "x1_srb", "x1_irb"} <= set(traces):
+        for variant in ("srb", "irb"):
+            try:
+                series[f"p0000_{variant}/x1_{variant}"] = subtracted_population_trace(
+                    traces[f"p0000_{variant}"], traces[f"x1_{variant}"])
+            except ValueError as exc:
+                series[f"p0000_{variant}/x1_{variant}"] = exc
+    fits = dict(series)
+    fittable = [slots for slots, trace in series.items() if isinstance(trace, RBTrace)]
+    fits.update(zip(fittable, _fit_decays([series[slots] for slots in fittable])))
+
     l1 = l1_std = None
     if {"x1_srb", "x1_irb"} <= set(traces):
-        l1, l1_std = leakage_budget(_slot_fit("x1_srb", traces["x1_srb"]), _slot_fit("x1_irb", traces["x1_irb"]))
+        l1, l1_std = leakage_budget(_slot_fit("x1_srb", fits), _slot_fit("x1_irb", fits))
 
     r_incoh = r_incoh_std = None
     if {"purity_srb", "purity_irb"} <= set(traces):
-        r_incoh, r_incoh_std = ratio_error_budget(
-            _slot_fit("purity_srb", traces["purity_srb"]), _slot_fit("purity_irb", traces["purity_irb"])
-        )
+        r_incoh, r_incoh_std = ratio_error_budget(_slot_fit("purity_srb", fits), _slot_fit("purity_irb", fits))
 
     r_cz = r_cz_std = None
     if {"p0000_srb", "p0000_irb", "x1_srb", "x1_irb"} <= set(traces):
-        r_cz, r_cz_std = ratio_error_budget(
-            _slot_fit("p0000_srb/x1_srb", subtracted_population_trace(traces["p0000_srb"], traces["x1_srb"])),
-            _slot_fit("p0000_irb/x1_irb", subtracted_population_trace(traces["p0000_irb"], traces["x1_irb"])),
-        )
+        r_cz, r_cz_std = ratio_error_budget(_slot_fit("p0000_srb/x1_srb", fits), _slot_fit("p0000_irb/x1_irb", fits))
 
     return assemble_budget(
         r_cz, r_incoh, l1,
@@ -378,12 +450,16 @@ def full_budget(traces: dict, *, allow_partial: bool = False) -> ErrorBudget:
     )
 
 
-def _slot_fit(slots: str, trace: RBTrace) -> DecayFit:
-    """``fit_decay`` of the trace in ``slots``; ``FitError`` naming them if it fails or does not decay."""
-    try:
-        fit = fit_decay(trace)
-    except FitError as exc:
-        raise FitError(f"trace {slots}: {exc}") from exc
+def _slot_fit(slots: str, fits: dict) -> DecayFit:
+    """The fit of the trace in ``slots``; ``FitError`` naming them if it failed or does not decay.
+
+    A ValueError in place of the fit, from building the trace, is raised as it is.
+    """
+    fit = fits[slots]
+    if isinstance(fit, ValueError):
+        raise fit
+    if isinstance(fit, FitError):
+        raise FitError(f"trace {slots}: {fit}") from fit
     if not fit.lambda_identifiable:
         raise FitError(f"trace {slots} does not decay (fitted amplitude {fit.amplitude}): lambda is not identifiable")
     return fit

@@ -501,18 +501,22 @@ def test_readme_library_sketch_runs():
     assert round(namespace["zz"], 1) == -35.4  # the value its comment gives
 
 
-def test_eigensolver_commands_never_import_scipy_optimize(tmp_path, params_file):
+def test_no_command_but_the_design_search_imports_scipy_optimize(tmp_path, params_file):
     # a fresh interpreter, since other test modules import scipy.optimize when they are collected
+    circuit = ["--params", params_file, "--n-max", "3"]
     commands = [
-        ["zz", "--flux-grid=-0.25:0.25:3", "--out", str(tmp_path / "zz.csv")],
-        ["spectrum", "--flux-grid=0:0.5:3", "--out", str(tmp_path / "spectrum.csv")],
-        ["pert-compare", "--c34-grid", "28:32:2", "--zero-parasitics", "--out", str(tmp_path / "c34.csv")],
+        ["zz", "--flux-grid=-0.25:0.25:3", *circuit, "--out", str(tmp_path / "zz.csv")],
+        ["spectrum", "--flux-grid=0:0.5:3", *circuit, "--out", str(tmp_path / "spectrum.csv")],
+        ["pert-compare", "--c34-grid", "28:32:2", "--zero-parasitics", *circuit, "--out", str(tmp_path / "c34.csv")],
+        ["design", "--formula-only", "--params", params_file, "--out", str(tmp_path / "design.json")],
+        ["rb-budget", *(arg for slot, path in _write_bundle(tmp_path).items()
+                        for arg in (f"--{slot.replace('_', '-')}", path)), "--out", str(tmp_path / "budget.json")],
     ]
     script = f"""
 import sys
 from csdtc.cli import main
 for argv in {commands!r}:
-    assert main(argv + ["--params", {params_file!r}, "--n-max", "3"]) == 0, argv
+    assert main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
 assert not loaded, loaded
 """
