@@ -21,9 +21,11 @@ ARGMIN_TOL_FF = 0.05  # default absolute tolerance (fF) of the |zeta| argmin
 
 
 def _check_bracket(lo: float, hi: float, tol: float) -> None:
-    """Raise ConfigError unless lo < hi are finite and the positive ``tol`` leaves ``bounded_argmin`` an interior."""
+    """Raise ConfigError unless 0 <= lo < hi are finite and a positive ``tol`` leaves ``bounded_argmin`` an interior."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"bracket must be finite with lo < hi, got [{lo}, {hi}]")
+    if lo < 0:
+        raise ConfigError(f"bracket must not reach below 0 fF, since C34 cannot be negative, got [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"bracket tolerance must be finite and positive, got {tol}")
     tol_limit = (hi - lo) / 2 - (hi - lo) * 1e-3

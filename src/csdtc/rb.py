@@ -63,8 +63,8 @@ class RBTrace:
         if self.std_errs is not None:
             if len(self.std_errs) != len(self.lengths):
                 raise ValueError("std_errs must match lengths")
-            if not all(0.0 < s < math.inf for s in self.std_errs):
-                raise ValueError("std_errs must be finite and positive")
+            if not all(0.0 < s < math.inf and 1.0 / s / s < math.inf for s in self.std_errs):
+                raise ValueError("std_errs must be finite and positive, each with a finite weight 1/std_err^2")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("values must be finite")
         if self.kind in _BOUNDED_KINDS and any(not 0.0 <= v <= 1.0 for v in self.values):

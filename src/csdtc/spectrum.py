@@ -73,7 +73,10 @@ of the 51 solves of the Fig. 2 sweep at n_max 7); otherwise it is a
 maximum-weight full bipartite matching (``scipy.sparse.csgraph``), so no
 eigensolver command imports ``scipy.optimize``. The ZZ interaction is the
 cross-Kerr combination E(110) - E(100) - E(010) + E(000) of labeled
-eigenenergies, reported as zeta/2pi in kHz by ``zz_interaction``.
+eigenenergies, reported as zeta/2pi in kHz by ``zz_interaction``. Every
+scan records its points through ``sweep_flux``: a point that fails with a
+``LabelingError`` or ``SolverError`` keeps its row, with the error text, and
+the scan goes on; ``sweep_c34`` takes each C34 row from one zero-flux point.
 ``convergence_study`` judges the basis size against ``ZETA_GATE_KHZ``.
 """
 
@@ -834,7 +837,11 @@ def sweep_flux(params: CircuitParams, grid, cfg: ChargeBasisConfig):
 
 
 def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig):
-    """zeta versus the shunt capacitance at zero flux, with the two-mode prediction (which assumes it) alongside."""
+    """zeta versus the shunt capacitance at zero flux, with the two-mode prediction (which assumes it) alongside.
+
+    Each row's zeta and error come from ``sweep_flux`` at flux 0, which records
+    a failed point; a ``ModelError`` of the two-mode prediction stops the scan.
+    """
     grid = np.asarray(c34_grid_ff, dtype=float)
     if grid.size == 0:
         raise ValueError("C34 grid must be non-empty")
@@ -842,11 +849,8 @@ def sweep_c34(params: CircuitParams, c34_grid_ff, cfg: ChargeBasisConfig):
     points = []
     for trial in trials:
         pert = perturbative.two_mode_reduction(trial)
-        try:
-            zeta = zz_interaction(trial, 0.0, cfg)
-            points.append(C34SweepPoint(trial.c34, zeta, pert.zeta_pert_khz, pert.system.g12, None))
-        except (LabelingError, SolverError) as exc:
-            points.append(C34SweepPoint(trial.c34, None, pert.zeta_pert_khz, pert.system.g12, str(exc)))
+        (point,) = sweep_flux(trial, [0.0], cfg)
+        points.append(C34SweepPoint(trial.c34, point.zeta_khz, pert.zeta_pert_khz, pert.system.g12, point.error))
     return points
 
 

@@ -28,6 +28,7 @@ from csdtc.rb import (
 )
 
 LENGTHS = (1, 5, 10, 20, 40, 80, 120, 200, 300)
+BELOW_ZERO = "bracket must not reach below 0 fF, since C34 cannot be negative,"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -86,6 +87,18 @@ class TestBoundedArgmin:
         with pytest.raises(ConfigError, match="bracket must be finite"):
             bounded_argmin(parabola, lo, hi)
         assert calls == []
+
+    def test_bracket_below_zero(self):
+        calls = []
+
+        def parabola(x):
+            calls.append(x)
+            return (x - 5.0) ** 2
+
+        with pytest.raises(ConfigError, match=re.escape("bracket must not reach below 0 fF")):
+            bounded_argmin(parabola, -1.0, 10.0)
+        assert calls == []
+        assert bounded_argmin(parabola, 0.0, 10.0, tol=1e-5) == pytest.approx(5.0, abs=1e-3)
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
     def test_invalid_tolerance(self, tol):
@@ -421,6 +434,19 @@ class TestPertCompareCommand:
         assert capsys.readouterr().err == "error: two-mode capacitance matrix overflows: its determinant is inf\n"
         assert not out.exists()
 
+    def test_failed_rows_are_flagged_and_named(self, tmp_path, params_file, capsys):
+        # six states at n_max 5 leave |1,1,0> unlabeled at every C34: each row keeps its two-mode zeta
+        out = tmp_path / "pc.csv"
+        code = main(["pert-compare", "--params", params_file, "--c34-grid", "10:90:5", "--n-max", "5", "--k", "6",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["10.0", "30.0", "50.0", "70.0", "90.0"]
+        assert all(exact == "" and pert != "" and flag == "1" for _, exact, pert, _, flag in rows)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err] == [f"failed at C34_fF={row[0]}" for row in rows]
+        assert all("required computational labels unassigned: [(1, 1, 0)]" in line for line in err)
+
     def test_zero_parasitics_sweeps_the_parasitic_free_circuit(self, tmp_path):
         noisy = CircuitParams(**{**vars(reference_device()), "c12": 5.0, "c14": 3.0, "c23": 2.0})
         paths = {}
@@ -570,8 +596,9 @@ class TestDesignCommand:
         [
             (["--bracket", "58:34"], "error: bracket must be finite with lo < hi, got [58.0, 34.0]\n"),
             (["--bracket-tol", "-1"], "error: bracket tolerance must be finite and positive, got -1.0\n"),
+            (["--bracket=-10:50"], f"error: {BELOW_ZERO} got [-10.0, 50.0]\n"),
         ],
-        ids=["reversed", "negative_tolerance"],
+        ids=["reversed", "negative_tolerance", "below_zero"],
     )
     def test_formula_only_refuses_what_the_search_refuses(self, tmp_path, params_file, monkeypatch, capsys, flags, message):
         def no_closed_form(*args, **kwargs):
@@ -631,8 +658,10 @@ class TestDesignCommand:
             (["--bracket", "34:58", "--bracket-tol", "12"], "bracket tolerance 12 leaves no interior in [34.0, 58.0]"),
             (["--bracket", "58:34"], "bracket must be finite with lo < hi, got [58.0, 34.0]\n"),
             (["--bracket-tol", "-1"], "bracket tolerance must be finite and positive, got -1.0\n"),
+            (["--bracket=-1:60"], f"{BELOW_ZERO} got [-1.0, 60.0]\n"),
+            (["--bracket=-60:30"], f"{BELOW_ZERO} got [-60.0, 30.0]\n"),
         ],
-        ids=["no_interior", "reversed", "negative_tolerance"],
+        ids=["no_interior", "reversed", "negative_tolerance", "below_zero", "below_zero_past_the_fixed_point"],
     )
     def test_bad_bracket_is_usage_error_before_the_fixed_point(
         self, tmp_path, monkeypatch, capsys, mode_swap_circuit, flags, message
@@ -816,6 +845,18 @@ class TestRBBudgetCommand:
         err = capsys.readouterr().err
         assert err.count(str(bad)) == 1 and "std_errs must be finite and positive" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_overflowing_std_err_weight_is_usage_error(self, tmp_path, capsys):
+        # 1/std_err^2 overflows at 1e-200, so the file is refused before any fit, with no numpy warning line
+        paths = _write_bundle(tmp_path)
+        bad = tmp_path / "tiny_std.csv"
+        rows = [f"{m},{0.92 + 0.07 * 0.999**m!r},{1e-200 if m == 40 else 0.01}" for m in LENGTHS]
+        bad.write_text("# kind=population_X1 variant=SRB\nm,value,std_err\n" + "\n".join(rows) + "\n")
+        code = main(["rb-budget", "--partial", "--x1-srb", str(bad), "--x1-irb", paths["x1_irb"]])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: slot x1_srb: {bad}: std_errs must be finite and positive, each with a finite weight 1/std_err^2\n"
+        )
 
     @pytest.mark.parametrize("flat, named", [("purity_irb", "purity_irb"), ("p0000_srb", "p0000_srb/x1_srb")])
     def test_trace_without_decay_is_numerical_failure(self, tmp_path, capsys, flat, named):

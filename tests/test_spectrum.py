@@ -961,6 +961,14 @@ class TestSweeps:
         assert points[0].zeta_khz == direct
         assert points[0].error is None
 
+    def test_failed_c34_rows_carry_the_flux_sweep_error(self, device):
+        cfg = ChargeBasisConfig(n_max=5, num_eigenstates=6)  # cannot label |1100>
+        points = sweep_c34(device, [10.0, 30.0], cfg)
+        assert [p.c34_ff for p in points] == [10.0, 30.0]
+        for point in points:
+            assert point.zeta_khz is None and point.zeta_pert_khz is not None
+            assert point.error == sweep_flux(device.with_c34(point.c34_ff), [0.0], cfg)[0].error
+
     def test_points_independent_of_grid_order(self, device):
         forward = sweep_flux(device, [0.0, 0.1], CFG4)
         backward = sweep_flux(device, [0.1, 0.0], CFG4)
