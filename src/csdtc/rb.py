@@ -197,10 +197,10 @@ def fit_decay(trace: RBTrace) -> DecayFit:
     scale is 2 for purity traces, 1 otherwise; weights are 1/std^2 (unit
     without standard errors). At fixed lam, amplitude and offset are linear,
     so only the rate -ln(lam) is searched, with lam in [1e-12, 1]: a log-spaced
-    grid brackets the best cell, vectorized zooms refine it to 1e-12 in the
-    rate, and two Gauss-Newton steps on (amplitude, offset, lam), each kept
-    only if it lowers chi^2, polish it. The covariance is (J^T W J)^-1 of the
-    analytic Jacobian, scaled by chi^2/(n-3) without standard errors.
+    grid brackets the best cell and vectorized zooms refine it to 1e-12 in the
+    rate. The fit is that optimum: amplitude and offset are the closed-form
+    projection at its rate, and the covariance is (J^T W J)^-1 of the analytic
+    Jacobian at the same point, scaled by chi^2/(n-3) without standard errors.
     ``FitError`` if it is singular to rounding or non-finite. This is the
     batch of one of the fit ``full_budget`` runs on all its traces at once.
     """
@@ -232,49 +232,45 @@ def _fit_decays(traces) -> list:
 
 
 def _fit_stack(traces) -> list:
-    """The search, polish and covariance of ``fit_decay`` on non-constant traces of equal size, stacked."""
+    """The search, projection and covariance of ``fit_decay``, at one point, on non-constant traces of equal size."""
     scaled_m = np.array([[_exponent_scale(t.kind) * m for m in t.lengths] for t in traces], dtype=float)
     y = np.array([t.values for t in traces], dtype=float)
     n = y.shape[1]
     absolute = np.array([t.std_errs is not None for t in traces])
-    weights = np.array([t.std_errs if t.std_errs is not None else (1.0,) * n for t in traces], dtype=float) ** -2
+    std = np.array([t.std_errs if t.std_errs is not None else (1.0,) * n for t in traces], dtype=float)
+    # each trace's weights times the even power of two 4^-e that puts the largest in (1/4, 1], so no sum of the fit
+    # overflows; the scaling is exact, so amplitude, offset and lam keep their bits, and the covariance takes 4^e back
+    exponent = np.frexp(std.min(axis=-1))[1] - 1
+    weights = np.ldexp(std, -exponent[:, None]) ** -2
 
     rate = _best_rates(scaled_m, y, weights)
     amplitude, offset, chi2 = (v[:, 0] for v in _projection(rate[:, None], scaled_m, y, weights))
     theta = np.column_stack([amplitude, offset, np.exp(-rate)])
+    decay = theta[:, 2:] ** scaled_m
+    jac = np.stack([decay, np.ones_like(decay), theta[:, :1] * scaled_m * theta[:, 2:] ** (scaled_m - 1)], axis=-1)
+    # (J^T W J)^-1 from the SVD of W^(1/2) J with unit columns: positive definite, or singular to rounding
+    weighted_jac = np.sqrt(weights)[..., None] * jac
+    norms = np.maximum(np.linalg.norm(weighted_jac, axis=-2), np.finfo(float).tiny)
+    scaled_jac = weighted_jac / norms[:, None, :]
+    # LAPACK does not converge on NaN, and one such matrix would fail the whole stack
+    unconverged = np.isnan(scaled_jac).any(axis=(-2, -1))
+    scaled_jac[unconverged] = 0.0
+    _, sv, vt = np.linalg.svd(scaled_jac, full_matrices=False)
+    singular = ~(sv[:, -1] > np.finfo(float).eps * n * sv[:, 0])
     errors = [None] * len(traces)
-    for _ in range(2):
-        decay = theta[:, 2:] ** scaled_m
-        jac = np.stack([decay, np.ones_like(decay), theta[:, :1] * scaled_m * theta[:, 2:] ** (scaled_m - 1)], axis=-1)
-        residuals = y - theta[:, 1:2] - theta[:, :1] * decay
-        # (J^T W J)^-1 from the SVD of W^(1/2) J with unit columns: positive definite, or singular to rounding
-        weighted_jac = np.sqrt(weights)[..., None] * jac
-        norms = np.maximum(np.linalg.norm(weighted_jac, axis=-2), np.finfo(float).tiny)
-        scaled_jac = weighted_jac / norms[:, None, :]
-        # LAPACK does not converge on NaN, and one such matrix would fail the whole stack
-        unconverged = np.isnan(scaled_jac).any(axis=(-2, -1))
-        scaled_jac[unconverged] = 0.0
-        _, sv, vt = np.linalg.svd(scaled_jac, full_matrices=False)
-        singular = ~(sv[:, -1] > np.finfo(float).eps * n * sv[:, 0])
-        for i in np.flatnonzero(singular):
-            reason = "SVD did not converge" if unconverged[i] else f"column-scaled Jacobian has singular values {sv[i]}"
-            errors[i] = errors[i] or FitError(
-                f"decay fit is singular at lam {theta[i, 2]:.6g}: lam is not identifiable ({reason})")
-        # a failed trace's covariance and step are never used; unit values keep them finite
-        sv[singular], norms[singular] = 1.0, 1.0
-        covariance = (np.swapaxes(vt, -1, -2) / sv[:, None, :] ** 2) @ vt / (norms[:, :, None] * norms[:, None, :])
-        gradient = (jac * (weights * residuals)[..., None]).sum(axis=-2)
-        trial = theta + (covariance @ gradient[..., None])[..., 0]
-        trial[:, 2] = np.clip(trial[:, 2], _LAMBDA_FLOOR, 1.0)
-        trial_chi2 = (weights * (y - trial[:, 1:2] - trial[:, :1] * trial[:, 2:] ** scaled_m) ** 2).sum(axis=-1)
-        # a rejected step leaves theta, and so the next pass's covariance and step, as they are
-        keep = trial_chi2 <= chi2
-        theta[keep], chi2[keep] = trial[keep], trial_chi2[keep]
+    for i in np.flatnonzero(singular):
+        reason = "SVD did not converge" if unconverged[i] else f"column-scaled Jacobian has singular values {sv[i]}"
+        errors[i] = FitError(f"decay fit is singular at lam {theta[i, 2]:.6g}: lam is not identifiable ({reason})")
+    # a failed trace's covariance is never used; unit values keep it finite
+    sv[singular], norms[singular] = 1.0, 1.0
+    covariance = (np.swapaxes(vt, -1, -2) / sv[:, None, :] ** 2) @ vt / (norms[:, :, None] * norms[:, None, :])
     covariance[~absolute] = covariance[~absolute] * chi2[~absolute, None, None] / (n - 3)
+    covariance = np.ldexp(covariance, 2 * exponent[:, None, None])
     results = []
     for i in range(len(traces)):
         if errors[i] is None and not np.all(np.isfinite(covariance[i])):
-            errors[i] = FitError(f"decay fit produced a non-finite covariance; residuals {residuals[i]}")
+            residuals = y[i] - theta[i, 1] - theta[i, 0] * decay[i]
+            errors[i] = FitError(f"decay fit produced a non-finite covariance; residuals {residuals}")
         results.append(errors[i] or DecayFit(*map(float, theta[i]), covariance[i],
                                              lambda_identifiable=bool(abs(theta[i, 0]) > _AMPLITUDE_FLOOR)))
     return results

@@ -71,7 +71,10 @@ overlap lies on a different product, that is already the assignment, and
 no matching is solved (every label call of the benchmark workloads, and 39
 of the 51 solves of the Fig. 2 sweep at n_max 7); otherwise it is a
 maximum-weight full bipartite matching (``scipy.sparse.csgraph``), so no
-eigensolver command imports ``scipy.optimize``. The ZZ interaction is the
+eigensolver command imports ``scipy.optimize``. A computational label is
+ambiguous below ``AMBIGUITY_THRESHOLD`` in overlap, and mixed below
+``MARGIN_THRESHOLD`` in margin, its lead over its state's next overlap;
+either fails the point. The ZZ interaction is the
 cross-Kerr combination E(110) - E(100) - E(010) + E(000) of labeled
 eigenenergies, reported as zeta/2pi in kHz by ``zz_interaction``. Every
 scan records its points through ``sweep_flux``: a point that fails with a
@@ -105,6 +108,10 @@ from .hamiltonian import (
 )
 
 AMBIGUITY_THRESHOLD = 0.5
+# a computational label whose overlap leads its state's next-largest label-corner overlap by less than this is mixed:
+# on the Fig. 2 grid at n_max 7 that is +-0.38 (0.061), where |0,1,0> and |1,1,0> sit on opposite branches of their
+# crossings with the coupler level; every unflagged |phi| has a margin of at least 0.199
+MARGIN_THRESHOLD = 0.1
 _RESIDUAL_FACTOR = 1e-8
 _SQRT2 = np.sqrt(2.0)
 # product backend: each cutoff (GHz) on the summed block excitation energy of a kept product, tried in order,
@@ -147,11 +154,16 @@ FLUX_KEY_DECIMALS = 12
 
 @dataclass(frozen=True)
 class DressedLabel:
-    """(q1, q2, coupler level) label for one eigenstate with its assignment overlap."""
+    """(q1, q2, coupler level) label for one eigenstate with its assignment overlap.
+
+    ``margin`` is that overlap minus the state's largest overlap on any other
+    label-corner product.
+    """
 
     occupations: tuple[int, int, int]
     overlap: float
     ambiguous: bool
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -327,11 +339,14 @@ def _assign_labels(overlaps: np.ndarray):
         # the maximum-weight full matching: CSR drops exact zeros (parity makes many overlaps 0), and csgraph
         # takes each stored entry as an edge, so the overlaps are shifted by 1, which adds k to every full matching
         _, products = min_weight_full_bipartite_matching(sp.csr_array(1.0 + flat), maximize=True)
+    others = flat.copy()
+    others[np.arange(k), products] = -np.inf
     labels = []
     for state, product in enumerate(products):
         overlap = float(flat[state, product])
         occ = tuple(int(v) for v in np.unravel_index(product, shape))
-        labels.append(DressedLabel(occ, overlap, bool(overlap < AMBIGUITY_THRESHOLD)))
+        margin = overlap - float(others[state].max())
+        labels.append(DressedLabel(occ, overlap, bool(overlap < AMBIGUITY_THRESHOLD), margin))
 
     assigned = {label.occupations for label in labels}
     missing = [occ for occ in COMPUTATIONAL_OCCUPATIONS if occ not in assigned]
@@ -775,22 +790,27 @@ def spectrum_at(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> Spectrum
 
 
 def _zeta_from_spectrum(spec: SpectrumResult) -> float:
-    energies = []
-    for occ in COMPUTATIONAL_OCCUPATIONS:
-        freq, label = spec.level(occ)
+    """zeta (kHz) of the computational labels; ``LabelingError`` if one is ambiguous or else if one is mixed."""
+    levels = [spec.level(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
+    for occ, (_, label) in zip(COMPUTATIONAL_OCCUPATIONS, levels):
         if label.ambiguous:
             raise LabelingError(
                 f"label {occ} is ambiguous (overlap {label.overlap:.3f} < {AMBIGUITY_THRESHOLD})",
                 spectrum=spec,
             )
-        energies.append(freq)
-    return _zeta_khz(energies)
+    for occ, (_, label) in zip(COMPUTATIONAL_OCCUPATIONS, levels):
+        if label.margin < MARGIN_THRESHOLD:
+            raise LabelingError(
+                f"label {occ} is mixed (margin {label.margin:.3f} < {MARGIN_THRESHOLD} over its state's next overlap)",
+                spectrum=spec,
+            )
+    return _zeta_khz([freq for freq, _ in levels])
 
 
 def zz_interaction(params: CircuitParams, flux, cfg: ChargeBasisConfig) -> float:
     """ZZ interaction zeta/2pi (kHz) at one flux, from the labeled eigenenergies of ``spectrum_at``.
 
-    An ambiguous computational label raises ``LabelingError`` with the
+    An ambiguous or mixed computational label raises ``LabelingError`` with the
     spectrum attached. The value is for ``cfg.n_max`` alone; whether that
     basis is large enough is what ``convergence_study`` answers.
     """

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import csdtc
-from csdtc import perturbative, spectrum
+from csdtc import cli, perturbative, spectrum
 from csdtc.circuit import CircuitParams, params_to_dict, reference_device, save_params
 from csdtc.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid
 from csdtc.design import bounded_argmin
@@ -372,12 +372,17 @@ class TestZZCommand:
         assert rows[0] == "phi_ex,zeta_kHz,ambiguous_flag" and [row.split(",")[1:] for row in rows[1:]] == [["", "1"]] * 3
 
     def test_failed_points_named_to_12_decimals(self, tmp_path, params_file, capsys):
-        # np.linspace gives 0.43000000000000005 here; the CSV keeps that text, stderr reads 0.43
+        # np.linspace gives 0.43000000000000005 here; the CSV keeps that text, stderr reads 0.43. At n_max 4 the
+        # |0,1,0> crossing with the coupler level sits near 0.42, where that label's margin is 0.07, so it is mixed
         out = tmp_path / "zz.csv"
         code = main(["zz", "--params", params_file, "--n-max", "4", "--flux-grid=0.4:0.46:7", "--out", str(out)])
         assert code == EXIT_NUMERICAL
-        failed = [line.split(":")[0] for line in capsys.readouterr().err.splitlines() if line.startswith("failed at")]
-        assert failed == ["failed at phi_ex=0.43", "failed at phi_ex=0.44", "failed at phi_ex=0.45"]
+        err = capsys.readouterr().err.splitlines()
+        failed = [line.split(":")[0] for line in err if line.startswith("failed at")]
+        assert failed == [f"failed at phi_ex={phi}" for phi in ("0.42", "0.43", "0.44", "0.45")]
+        assert err[0] == (
+            "failed at phi_ex=0.42: label (0, 1, 0) is mixed (margin 0.070 < 0.1 over its state's next overlap)"
+        )
         assert out.read_text().splitlines()[4].split(",")[0] == "0.43000000000000005"
 
     @pytest.mark.parametrize("n_max, k", [(4, 100), (5, 1080)])
@@ -518,6 +523,21 @@ def test_readme_command_lines_parse():
     assert {words[0] for words in commands} == {"spectrum", "zz", "pert-compare", "design", "rb-budget"}
     for words in commands:
         build_parser().parse_args(words)
+
+
+def test_parser_built_once_finds_a_writer_wrapped_after_it(tmp_path, params_file, monkeypatch):
+    # main keeps one parser per process; the CSV writer is looked up as each command runs, so a wrapper installed
+    # after the first call, as a tracer installs its own, still sees the second call's write
+    cli._parser.cache_clear()
+    builds, writes = [], []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    argv = ["zz", "--params", params_file, "--flux-grid", "0", "--n-max", "3", "--out"]
+    assert main(argv + [str(tmp_path / "first.csv")]) == EXIT_OK
+    write = spectrum.write_flux_zz_csv
+    monkeypatch.setattr(spectrum, "write_flux_zz_csv", lambda points, path: writes.append(path) or write(points, path))
+    assert main(argv + [str(tmp_path / "second.csv")]) == EXIT_OK
+    assert builds == [1] and writes == [str(tmp_path / "second.csv")]
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
 def test_readme_library_sketch_runs():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestFitDecay:
     @pytest.mark.parametrize("kind", [KIND_POPULATION_X1, KIND_PURITY])
     @pytest.mark.parametrize("lam", [0.3, 0.9, 0.999, 0.99999])
     def test_noiseless_lambda_range(self, kind, lam):
-        # 1e-12, not 1e-9: the Gauss-Newton polish takes the bounded search's ~1e-10 to rounding
+        # 1e-12, not 1e-9: the zooms close the rate's bracket to 1e-12, so the optimum they return is lam to rounding
         trace = synth_trace(offset=0.1, amplitude=0.8, lam=lam, kind=kind, lengths=LENGTHS)
         assert fit_decay(trace).lam == pytest.approx(lam, abs=1e-12)
 
@@ -156,6 +157,32 @@ class TestFitDecay:
         lengths = (30, 60, 100, 200, 300)
         trace = synth_trace(offset=0.05, amplitude=0.9, lam=0.99, kind=KIND_PURITY, lengths=lengths)
         assert fit_decay(trace).lam == pytest.approx(0.99, abs=1e-9)
+
+    @pytest.mark.parametrize("std_err", [1e-153, 3e-154, 1e-154])
+    def test_weights_near_overflow_fit_without_warnings(self, std_err):
+        # each weight 1/std_err^2 is finite, but their sums overflowed inside the fit until the weights were scaled
+        noisy = synth_trace(offset=0.78, amplitude=0.15, lam=0.996, kind=KIND_POPULATION_X1, lengths=LENGTHS,
+                            noise_sigma=0.005, seed=1)
+        trace = RBTrace(noisy.lengths, noisy.values, (std_err,) * len(LENGTHS), noisy.kind, noisy.variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decay(trace)
+        # equal weights, so the same fit as at std_err 0.005, with a variance (std_err / 0.005)^2 times its own
+        reference = fit_decay(noisy)
+        assert fit.lam == pytest.approx(reference.lam, abs=1e-9)
+        assert fit.lam_variance == pytest.approx(reference.lam_variance * (std_err / 0.005) ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 7, 300, -300])
+    def test_std_errs_scaled_by_a_power_of_two(self, k):
+        # the weights are scaled by a power of two before the fit, so this scaling moves no bit but the covariance's
+        noisy = synth_trace(offset=0.25, amplitude=0.7, lam=0.99, kind=KIND_PURITY, lengths=LENGTHS,
+                            noise_sigma=0.005, seed=5)
+        std_errs = tuple(0.003 + 0.001 * i for i in range(len(LENGTHS)))
+        fit = fit_decay(RBTrace(noisy.lengths, noisy.values, std_errs, noisy.kind, noisy.variant))
+        scaled = fit_decay(RBTrace(noisy.lengths, noisy.values, tuple(s * 2.0**-k for s in std_errs),
+                                   noisy.kind, noisy.variant))
+        assert (scaled.amplitude, scaled.offset, scaled.lam) == (fit.amplitude, fit.offset, fit.lam)
+        assert np.array_equal(scaled.covariance, fit.covariance * 4.0**-k)
 
     @pytest.mark.parametrize(
         "offset, amplitude, lam, noise_sigma, seed",

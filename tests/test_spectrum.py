@@ -266,6 +266,8 @@ class TestLabels:
         first, second = sorted(labels[:2], key=lambda label: -label.overlap)
         assert (first.occupations, first.overlap, first.ambiguous) == ((0, 0, 0), 1.0, False)
         assert second.occupations not in products and (second.overlap, second.ambiguous) == (0.0, True)
+        # a margin is the lead over the state's next overlap: negative where the matching took another product
+        assert (first.margin, second.margin) == (1.0, -1.0)
 
     def test_eigenfrequencies_relative_and_sorted(self, device):
         spec = spectrum_at(device, 0.0, CFG4)
@@ -913,6 +915,17 @@ class TestZZ:
         plus = zz_interaction(device, 0.2, CFG4)
         minus = zz_interaction(device, -0.2, CFG4)
         assert minus == pytest.approx(plus, rel=1e-6)
+
+    @pytest.mark.parametrize("solve", [product_spectrum, charge_spectrum])
+    def test_mixed_branch_label_refused_by_its_margin(self, device, solve):
+        # between the |1,1,0>/|1,0,1> crossing (near 0.376) and the |0,1,0>/|0,0,1> one (near 0.381), E_010 is read on
+        # the lower branch and E_110 on the upper: every overlap passes 0.5, but |0,1,0> leads its next one by 0.061
+        spec = solve(device, 0.38, ChargeBasisConfig(n_max=7))
+        assert not any(spec.level(occ)[1].ambiguous for occ in COMPUTATIONAL_OCCUPATIONS)
+        assert spec.level((0, 1, 0))[1].margin == pytest.approx(0.061, abs=0.001)
+        with pytest.raises(LabelingError, match=re.escape("label (0, 1, 0) is mixed (margin 0.061 < 0.1")) as err:
+            _zeta_from_spectrum(spec)
+        assert err.value.spectrum is spec
 
     def test_ambiguous_labels_refused_with_spectrum_attached(self, device):
         # the avoided crossing near phi_ex = 0.45 leaves |1100> hybridized
